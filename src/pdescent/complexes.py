@@ -192,26 +192,25 @@ class TwoComplex:
         return self.num_vertices - self.num_edges + self.num_faces
 
     def _build_tree(self):
+        # adjacency lists in edge-index order reproduce a BFS that scans the
+        # edges in index order at each vertex; loops never join the tree
+        adjacent = [[] for _ in range(self.num_vertices)]
+        for e, (a, b) in enumerate(self.edges):
+            if a != b:
+                adjacent[a].append((e, b, 1))
+                adjacent[b].append((e, a, -1))
         parent = [None] * self.num_vertices
         seen = [False] * self.num_vertices
         seen[self.basepoint] = True
         tree = []
         queue = [self.basepoint]
-        while queue:
-            frontier = []
-            for v in queue:
-                for e, (a, b) in enumerate(self.edges):
-                    if a == v and not seen[b]:
-                        seen[b] = True
-                        parent[b] = (v, e, 1)
-                        tree.append(e)
-                        frontier.append(b)
-                    elif b == v and not seen[a]:
-                        seen[a] = True
-                        parent[a] = (v, e, -1)
-                        tree.append(e)
-                        frontier.append(a)
-            queue = frontier
+        for v in queue:  # FIFO: the loop visits vertices appended below
+            for e, w, d in adjacent[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = (v, e, d)
+                    tree.append(e)
+                    queue.append(w)
         if not all(seen):
             missing = seen.index(False)
             raise ValueError(f"complex is not connected (vertex {missing} unreachable)")
@@ -331,19 +330,26 @@ def boundary_matrices(K: TwoComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
     for e, (u, v) in enumerate(K.edges):
         d1[v, e] += 1
         d1[u, e] -= 1
+    return d1 % p, _face_boundary_matrix(K, p)
+
+
+def _face_boundary_matrix(K: TwoComplex, p: int) -> np.ndarray:
+    """d2: C2 -> C1 over F_p (edges x faces)."""
     d2 = np.zeros((K.num_edges, K.num_faces), dtype=np.int64)
     for j, f in enumerate(K.faces):
         for e, d in f:
             d2[e, j] += d
-    return d1 % p, d2 % p
+    return d2 % p
 
 
 def h1_dimension(K: TwoComplex, p: int) -> int:
-    """dim H_1(K; F_p) = dim ker d1 - rank d2 (= dim H^1 over a field)."""
+    """dim H_1(K; F_p) = dim ker d1 - rank d2 (= dim H^1 over a field).
+
+    K is connected, so rank d1 = |V| - 1 and dim ker d1 = |E| - |V| + 1.
+    """
     p = fplinalg.validate_prime(p)
-    d1, d2 = boundary_matrices(K, p)
-    ker_d1 = K.num_edges - fplinalg.rank(d1, p)
-    return ker_d1 - fplinalg.rank(d2, p)
+    ker_d1 = K.num_edges - (K.num_vertices - 1)
+    return ker_d1 - fplinalg.rank(_face_boundary_matrix(K, p), p)
 
 
 def _nontree_face_matrix(K: TwoComplex, p: int) -> np.ndarray:

@@ -4,6 +4,8 @@ Vectors and matrices are numpy integer arrays with entries reduced to
 0..p-1; all elimination is exact (no floating point anywhere).  Subspaces
 are kept in reduced row echelon form so that equal subspaces have equal
 basis matrices, which downstream code relies on for reproducibility.
+Elimination touches only the rows a pivot can change, so its cost scales
+with the nonzeros of the pivot columns rather than with the matrix size.
 """
 
 from __future__ import annotations
@@ -60,9 +62,14 @@ def rref(m, p) -> tuple[np.ndarray, int]:
     """Reduced row echelon form over F_p; returns (echelon matrix, rank).
 
     Deterministic: columns are processed left to right and the first
-    nonzero entry below the current row is the pivot.
+    nonzero entry below the current row is the pivot.  Each pivot updates
+    only the rows with a nonzero entry in its column, and only from that
+    column rightwards (the pivot row is zero to its left); the other rows
+    would be unchanged by the elimination.  A pivot therefore costs the
+    rows it touches times the columns it spans, so the total follows the
+    nonzeros of the pivot columns.  The input is not modified.
     """
-    a = _as_matrix(m, p).copy()
+    a = _as_matrix(m, p)
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -75,10 +82,11 @@ def rref(m, p) -> tuple[np.ndarray, int]:
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a = (a - np.outer(factors, a[r])) % p
+        a[r, c:] = (a[r, c:] * inv) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         r += 1
     return a, r
 
@@ -87,26 +95,25 @@ def rank(m, p) -> int:
     return rref(m, p)[1]
 
 
-def _pivot_columns(echelon, r):
-    pivots = []
-    for i in range(r):
-        nz = np.flatnonzero(echelon[i])
-        pivots.append(int(nz[0]))
-    return pivots
+def _pivot_columns(echelon, r) -> np.ndarray:
+    """Column of the leading entry of each of the first r (nonzero) rows."""
+    if r == 0:
+        return np.zeros(0, dtype=np.intp)
+    return np.argmax(echelon[:r] != 0, axis=1)
 
 
 def kernel_basis(m, p) -> np.ndarray:
     """Echelon basis of {x : m @ x = 0 over F_p}, one row per basis vector."""
     a = _as_matrix(m, p)
-    rows, cols = a.shape
+    cols = a.shape[1]
     e, r = rref(a, p)
     pivots = _pivot_columns(e, r)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-e[i, j]) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-e[:r, free].T) % p
     # standard free-column vectors need re-echelonizing to get a canonical form
     out, rr = rref(basis, p)
     return out[:rr]
@@ -122,8 +129,7 @@ def solve(m, b, p):
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = e[i, cols]
+    x[pivots] = e[:r, cols]
     return x
 
 

@@ -9,8 +9,13 @@ import itertools
 from fractions import Fraction
 
 
-def mod_rank(rows, p):
-    """Rank over F_p by textbook Gaussian elimination."""
+def mod_rref(rows, p):
+    """Reduced row echelon form over F_p by textbook Gauss-Jordan elimination.
+
+    Pivots on the leftmost column with a nonzero entry at or below the
+    current row, taking the first such row.  Returns (rows, rank) with the
+    full reduced matrix as a list of lists, zero rows last.
+    """
     m = [[x % p for x in row] for row in rows]
     rank = 0
     cols = len(m[0]) if m else 0
@@ -30,7 +35,55 @@ def mod_rank(rows, p):
                 f = m[r][col]
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
         rank += 1
-    return rank
+    return m, rank
+
+
+def mod_rank(rows, p):
+    """Rank over F_p by textbook Gaussian elimination."""
+    return mod_rref(rows, p)[1]
+
+
+def edge_scan_spanning_tree(num_vertices, edges, basepoint):
+    """BFS spanning tree that rescans every edge for each dequeued vertex.
+
+    Layer by layer from the basepoint; at each vertex the edges are taken
+    in index order, and an edge joins the tree when it leads to an unseen
+    vertex (forwards from its initial vertex, backwards from its terminal
+    one).  Returns (parent, tree_edges, non_tree_edges) where parent[v] is
+    (previous vertex, edge, direction), or None for the basepoint.
+    """
+    parent = [None] * num_vertices
+    seen = [False] * num_vertices
+    seen[basepoint] = True
+    tree = []
+    queue = [basepoint]
+    while queue:
+        frontier = []
+        for v in queue:
+            for e, (a, b) in enumerate(edges):
+                if a == v and not seen[b]:
+                    seen[b] = True
+                    parent[b] = (v, e, 1)
+                    tree.append(e)
+                    frontier.append(b)
+                elif b == v and not seen[a]:
+                    seen[a] = True
+                    parent[a] = (v, e, -1)
+                    tree.append(e)
+                    frontier.append(a)
+        queue = frontier
+    tree = set(tree)
+    return parent, tree, tuple(e for e in range(len(edges)) if e not in tree)
+
+
+def tree_path_steps(parent, v):
+    """(edge, direction) steps from the basepoint to v along parent links."""
+    steps = []
+    while parent[v] is not None:
+        pv, e, d = parent[v]
+        steps.append((e, d))
+        v = pv
+    return tuple(reversed(steps))
 
 
 def enumerate_span(rows, p):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from pdescent.errors import ParseError
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
 F2 = "p = 2\ngens = a b\n"
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, name, text):
@@ -270,3 +272,22 @@ def test_every_command_is_deterministic(tmp_path, capsys):
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second, argv
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+         "descend_p2_rank2_u2_depth3.json"),
+        (["cyclic", "genus2_p3.txt", "--weights=1,-2,0,3", "--depth", "24"],
+         "cyclic_p3_depth24.json"),
+        (["cover", "genus2_p3.txt", "--series", "rank:2", "--depth", "2", "--format", "table"],
+         "cover_p3_rank2_depth2.txt"),
+    ],
+)
+def test_reports_match_golden_fixtures(tmp_path, argv, expected):
+    # the fixtures were written by the dense-elimination kernel; faster
+    # kernels must reproduce its reports byte for byte
+    out = tmp_path / "report"
+    assert main([argv[0], str(DATA / argv[1]), *argv[2:], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / expected).read_bytes()

@@ -18,9 +18,10 @@ from pdescent.complexes import (
     parse_presentation,
     presentation_loop,
 )
+from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
 from pdescent.errors import CocycleConditionError, ParseError
 
-from oracles import mod_rank
+from oracles import edge_scan_spanning_tree, mod_rank, tree_path_steps
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -109,6 +110,25 @@ def test_spanning_tree_and_fundamental_loops():
         assert K.path_end(K.tree_path(v)) == v
 
 
+def test_spanning_tree_matches_edge_scan_bfs():
+    genus2 = build_presentation_complex(parse_presentation(GENUS2)[0])
+    complexes = [
+        build_abelian_p_cover(genus2, h1_cocycle_basis(genus2, p)[:2], p).total
+        for p in (2, 3)
+    ]
+    complexes += [build_cyclic_cover(genus2, [1, -2, 0, 3], n).total for n in (5, 12)]
+    # loops at 0, 2 and 3; parallel edges 1, 2 and 3, 4 and 6, 7
+    edges = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (1, 3), (3, 3)]
+    faces = [((0, 1),), ((1, 1), (2, 1)), ((3, 1), (7, 1), (6, 1), (4, 1))]
+    complexes += [TwoComplex(4, edges, faces, basepoint=b) for b in (0, 2)]
+    for K in complexes:
+        parent, tree, non_tree = edge_scan_spanning_tree(K.num_vertices, K.edges, K.basepoint)
+        assert K.tree_edges == tree
+        assert K.non_tree_edges == non_tree
+        for v in range(K.num_vertices):
+            assert K.tree_path(v) == EdgePath(K.basepoint, tree_path_steps(parent, v))
+
+
 def test_edge_path_reverse_then():
     K = TwoComplex(3, [(0, 1), (1, 2)])
     path = EdgePath(0, ((0, 1), (1, 1)))
@@ -147,15 +167,50 @@ def test_h1_dimension_known_values():
     assert h1_dimension(killed, 2) == 0
 
 
+def _random_connected_complex(rng):
+    """A random tree plus extra edges (loops and parallels allowed), with
+    faces that close random walks through the spanning tree."""
+    n = int(rng.integers(1, 7))
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    edges += [tuple(int(x) for x in rng.integers(0, n, size=2)) for _ in range(rng.integers(0, 6))]
+    order = rng.permutation(len(edges))
+    edges = [edges[i] if rng.random() < 0.5 else edges[i][::-1] for i in order]
+    skeleton = TwoComplex(n, edges)
+    faces = []
+    for _ in range(int(rng.integers(0, 5))):
+        start = cur = int(rng.integers(0, n))
+        walk = []
+        for _ in range(int(rng.integers(1, 6))):
+            out = [(e, 1) for e, (u, _) in enumerate(edges) if u == cur]
+            out += [(e, -1) for e, (_, v) in enumerate(edges) if v == cur]
+            if not out:
+                break
+            step = out[int(rng.integers(0, len(out)))]
+            walk.append(step)
+            cur = skeleton.step_endpoints(step)[1]
+        back = skeleton.tree_path(cur).reverse(skeleton).steps + skeleton.tree_path(start).steps
+        if walk or back:
+            faces.append(tuple(walk) + back)
+    return TwoComplex(n, edges, faces)
+
+
 def test_h1_dimension_against_rank_oracle():
     rng = np.random.default_rng(41)
     words = ["abAB", "aabb", "abab", "aB", "bbb", "abba"]
+    complexes = []
     for _ in range(20):
         k = int(rng.integers(0, 3))
         rels = tuple(words[int(i)] for i in rng.integers(0, len(words), size=k))
         pres = GroupPresentation(generators=("a", "b"), relators=rels)
-        K = build_presentation_complex(pres)
-        for p in (2, 3):
+        complexes.append(build_presentation_complex(pres))
+    # multi-vertex complexes, where rank d1 = |V| - 1 is not zero
+    genus2 = build_presentation_complex(parse_presentation(GENUS2)[0])
+    for p in (2, 3):
+        complexes.append(build_abelian_p_cover(genus2, h1_cocycle_basis(genus2, p)[:2], p).total)
+    complexes.append(build_cyclic_cover(genus2, [1, -2, 0, 3], 6).total)
+    complexes += [_random_connected_complex(rng) for _ in range(30)]
+    for K in complexes:
+        for p in (2, 3, 5):
             d1, d2 = boundary_matrices(K, p)
             expect = (
                 K.num_edges

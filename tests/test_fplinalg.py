@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdescent import fplinalg
 from pdescent.errors import EnumerationCapError
@@ -13,7 +15,7 @@ from pdescent.fplinalg import (
     support_size_by_enumeration,
 )
 
-from oracles import brute_support, brute_support_sum, mod_rank, random_subspace_rows
+from oracles import brute_support, brute_support_sum, mod_rank, mod_rref, random_subspace_rows
 
 
 def test_validate_prime():
@@ -36,6 +38,45 @@ def test_rref_idempotent_and_rank_matches_oracle():
         ech2, rank2 = rref(ech, p)
         assert rank2 == rank
         assert np.array_equal(ech2, ech)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(matrix, p): dense or sparse entries, some rows and columns zeroed."""
+    p = draw(st.sampled_from((2, 3, 5, 65521)))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    cells = rows * cols
+    entries = st.integers(-p, 2 * p - 1)  # rref reduces mod p itself
+    m = np.zeros(cells, dtype=np.int64)
+    if draw(st.booleans()):
+        m[:] = draw(st.lists(entries, min_size=cells, max_size=cells))
+    else:  # density at most 0.1
+        nonzero = draw(st.lists(st.integers(0, cells - 1), max_size=cells // 10, unique=True))
+        for i in nonzero:
+            m[i] = draw(st.integers(1, p - 1))
+    m = m.reshape(rows, cols)
+    m[sorted(draw(st.sets(st.integers(0, rows - 1), max_size=rows))), :] = 0
+    m[:, sorted(draw(st.sets(st.integers(0, cols - 1), max_size=cols)))] = 0
+    return m, p
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(matrices_mod_p())
+def test_rref_and_kernel_match_textbook_elimination(case):
+    m, p = case
+    before = m.copy()
+    ech, r = rref(m, p)
+    want, want_rank = mod_rref(m.tolist(), p)
+    assert r == want_rank
+    assert ech.tolist() == want
+    assert np.array_equal(m, before)
+    # the kernel basis is the unique reduced echelon basis of the kernel
+    ker = kernel_basis(m, p)
+    assert len(ker) == m.shape[1] - r
+    assert np.all((m @ ker.T) % p == 0)
+    assert ker.tolist() == mod_rref(ker.tolist(), p)[0]
+    assert np.array_equal(m, before)
 
 
 def test_kernel_basis_is_kernel_and_dimension_formula():
