@@ -598,9 +598,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_weights(argv: list[str]) -> list[str]:
+    """Rewrite `--weights -1,2` as `--weights=-1,2`.
+
+    argparse reads a separate value that starts with `-` as an option
+    unless it is a single number, so a weight list led by a negative
+    weight would be rejected.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--weights" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--weights={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
         text, code = args.handler(args)
     except EnumerationCapError as exc:

@@ -26,6 +26,7 @@ __all__ = [
     "format_presentation",
     "EdgePath",
     "TwoComplex",
+    "CellArrays",
     "Cochain",
     "build_presentation_complex",
     "presentation_loop",
@@ -33,6 +34,7 @@ __all__ = [
     "h1_dimension",
     "h1_cocycle_basis",
     "coboundary",
+    "tree_potential",
     "class_coordinates",
     "cocycle_from_coordinates",
     "combine_cochains",
@@ -150,13 +152,40 @@ class EdgePath:
         return EdgePath(start=self.start, steps=self.steps + other.steps)
 
 
+@dataclass(frozen=True, eq=False)
+class CellArrays:
+    """Index arrays of a complex for vectorised cochain work.
+
+    init[e], term[e] are the endpoints of edge e and non_tree lists the
+    non-tree edges in order.  bfs_vertices holds every vertex but the
+    basepoint in BFS order, reached from parent_vertex along parent_edge
+    traversed in direction parent_sign; layers[k] = (lo, hi) slices the
+    vertices at tree distance k + 1.  face_edges and face_signs are the
+    steps of all faces concatenated, face j starting at face_starts[j].
+    """
+
+    init: np.ndarray
+    term: np.ndarray
+    non_tree: np.ndarray
+    bfs_vertices: np.ndarray
+    parent_vertex: np.ndarray
+    parent_edge: np.ndarray
+    parent_sign: np.ndarray
+    layers: tuple[tuple[int, int], ...]
+    face_edges: np.ndarray
+    face_signs: np.ndarray
+    face_starts: np.ndarray
+
+
 class TwoComplex:
     """A finite connected 2-complex.
 
     edges[i] = (init, term); faces[j] is a closed attaching path given as
     (edge, direction) steps.  A BFS spanning tree from the basepoint is
     computed at construction (edges explored in index order), giving
-    deterministic tree paths and fundamental loops.
+    deterministic tree paths and fundamental loops.  The index arrays of
+    `arrays` are built on first use only: most covers of a tower never
+    need them.
     """
 
     def __init__(self, num_vertices, edges, faces=(), basepoint=0):
@@ -174,6 +203,7 @@ class TwoComplex:
         self._build_tree()
         for j, f in enumerate(self.faces):
             self._check_face(j, f)
+        self._arrays = None
 
     @property
     def num_edges(self) -> int:
@@ -215,8 +245,48 @@ class TwoComplex:
             missing = seen.index(False)
             raise ValueError(f"complex is not connected (vertex {missing} unreachable)")
         self._parent = parent
+        self._bfs_order = queue
         self.tree_edges = frozenset(tree)
         self.non_tree_edges = tuple(e for e in range(self.num_edges) if e not in self.tree_edges)
+
+    @property
+    def arrays(self) -> CellArrays:
+        """The complex's CellArrays, built on the first access."""
+        if self._arrays is None:
+            self._arrays = self._build_arrays()
+        return self._arrays
+
+    def _build_arrays(self) -> CellArrays:
+        def frozen(values, width=None):
+            a = np.array(values, dtype=np.int64)
+            if width is not None:
+                a = a.reshape(-1, width).T.copy()
+            a.flags.writeable = False
+            return a
+
+        init, term = frozen(self.edges, 2)
+        order = self._bfs_order[1:]
+        parent_vertex, parent_edge, parent_sign = frozen([self._parent[v] for v in order], 3)
+        depth = [0] * self.num_vertices
+        for v in order:
+            depth[v] = depth[self._parent[v][0]] + 1
+        # BFS order lists the vertices layer by layer
+        cuts = [i for i in range(1, len(order)) if depth[order[i]] != depth[order[i - 1]]]
+        bounds = [0, *cuts, len(order)]
+        face_edges, face_signs = frozen([step for f in self.faces for step in f], 2)
+        return CellArrays(
+            init=init,
+            term=term,
+            non_tree=frozen(self.non_tree_edges),
+            bfs_vertices=frozen(order),
+            parent_vertex=parent_vertex,
+            parent_edge=parent_edge,
+            parent_sign=parent_sign,
+            layers=tuple(zip(bounds[:-1], bounds[1:])),
+            face_edges=face_edges,
+            face_signs=face_signs,
+            face_starts=frozen(np.cumsum([0] + [len(f) for f in self.faces])[:-1]),
+        )
 
     def step_endpoints(self, step):
         e, d = step
@@ -302,14 +372,16 @@ class Cochain:
         return total % self.p
 
     def is_cocycle(self) -> bool:
-        return all(
-            self.evaluate(self.complex.boundary_path(j)) == 0
-            for j in range(self.complex.num_faces)
-        )
+        """True when the cochain evaluates to zero on every face boundary."""
+        if self.complex.num_faces == 0:
+            return True
+        a = self.complex.arrays
+        sums = np.add.reduceat(a.face_signs * self.values[a.face_edges], a.face_starts)
+        return not np.any(sums % self.p)
 
     def has_trivial_class(self) -> bool:
         """True when the cocycle evaluates to zero on every fundamental loop."""
-        return all(self.evaluate(l) == 0 for l in self.complex.fundamental_loops())
+        return not np.any(class_coordinates(self))
 
 
 def build_presentation_complex(pres: GroupPresentation) -> TwoComplex:
@@ -383,11 +455,23 @@ def coboundary(K: TwoComplex, potential, p: int) -> Cochain:
     f = np.asarray(potential, dtype=np.int64) % p
     if f.shape != (K.num_vertices,):
         raise ValueError("potential length does not match vertex count")
-    init = np.array([u for u, _ in K.edges], dtype=np.int64)
-    term = np.array([v for _, v in K.edges], dtype=np.int64)
-    if K.num_edges == 0:
-        return Cochain(K, p, np.zeros(0, dtype=np.int64))
-    return Cochain(K, p, (f[term] - f[init]) % p)
+    a = K.arrays
+    return Cochain(K, p, (f[a.term] - f[a.init]) % p)
+
+
+def tree_potential(K: TwoComplex, values, p: int) -> np.ndarray:
+    """Integrals of a 1-cochain along the spanning tree, one per vertex.
+
+    pot[v] is the evaluation of `values` (one residue per edge) on the tree
+    path from the basepoint to v, mod p; one vectorised step per BFS layer.
+    """
+    a = K.arrays
+    values = np.asarray(values, dtype=np.int64)
+    pot = np.zeros(K.num_vertices, dtype=np.int64)
+    for lo, hi in a.layers:
+        step = a.parent_sign[lo:hi] * values[a.parent_edge[lo:hi]]
+        pot[a.bfs_vertices[lo:hi]] = (pot[a.parent_vertex[lo:hi]] + step) % p
+    return pot
 
 
 def class_coordinates(c: Cochain) -> np.ndarray:
@@ -395,12 +479,12 @@ def class_coordinates(c: Cochain) -> np.ndarray:
 
     Coboundaries evaluate to zero on closed loops, so these coordinates
     depend only on the cohomology class; for a tree-vanishing cocycle they
-    are just its non-tree values.
+    are just its non-tree values.  The loop through e evaluates to
+    pot[init e] + c(e) - pot[term e] for the tree potential pot of c.
     """
-    return np.array(
-        [c.evaluate(c.complex.fundamental_loop(e)) for e in c.complex.non_tree_edges],
-        dtype=np.int64,
-    )
+    a = c.complex.arrays
+    pot = tree_potential(c.complex, c.values, c.p)
+    return ((pot[a.init] + c.values - pot[a.term]) % c.p)[a.non_tree]
 
 
 def cocycle_from_coordinates(K: TwoComplex, p: int, coords) -> Cochain:

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import fplinalg
-from .complexes import Cochain, EdgePath, TwoComplex, class_coordinates
+from .complexes import Cochain, EdgePath, TwoComplex, class_coordinates, tree_potential
 from .errors import (
     CocycleConditionError,
     DisconnectedCoverError,
@@ -224,20 +224,17 @@ def vertex_values(cov: CoveringMap, c: Cochain) -> np.ndarray:
         raise CocycleConditionError("cochain is not a cocycle")
     p = c.p
     total = cov.total
-    values = np.zeros(total.num_vertices, dtype=np.int64)
-    for v in range(total.num_vertices):
-        s = 0
-        for e, d in total.tree_path(v).steps:
-            s += d * int(c.values[int(cov.edge_projection[e])])
-        values[v] = s % p
+    pulled = c.values[cov.edge_projection]
+    values = tree_potential(total, pulled, p)
     # tree edges are consistent by construction; any failure names a loop
-    for e, (a, b) in enumerate(total.edges):
-        base_val = int(c.values[int(cov.edge_projection[e])])
-        mismatch = (values[a] + base_val - values[b]) % p
-        if mismatch != 0:
-            raise UndefinedVertexValueError(
-                "class does not vanish on loops of the total complex; "
-                f"witness loop through edge {e} evaluates to {mismatch}",
-                witness_loop=total.fundamental_loop(e),
-            )
+    a = total.arrays
+    mismatch = (values[a.init] + pulled - values[a.term]) % p
+    bad = np.flatnonzero(mismatch)
+    if len(bad):
+        e = int(bad[0])
+        raise UndefinedVertexValueError(
+            "class does not vanish on loops of the total complex; "
+            f"witness loop through edge {e} evaluates to {int(mismatch[e])}",
+            witness_loop=total.fundamental_loop(e),
+        )
     return values

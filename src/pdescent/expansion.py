@@ -5,6 +5,11 @@ The Cheeger constant is min |boundary(A)| / |A| over vertex sets A with
 is the smallest support fraction among its representatives.  For a p-cover
 whose deck group sees a class alpha, the cut between vertex-value classes
 bounds the cover's Cheeger constant by (|E| / (|V|/p)) * relsize(alpha).
+
+Costs: a heuristic sweep keeps a running cut count, so each sweep order
+costs O(E) after the eigenvector; the greedy upper bound on relative size
+rescores a vertex from its incident edges, O(deg v + p) per vertex visit,
+so one pass over the vertices costs O(E + |V| p).
 """
 
 from __future__ import annotations
@@ -43,38 +48,50 @@ class SkeletonGraph:
         return cls(num_vertices=K.num_vertices, edges=tuple(K.edges))
 
     def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
+        return _reaches_all(_adjacency(self))
+
+
+def _adjacency(graph: SkeletonGraph) -> list[list[int]]:
+    """Neighbour lists with one entry per non-loop edge end."""
+    adj = [[] for _ in range(graph.num_vertices)]
+    for u, v in graph.edges:
+        if u != v:
             adj[u].append(v)
             adj[v].append(u)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == self.num_vertices
+    return adj
 
 
-def _sweep_min(graph: SkeletonGraph, order) -> tuple[int, int]:
-    """Best (cut, size) over prefixes of `order` with size <= |V|/2."""
-    n = graph.num_vertices
-    inside = np.zeros(n, dtype=bool)
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """True when a search from vertex 0 reaches every vertex."""
+    if not adj:
+        return False
+    seen = [False] * len(adj)
+    seen[0] = True
+    queue = [0]
+    for v in queue:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return len(queue) == len(adj)
+
+
+def _sweep_min(adj: list[list[int]], order) -> tuple[int, int]:
+    """Best (cut, size) over prefixes of `order` with size <= |V|/2.
+
+    The cut is updated as each vertex joins: its edges to outside
+    neighbours start crossing, its edges to inside neighbours stop.
+    """
+    n = len(adj)
+    inside = [False] * n
+    cut = 0
     best = None
     for k, v in enumerate(order, start=1):
-        inside[v] = True
         if 2 * k > n:
             break
-        cut = 0
-        for a, b in graph.edges:
-            if a != b and inside[a] != inside[b]:
-                cut += 1
+        inside[v] = True
+        for w in adj[v]:
+            cut += -1 if inside[w] else 1
         if best is None or cut * best[1] < best[0] * k:
             best = (cut, k)
     return best
@@ -96,7 +113,8 @@ def cheeger_constant(
     n = graph.num_vertices
     if n < 2:
         raise ValueError("Cheeger constant needs at least 2 vertices")
-    if not graph.is_connected():
+    adj = _adjacency(graph)
+    if not _reaches_all(adj):
         raise ValueError("graph is not connected")
     if mode == "exact":
         if n > max_exact_vertices:
@@ -134,14 +152,14 @@ def cheeger_constant(
             lap[u, v] -= 1
             lap[v, u] -= 1
         _, vecs = np.linalg.eigh(lap)
-        orders = [list(np.argsort(vecs[:, 1], kind="stable"))]
+        orders = [np.argsort(vecs[:, 1], kind="stable").tolist()]
         rng = np.random.default_rng(seed)
         for _ in range(sweeps):
             direction = rng.standard_normal(n)
-            orders.append(list(np.argsort(direction, kind="stable")))
+            orders.append(np.argsort(direction, kind="stable").tolist())
         best = None
         for order in orders:
-            cand = _sweep_min(graph, order)
+            cand = _sweep_min(adj, order)
             if cand is not None and (best is None or cand[0] * best[1] < best[0] * cand[1]):
                 best = cand
         return Fraction(best[0], best[1])
@@ -171,8 +189,7 @@ def minimum_support_representative(
         raise EnumerationCapError(
             f"exact relative size needs {p}**{len(free)} potentials, over cap {cap}"
         )
-    init = np.array([u for u, _ in K.edges], dtype=np.int64)
-    term = np.array([v for _, v in K.edges], dtype=np.int64)
+    init, term = K.arrays.init, K.arrays.term
     best_size, best_f = None, None
     chunk = 1 << 12
     for start in range(0, count, chunk):
@@ -196,31 +213,45 @@ def minimum_support_representative(
 
 
 def _greedy_descent(K: TwoComplex, alpha: Cochain) -> tuple[Cochain, int]:
+    """Single-vertex descent on |supp(alpha + df)| from f = 0.
+
+    Vertices are visited in index order (the basepoint stays 0) and each
+    takes the value in 0..p-1 that strictly lowers the support most, the
+    first such on ties; passes repeat until none improves.  Moving f(v)
+    only changes the residues of v's non-loop edges, and each of those is
+    zero for exactly one value of f(v).  With hits[val] of them zero at
+    val, setting f(v) = val changes the support by hits[f(v)] - hits[val].
+    """
     p = alpha.p
-    f = np.zeros(K.num_vertices, dtype=np.int64)
-    init = np.array([u for u, _ in K.edges], dtype=np.int64)
-    term = np.array([v for _, v in K.edges], dtype=np.int64)
-
-    def size(fvec):
-        reps = (alpha.values + fvec[term] - fvec[init]) % p
-        return int((reps != 0).sum())
-
-    best = size(f)
+    init, term = K.arrays.init, K.arrays.term
+    vals = alpha.values.tolist()
+    # per vertex: (other end w, offset); the edge's residue is zero when f(v) = f(w) + offset
+    incident = [[] for _ in range(K.num_vertices)]
+    for e, (u, v) in enumerate(K.edges):
+        if u != v:
+            incident[u].append((v, vals[e]))
+            incident[v].append((u, -vals[e]))
+    f = [0] * K.num_vertices
+    best = int(np.count_nonzero(alpha.values))
     improved = True
     while improved:
         improved = False
         for v in range(K.num_vertices):
             if v == K.basepoint:
                 continue
+            hits = [0] * p
+            for w, offset in incident[v]:
+                hits[(f[w] + offset) % p] += 1
             orig = f[v]
+            base = best + hits[orig]
             for val in range(p):
-                f[v] = val
-                s = size(f)
+                s = base - hits[val]
                 if s < best:
                     best = s
                     orig = val
                     improved = True
             f[v] = orig
+    f = np.array(f, dtype=np.int64)
     reps = (alpha.values + f[term] - f[init]) % p
     return Cochain(K, p, reps), best
 
@@ -278,10 +309,9 @@ def expansion_bound_report(
     graph = SkeletonGraph.from_complex(cov.total)
     h = cheeger_constant(graph, mode=cheeger_mode)
     bound = Fraction(cov.base.num_edges * p, cov.base.num_vertices) * relsize
-    zero_cut = 0
-    for u, v in cov.total.edges:
-        if u != v and (values[u] == 0) != (values[v] == 0):
-            zero_cut += 1
+    # loops never cross: both ends share one value
+    zero = values == 0
+    zero_cut = int(np.count_nonzero(zero[cov.total.arrays.init] != zero[cov.total.arrays.term]))
     return ExpansionReport(
         cheeger=h,
         bound=bound,

@@ -41,10 +41,7 @@ def wedge_cochain(cov: CoveringMap, c1: Cochain, c2: Cochain) -> Cochain:
     """The cochain e -> c1(q(e)) * val_{c2}(init(e)) on the total complex."""
     pulled = cov.pullback(c1)
     vals = vertex_values(cov, c2)
-    init = np.array([u for u, _ in cov.total.edges], dtype=np.int64)
-    if cov.total.num_edges == 0:
-        return Cochain(cov.total, c1.p, np.zeros(0, dtype=np.int64))
-    return Cochain(cov.total, c1.p, (pulled.values * vals[init]) % c1.p)
+    return Cochain(cov.total, c1.p, (pulled.values * vals[cov.total.arrays.init]) % c1.p)
 
 
 @dataclass(eq=False)

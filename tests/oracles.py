@@ -2,11 +2,16 @@
 
 Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
-routines is meaningful.  Nothing in this module imports the package.
+routines is meaningful.  The full-recount expansion routines are the
+package's earlier implementations, kept as references; they use numpy.
+Nothing in this module imports the package: complexes, graphs and
+cochains are read through their attributes only.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def mod_rref(rows, p):
@@ -205,3 +210,81 @@ def random_subspace_rows(rng, p, dim, ambient):
         rows = [[int(rng.integers(0, p)) for _ in range(ambient)] for _ in range(dim)]
         if mod_rank(rows, p) == dim:
             return rows
+
+
+def sweep_min_full_recount(graph, order):
+    """Best (cut, size) over prefixes of `order` with size <= |V|/2,
+    recounting the whole cut for every prefix."""
+    n = graph.num_vertices
+    inside = np.zeros(n, dtype=bool)
+    best = None
+    for k, v in enumerate(order, start=1):
+        inside[v] = True
+        if 2 * k > n:
+            break
+        cut = 0
+        for a, b in graph.edges:
+            if a != b and inside[a] != inside[b]:
+                cut += 1
+        if best is None or cut * best[1] < best[0] * k:
+            best = (cut, k)
+    return best
+
+
+def greedy_descent_full_recount(K, alpha):
+    """Single-vertex greedy descent on |supp(alpha + df)|, recounting the
+    whole support for every trial value; returns (representative values,
+    support size)."""
+    p = alpha.p
+    f = np.zeros(K.num_vertices, dtype=np.int64)
+    init = np.array([u for u, _ in K.edges], dtype=np.int64)
+    term = np.array([v for _, v in K.edges], dtype=np.int64)
+
+    def size(fvec):
+        reps = (alpha.values + fvec[term] - fvec[init]) % p
+        return int((reps != 0).sum())
+
+    best = size(f)
+    improved = True
+    while improved:
+        improved = False
+        for v in range(K.num_vertices):
+            if v == K.basepoint:
+                continue
+            orig = f[v]
+            for val in range(p):
+                f[v] = val
+                s = size(f)
+                if s < best:
+                    best = s
+                    orig = val
+                    improved = True
+            f[v] = orig
+    reps = (alpha.values + f[term] - f[init]) % p
+    return reps, best
+
+
+def walk_evaluate(edges, values, p, start, steps):
+    """Evaluate a cochain on a walk, checking that each step is incident."""
+    total = 0
+    cur = start
+    for e, d in steps:
+        a, b = edges[e] if d == 1 else edges[e][::-1]
+        if a != cur:
+            raise ValueError("path step does not start at the current vertex")
+        total += d * int(values[e])
+        cur = b
+    return total % p
+
+
+def vertex_values_by_tree_paths(total, pulled, p):
+    """Integrate pulled-back values along every tree path of the total
+    complex; returns (values, first edge whose ends disagree or None)."""
+    values = [
+        walk_evaluate(total.edges, pulled, p, total.basepoint, total.tree_path(v).steps)
+        for v in range(total.num_vertices)
+    ]
+    for e, (a, b) in enumerate(total.edges):
+        if (values[a] + int(pulled[e]) - values[b]) % p != 0:
+            return values, e
+    return values, None

@@ -148,6 +148,20 @@ def test_cyclic_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_cyclic_weights_may_start_negative(tmp_path, capsys):
+    genus2 = str(DATA / "genus2_p3.txt")
+    code, attached = run(capsys, ["cyclic", genus2, "--weights=-1,2,0,3", "--depth", "6"])
+    assert code == 0
+    code, separate = run(capsys, ["cyclic", genus2, "--weights", "-1,2,0,3", "--depth", "6"])
+    assert code == 0
+    assert separate == attached
+    assert json.loads(separate)["weights"] == [-1, 2, 0, 3]
+    for bad in ("-1,x,0,3", "-1,2,0"):
+        for argv in (["--weights", bad], [f"--weights={bad}"]):
+            code, out = run(capsys, ["cyclic", genus2, *argv])
+            assert (code, out) == (2, "")
+
+
 def test_criteria_command(tmp_path, capsys):
     recs = write(tmp_path, "recs.txt", "record = 1 2\nrecord = 4 5\n")
     code, out = run(capsys, ["criteria", recs])
@@ -283,11 +297,14 @@ def test_every_command_is_deterministic(tmp_path, capsys):
          "cyclic_p3_depth24.json"),
         (["cover", "genus2_p3.txt", "--series", "rank:2", "--depth", "2", "--format", "table"],
          "cover_p3_rank2_depth2.txt"),
+        (["cheeger", "genus2_p2.txt", "--series", "rank:2", "--depth", "3", "--mode", "heuristic"],
+         "cheeger_p2_rank2_depth3_heuristic.json"),
     ],
 )
 def test_reports_match_golden_fixtures(tmp_path, argv, expected):
-    # the fixtures were written by the dense-elimination kernel; faster
-    # kernels must reproduce its reports byte for byte
+    # the fixtures were written by the dense-elimination kernel and the
+    # full-recount Cheeger sweeps; faster kernels must reproduce their
+    # reports byte for byte
     out = tmp_path / "report"
     assert main([argv[0], str(DATA / argv[1]), *argv[2:], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / expected).read_bytes()

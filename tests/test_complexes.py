@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdescent.complexes import (
     Cochain,
@@ -17,11 +19,12 @@ from pdescent.complexes import (
     h1_dimension,
     parse_presentation,
     presentation_loop,
+    tree_potential,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
 from pdescent.errors import CocycleConditionError, ParseError
 
-from oracles import edge_scan_spanning_tree, mod_rank, tree_path_steps
+from oracles import edge_scan_spanning_tree, mod_rank, tree_path_steps, walk_evaluate
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -243,6 +246,48 @@ def test_class_coordinates_are_loop_evaluations():
         coords = class_coordinates(c)
         for j, loop in enumerate(K.fundamental_loops()):
             assert c.evaluate(loop) == coords[j]
+
+
+@st.composite
+def complexes_with_cochains(draw):
+    """A random cover or random 2-complex (loops and parallel edges
+    allowed) with a random cochain, a random cocycle, or a coboundary."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("abelian", "cyclic", "random")))
+    if kind == "random":
+        K = _random_connected_complex(rng)
+    else:
+        base = build_presentation_complex(
+            parse_presentation(draw(st.sampled_from((TORUS, GENUS2, WEDGE2))))[0]
+        )
+        basis = h1_cocycle_basis(base, p)
+        if kind == "abelian":
+            K = build_abelian_p_cover(base, basis[: draw(st.integers(1, 2))], p).total
+        else:
+            # the relators have zero exponent sums, so any weights kill the faces
+            weights = [1] + [int(x) for x in rng.integers(-3, 4, size=base.num_edges - 1)]
+            K = build_cyclic_cover(base, weights, draw(st.integers(1, 9))).total
+    values = rng.integers(0, p, size=K.num_edges)
+    shape = draw(st.sampled_from(("any", "cocycle", "coboundary")))
+    if shape != "any":
+        values = coboundary(K, rng.integers(0, p, size=K.num_vertices), p).values
+    if shape == "cocycle" and (basis := h1_cocycle_basis(K, p)):
+        values = values + combine_cochains(basis, rng.integers(0, p, size=len(basis)), p).values
+    return Cochain(K, p, values)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(complexes_with_cochains())
+def test_tree_potential_checks_match_path_walks(c):
+    K, p = c.complex, c.p
+    walk = lambda path: walk_evaluate(K.edges, c.values, p, path.start, path.steps)  # noqa: E731
+    pot = tree_potential(K, c.values, p)
+    assert pot.tolist() == [walk(K.tree_path(v)) for v in range(K.num_vertices)]
+    loops = [walk(loop) for loop in K.fundamental_loops()]
+    assert class_coordinates(c).tolist() == loops
+    assert c.has_trivial_class() == (not any(loops))
+    assert c.is_cocycle() == all(walk(K.boundary_path(j)) == 0 for j in range(K.num_faces))
 
 
 def test_cocycle_from_coordinates_round_trip():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdescent.complexes import (
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
+    combine_cochains,
     h1_cocycle_basis,
     h1_dimension,
     parse_presentation,
@@ -16,6 +19,8 @@ from pdescent.errors import (
     DisconnectedCoverError,
     UndefinedVertexValueError,
 )
+
+from oracles import vertex_values_by_tree_paths
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -201,3 +206,26 @@ def test_tower_of_covers_composes():
     assert cov2.base is K2
     assert cov2.total.num_vertices == cov1.degree * cov2.degree
     assert h1_dimension(cov2.total, p) >= 1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.sampled_from((TORUS, GENUS2)),
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_vertex_values_match_tree_path_walks(text, p, k, seed):
+    # random combinations of the base classes: those in the covering span
+    # have vertex values, the others must name the first failing edge
+    K = build_presentation_complex(parse_presentation(text)[0])
+    basis = h1_cocycle_basis(K, p)
+    cov = build_abelian_p_cover(K, basis[:k], p)
+    c = combine_cochains(basis, np.random.default_rng(seed).integers(0, p, size=len(basis)), p)
+    expect, bad = vertex_values_by_tree_paths(cov.total, cov.pullback(c).values, p)
+    if bad is None:
+        assert vertex_values(cov, c).tolist() == expect
+    else:
+        with pytest.raises(UndefinedVertexValueError, match=f"through edge {bad} ") as info:
+            vertex_values(cov, c)
+        assert info.value.witness_loop == cov.total.fundamental_loop(bad)

@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdescent.complexes import (
     Cochain,
@@ -16,13 +20,21 @@ from pdescent.covers import build_abelian_p_cover, vertex_values
 from pdescent.errors import EnumerationCapError, TrivialClassError
 from pdescent.expansion import (
     SkeletonGraph,
+    _adjacency,
+    _greedy_descent,
+    _sweep_min,
     cheeger_constant,
     expansion_bound_report,
     minimum_support_representative,
     relative_size,
 )
 
-from oracles import brute_cheeger, brute_relative_size
+from oracles import (
+    brute_cheeger,
+    brute_relative_size,
+    greedy_descent_full_recount,
+    sweep_min_full_recount,
+)
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 
@@ -81,6 +93,37 @@ def test_cheeger_caps_exact_enumeration():
         cheeger_constant(SkeletonGraph.from_complex(big), mode="exact")
     # heuristic still runs
     assert cheeger_constant(SkeletonGraph.from_complex(big), mode="heuristic") > 0
+
+
+@st.composite
+def multigraph_cases(draw):
+    """A connected multigraph with loops and parallel edges, a cochain on
+    it and a vertex order."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # spanning tree
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=12))  # loops when u == v
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))  # parallel edges
+    order = draw(st.permutations(range(len(edges))))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [edges[i][::-1] if flip else edges[i] for i, flip in zip(order, flips)]
+    K = TwoComplex(n, edges, basepoint=draw(vertex))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=len(edges), max_size=len(edges)))
+    return K, Cochain(K, p, np.array(values, dtype=np.int64)), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(multigraph_cases())
+def test_incremental_sweep_and_greedy_match_full_recount(case):
+    K, alpha, order = case
+    graph = SkeletonGraph.from_complex(K)
+    assert _sweep_min(_adjacency(graph), order) == sweep_min_full_recount(graph, order)
+    rep, size = _greedy_descent(K, alpha)
+    ref_values, ref_size = greedy_descent_full_recount(K, alpha)
+    assert size == ref_size == len(rep.support())
+    assert np.array_equal(rep.values, ref_values)
 
 
 def test_relative_size_exact_matches_brute_force():
@@ -188,3 +231,61 @@ def test_vertex_value_classes_split_fibers():
     cov = build_abelian_p_cover(K, basis, p)
     vals = vertex_values(cov, basis[1])
     assert sorted(np.bincount(vals, minlength=p)) == [cov.total.num_vertices // p] * p
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _tower(path, depth):
+    """The rank-2 tower of a presentation file: the first two echelon
+    classes of each level define the next cover."""
+    pres, p = parse_presentation((DATA / path).read_text())
+    K = build_presentation_complex(pres)
+    for _ in range(depth):
+        basis = h1_cocycle_basis(K, p)
+        cov = build_abelian_p_cover(K, basis[:2], p)
+        K = cov.total
+    return cov, basis, p
+
+
+def expansion_fixture_document(path, depth):
+    """Upper relative sizes and expansion-bound reports on a rank-2 cover."""
+    cov, base_basis, p = _tower(path, depth)
+    K = cov.total
+    rng = np.random.default_rng(2024)
+    cover_basis = h1_cocycle_basis(K, p)
+    inputs = [(f"cover class {i}", cover_basis[i]) for i in (*range(6), -2, -1)]
+    inputs += [(f"pullback of base class {i}", cov.pullback(base_basis[i])) for i in (2, 3)]
+    inputs += [
+        (f"{name} + coboundary", Cochain(K, p, c.values + coboundary(K, f, p).values))
+        for (name, c), f in zip(list(inputs), rng.integers(0, p, size=(len(inputs), K.num_vertices)))
+    ]
+    reports = []
+    for i in range(2):
+        r = expansion_bound_report(cov, base_basis[i], cheeger_mode="heuristic")
+        fields = {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(r).items()}
+        reports.append({"defining_class": i, **fields})
+    return {
+        "p": p,
+        "vertices": K.num_vertices,
+        "edges": K.num_edges,
+        "relsize_upper": [
+            {"cochain": name, "value": str(relative_size(K, c, mode="upper"))}
+            for name, c in inputs
+        ],
+        "expansion_bound": reports,
+    }
+
+
+@pytest.mark.parametrize(
+    "path, depth, expected",
+    [
+        ("genus2_p2.txt", 3, "expansion_p2_rank2_depth3.json"),
+        ("genus2_p3.txt", 2, "expansion_p3_rank2_depth2.json"),
+    ],
+)
+def test_expansion_diagnostics_match_golden_fixtures(path, depth, expected):
+    # the fixtures were written by the full-recount sweeps and greedy
+    # descent; the incremental versions must reproduce them byte for byte
+    text = json.dumps(expansion_fixture_document(path, depth), indent=2) + "\n"
+    assert text.encode() == (DATA / expected).read_bytes()
