@@ -28,7 +28,6 @@ from .complexes import (
     h1_dimension,
     parse_presentation,
 )
-from .covers import build_abelian_p_cover
 from .errors import EnumerationCapError, NotRapidlyDescendingError, ParseError
 from .expansion import SkeletonGraph, cheeger_constant, relative_size
 from .fplinalg import FpSubspace, validate_prime
@@ -38,7 +37,6 @@ from .tower import (
     DescentReport,
     GrowthReport,
     SeriesSpec,
-    TowerRecord,
     cyclic_growth_report,
     descent_parameters,
     largeness_criteria_report,
@@ -334,21 +332,9 @@ def _series_spec(args, p: int, default_depth: int) -> SeriesSpec:
 
 def _default_u(pres, p: int) -> tuple[Fraction, int]:
     """Estimate (rate, u) from the level-1 prefix when --u is not given."""
-    K = build_presentation_complex(pres)
-    n1 = h1_dimension(K, p)
-    prefix = [
-        TowerRecord(
-            level=1,
-            index=1,
-            dp=n1,
-            support_size=0,
-            edge_count=K.num_edges,
-            relsize_upper=Fraction(0),
-            quotient_rank=n1,
-        )
-    ]
+    n1 = h1_dimension(build_presentation_complex(pres), p)
     try:
-        return descent_parameters(pres, prefix, p)
+        return descent_parameters(pres, (), p, lam=Fraction(n1 - 2))
     except NotRapidlyDescendingError as exc:
         raise NotRapidlyDescendingError(f"{exc}; pass --u to run anyway") from None
 
@@ -414,45 +400,21 @@ def _cmd_reduce(args):
     return emit_report(doc, args.format), 0
 
 
-def _iterate_covers(pres, p: int, spec: SeriesSpec):
-    """Build the tower's covers without the wedge machinery; returns
-    (final complex, per-level stats, verdict, notes)."""
-    K = build_presentation_complex(pres)
-    levels = [_cover_stats(1, 1, K, p)]
-    notes = []
-    verdict = "completed"
-    index = 1
-    for level in range(1, spec.depth + 1):
-        classes = tower._series_classes(K, spec, level, [])
-        degree = p ** len(classes)
-        projected = degree * K.num_cells
-        if projected > spec.cell_budget:
-            verdict = "budget-exhausted"
-            notes.append(
-                f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
-            )
-            break
-        cov = build_abelian_p_cover(K, classes, p)
-        index *= degree
-        K = cov.total
-        levels.append(_cover_stats(level + 1, index, K, p))
-    return K, levels, verdict, notes
-
-
 def _cmd_cheeger(args):
     pres, p = _load_presentation(args)
     spec = _series_spec(args, p, default_depth=1)
-    K, levels, verdict, notes = _iterate_covers(pres, p, spec)
-    if verdict == "budget-exhausted":
-        raise EnumerationCapError("; ".join(notes))
+    *_, last = tower.iter_covers(build_presentation_complex(pres), spec)
+    if last.cover is None:
+        raise EnumerationCapError(last.note)
+    K = last.cover.total
     graph = SkeletonGraph.from_complex(K)
     value = cheeger_constant(graph, mode=args.mode, seed=args.seed)
     doc = {
         "command": "cheeger",
         "mode": args.mode,
         "series": args.series,
-        "level": levels[-1]["level"],
-        "index": levels[-1]["index"],
+        "level": last.level + 1,
+        "index": last.index * last.cover.degree,
         "vertices": K.num_vertices,
         "edges": K.num_edges,
         "cheeger": _fmt(value),
@@ -481,7 +443,7 @@ def _cmd_relsize(args):
     return emit_report(doc, args.format), 0
 
 
-def _cover_stats(level: int, index: int, K, p: int) -> dict:
+def _cover_stats(level: int, index: int, K, dp: int) -> dict:
     return {
         "level": level,
         "index": index,
@@ -489,14 +451,23 @@ def _cover_stats(level: int, index: int, K, p: int) -> dict:
         "edges": K.num_edges,
         "faces": K.num_faces,
         "euler": K.euler_characteristic,
-        "d_p": h1_dimension(K, p),
+        "d_p": dp,
     }
 
 
 def _cmd_cover(args):
     pres, p = _load_presentation(args)
     spec = _series_spec(args, p, default_depth=1)
-    _, levels, verdict, notes = _iterate_covers(pres, p, spec)
+    steps = list(tower.iter_covers(build_presentation_complex(pres), spec))
+    levels = [_cover_stats(s.level, s.index, s.complex, len(s.basis)) for s in steps]
+    last = steps[-1]
+    if last.cover is None:
+        verdict, notes = "budget-exhausted", [last.note]
+    else:
+        verdict, notes = "completed", []
+        K = last.cover.total
+        index = last.index * last.cover.degree
+        levels.append(_cover_stats(last.level + 1, index, K, h1_dimension(K, p)))
     doc = {
         "command": "cover",
         "p": p,

@@ -35,6 +35,7 @@ __all__ = [
     "h1_cocycle_basis",
     "coboundary",
     "tree_potential",
+    "face_sums",
     "class_coordinates",
     "cocycle_from_coordinates",
     "combine_cochains",
@@ -338,9 +339,6 @@ class TwoComplex:
         f = self.faces[j]
         return EdgePath(start=self.step_endpoints(f[0])[0], steps=f)
 
-    def face_start(self, j: int) -> int:
-        return self.step_endpoints(self.faces[j][0])[0]
-
 
 @dataclass(eq=False)
 class Cochain:
@@ -373,11 +371,7 @@ class Cochain:
 
     def is_cocycle(self) -> bool:
         """True when the cochain evaluates to zero on every face boundary."""
-        if self.complex.num_faces == 0:
-            return True
-        a = self.complex.arrays
-        sums = np.add.reduceat(a.face_signs * self.values[a.face_edges], a.face_starts)
-        return not np.any(sums % self.p)
+        return not np.any(face_sums(self.complex, self.values) % self.p)
 
     def has_trivial_class(self) -> bool:
         """True when the cocycle evaluates to zero on every fundamental loop."""
@@ -424,17 +418,6 @@ def h1_dimension(K: TwoComplex, p: int) -> int:
     return ker_d1 - fplinalg.rank(_face_boundary_matrix(K, p), p)
 
 
-def _nontree_face_matrix(K: TwoComplex, p: int) -> np.ndarray:
-    """Face-boundary evaluations of the non-tree edge indicators (faces x non-tree)."""
-    cols = {e: t for t, e in enumerate(K.non_tree_edges)}
-    m = np.zeros((K.num_faces, len(K.non_tree_edges)), dtype=np.int64)
-    for j, f in enumerate(K.faces):
-        for e, d in f:
-            if e in cols:
-                m[j, cols[e]] += d
-    return m % p
-
-
 def h1_cocycle_basis(K: TwoComplex, p: int) -> list[Cochain]:
     """Echelon basis of H^1(K; F_p) as cocycles vanishing on the spanning tree.
 
@@ -443,7 +426,8 @@ def h1_cocycle_basis(K: TwoComplex, p: int) -> list[Cochain]:
     constraints on non-tree values gives one representative per class.
     """
     p = fplinalg.validate_prime(p)
-    m = _nontree_face_matrix(K, p)
+    # face-boundary evaluations of the non-tree edge indicators (faces x non-tree)
+    m = _face_boundary_matrix(K, p)[list(K.non_tree_edges)].T
     coords = fplinalg.kernel_basis(m, p)
     basis = [cocycle_from_coordinates(K, p, row) for row in coords]
     assert len(basis) == h1_dimension(K, p)
@@ -474,6 +458,19 @@ def tree_potential(K: TwoComplex, values, p: int) -> np.ndarray:
     return pot
 
 
+def face_sums(K: TwoComplex, rows) -> np.ndarray:
+    """Integer face-boundary sums of edge-value rows, one column per face.
+
+    rows holds one value per edge along its last axis; out[..., j] sums
+    d * rows[..., e] over the steps (e, d) of face j, without reduction.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if K.num_faces == 0:
+        return np.zeros(rows.shape[:-1] + (0,), dtype=np.int64)
+    a = K.arrays
+    return np.add.reduceat(rows[..., a.face_edges] * a.face_signs, a.face_starts, axis=-1)
+
+
 def class_coordinates(c: Cochain) -> np.ndarray:
     """Evaluations on the fundamental loops, one per non-tree edge.
 
@@ -493,8 +490,7 @@ def cocycle_from_coordinates(K: TwoComplex, p: int, coords) -> Cochain:
     if coords.shape != (len(K.non_tree_edges),):
         raise ValueError("coordinate length does not match non-tree edge count")
     values = np.zeros(K.num_edges, dtype=np.int64)
-    for t, e in enumerate(K.non_tree_edges):
-        values[e] = coords[t]
+    values[K.arrays.non_tree] = coords
     c = Cochain(K, p, values)
     if not c.is_cocycle():
         raise CocycleConditionError("coordinates do not satisfy the face constraints")

@@ -5,22 +5,21 @@ the deck group is (Z/p)^n, a vertex lift (v, a) connects along edge e to
 (term(e), a + shift(e)) where shift(e) lists the defining cocycle values.
 Cyclic covers use a single integer cocycle reduced mod the cover order.
 
-Cells of the total complex are indexed lexicographically by
-(base cell index, deck label), so cell t projects to t // degree and sits
-at deck label t % degree.  The basepoint of the total complex is the lift
-of the base basepoint with deck label zero; moving the basepoint only
-shifts vertex value tables by a constant and never changes supports.
+A deck label is the integer mixed-radix rank of a deck group element,
+last factor fastest.  Cell t of the total complex projects to base cell
+t // degree and sits at rank t % degree.  The basepoint of the total
+complex is the rank-zero lift of the base basepoint; moving the basepoint
+only shifts vertex value tables by a constant and never changes supports.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
 from . import fplinalg
-from .complexes import Cochain, EdgePath, TwoComplex, class_coordinates, tree_potential
+from .complexes import Cochain, EdgePath, TwoComplex, class_coordinates, face_sums, tree_potential
 from .errors import (
     CocycleConditionError,
     DisconnectedCoverError,
@@ -31,39 +30,60 @@ __all__ = [
     "CoveringMap",
     "build_abelian_p_cover",
     "build_cyclic_cover",
+    "loop_evaluations",
     "vertex_values",
 ]
+
+
+def _strides(moduli) -> np.ndarray:
+    """Place values of the mixed-radix deck ranks, last factor fastest."""
+    return np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
+
+
+def _lift(steps, forward, backward, ranks):
+    """Lift a base path's (edge, direction) steps from an array of start ranks.
+
+    Returns the lifted edges, one row per step and one column per start,
+    and the ranks the lifts end at.
+    """
+    degree = forward.shape[1]
+    cur = np.asarray(ranks, dtype=np.int64)
+    lifted = np.empty((len(steps), len(cur)), dtype=np.int64)
+    for i, (e, d) in enumerate(steps):
+        if d == 1:
+            lifted[i] = e * degree + cur
+            cur = forward[e, cur]
+        else:
+            cur = backward[e, cur]
+            lifted[i] = e * degree + cur
+    return lifted, cur
 
 
 class CoveringMap:
     """A finite regular cover of a 2-complex, with projection bookkeeping.
 
-    deck_moduli gives the cyclic factors of the deck group; deck labels are
-    tuples with label[k] ranging over Z/deck_moduli[k].  For covers built
-    from mod-p classes, `classes` retains the defining cocycles.
+    deck_moduli gives the cyclic factors of the deck group.  Deck labels
+    are integer mixed-radix ranks in [0, degree); deck_label(v) gives the
+    digits of v's rank, digit k ranging over Z/deck_moduli[k].  The lift
+    of base edge e at rank r ends at rank forward[e, r], and backward[e]
+    inverts forward[e].  For covers built from mod-p classes, `classes`
+    retains the defining cocycles.
     """
 
-    def __init__(self, base, total, deck_moduli, shifts, classes=None):
+    def __init__(self, base, total, deck_moduli, forward, backward, classes=None):
         self.base: TwoComplex = base
         self.total: TwoComplex = total
         self.deck_moduli = tuple(int(m) for m in deck_moduli)
         self.degree = math.prod(self.deck_moduli)
-        self.shifts = shifts  # (base edges) x len(deck_moduli), reduced mod moduli
+        self.forward = forward  # (base edges) x degree
+        self.backward = backward
         self.classes = None if classes is None else tuple(classes)
-        self.deck_labels = [label for label in product(*(range(m) for m in self.deck_moduli))]
-        self._label_rank = {label: i for i, label in enumerate(self.deck_labels)}
         self.edge_projection = np.arange(total.num_edges, dtype=np.int64) // self.degree
         self.face_projection = np.arange(total.num_faces, dtype=np.int64) // self.degree
-        self.vertex_fiber = [
-            list(range(v * self.degree, (v + 1) * self.degree))
-            for v in range(base.num_vertices)
-        ]
 
-    def label_rank(self, label) -> int:
-        return self._label_rank[tuple(label)]
-
-    def deck_label(self, total_vertex: int):
-        return self.deck_labels[total_vertex % self.degree]
+    def deck_label(self, total_vertex: int) -> tuple[int, ...]:
+        r = total_vertex % self.degree
+        return tuple((r // _strides(self.deck_moduli) % self.deck_moduli).tolist())
 
     def vertex_projection(self, total_vertex: int) -> int:
         return total_vertex // self.degree
@@ -71,25 +91,11 @@ class CoveringMap:
     def lift_vertex(self, v: int, label_rank: int = 0) -> int:
         return v * self.degree + label_rank
 
-    def _shift_label(self, label, e, direction):
-        s = self.shifts[e]
-        return tuple(
-            (label[k] + direction * int(s[k])) % m for k, m in enumerate(self.deck_moduli)
-        )
-
     def lift_path(self, path: EdgePath, label_rank: int = 0) -> EdgePath:
-        """The lift of a base path starting at the given deck label."""
-        label = self.deck_labels[label_rank]
-        cur = label
-        steps = []
-        for e, d in path.steps:
-            if d == 1:
-                steps.append((e * self.degree + self._label_rank[cur], 1))
-                cur = self._shift_label(cur, e, 1)
-            else:
-                cur = self._shift_label(cur, e, -1)
-                steps.append((e * self.degree + self._label_rank[cur], -1))
-        return EdgePath(start=path.start * self.degree + label_rank, steps=tuple(steps))
+        """The lift of a base path starting at the given deck rank."""
+        lifted, _ = _lift(path.steps, self.forward, self.backward, [label_rank])
+        steps = zip(lifted[:, 0].tolist(), (d for _, d in path.steps))
+        return EdgePath(start=self.lift_vertex(path.start, label_rank), steps=tuple(steps))
 
     def pullback(self, c: Cochain) -> Cochain:
         """The pulled-back cochain: each edge lift takes the base value."""
@@ -103,44 +109,33 @@ class CoveringMap:
 
 
 def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringMap:
+    """The cover whose edge e lifts shift deck digits by shifts[e] (E x n, mod moduli)."""
     moduli = tuple(int(m) for m in moduli)
     degree = math.prod(moduli)
-    labels = [label for label in product(*(range(m) for m in moduli))]
-    label_rank = {label: i for i, label in enumerate(labels)}
-
-    def shifted(label, e, direction):
-        s = shifts[e]
-        return tuple((label[k] + direction * int(s[k])) % m for k, m in enumerate(moduli))
-
-    edges = []
-    for e, (u, v) in enumerate(K.edges):
-        for a in labels:
-            b = shifted(a, e, 1)
-            edges.append((u * degree + label_rank[a], v * degree + label_rank[b]))
+    strides = _strides(moduli)
+    ranks = np.arange(degree, dtype=np.int64)
+    digits = ranks[:, None] // strides % moduli  # degree x n
+    forward = (digits + shifts[:, None, :]) % moduli @ strides  # E x degree
+    backward = (digits - shifts[:, None, :]) % moduli @ strides
+    init = (K.arrays.init[:, None] * degree + ranks).ravel()
+    term = (K.arrays.term[:, None] * degree + forward).ravel()
     faces = []
-    for f in K.faces:
-        for a in labels:
-            cur = a
-            steps = []
-            for e, d in f:
-                if d == 1:
-                    steps.append((e * degree + label_rank[cur], 1))
-                    cur = shifted(cur, e, 1)
-                else:
-                    cur = shifted(cur, e, -1)
-                    steps.append((e * degree + label_rank[cur], -1))
-            assert cur == a, "face attaching path failed to close in the cover"
-            faces.append(tuple(steps))
+    for j, f in enumerate(K.faces):
+        lifted, end = _lift(f, forward, backward, ranks)
+        if np.any(end != ranks):
+            raise CocycleConditionError(f"face {j} attaching path does not close in the cover")
+        dirs = [d for _, d in f]
+        faces.extend(tuple(zip(col, dirs)) for col in lifted.T.tolist())
     try:
         total = TwoComplex(
             num_vertices=K.num_vertices * degree,
-            edges=edges,
+            edges=zip(init.tolist(), term.tolist()),
             faces=faces,
             basepoint=K.basepoint * degree,
         )
     except ValueError as exc:
         raise DisconnectedCoverError(str(exc)) from exc
-    return CoveringMap(base=K, total=total, deck_moduli=moduli, shifts=shifts, classes=classes)
+    return CoveringMap(K, total, moduli, forward, backward, classes=classes)
 
 
 def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
@@ -188,16 +183,14 @@ def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
     w = np.asarray(weights, dtype=np.int64)
     if w.shape != (K.num_edges,):
         raise ValueError("weight vector length does not match edge count")
-    for j in range(K.num_faces):
-        total = sum(d * int(w[e]) for e, d in K.faces[j])
-        if total != 0:
-            raise CocycleConditionError(
-                f"weights evaluate to {total} on the boundary of face {j}"
-            )
-    evals = [
-        sum(d * int(w[e]) for e, d in K.fundamental_loop(e0).steps)
-        for e0 in K.non_tree_edges
-    ]
+    sums = face_sums(K, w)
+    bad = np.flatnonzero(sums)
+    if len(bad):
+        j = int(bad[0])
+        raise CocycleConditionError(
+            f"weights evaluate to {int(sums[j])} on the boundary of face {j}"
+        )
+    evals = loop_evaluations(K, w)
     g = math.gcd(order, *[abs(x) for x in evals]) if evals else order
     if g != 1:
         raise DisconnectedCoverError(
@@ -208,6 +201,15 @@ def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
     cov = _build_shift_cover(K, shifts, (order,))
     assert cov.total.euler_characteristic == order * K.euler_characteristic
     return cov
+
+
+def loop_evaluations(K: TwoComplex, weights) -> list[int]:
+    """Integer evaluations of edge weights on the fundamental loops of K."""
+    w = np.asarray(weights, dtype=np.int64)
+    return [
+        sum(d * int(w[e]) for e, d in K.fundamental_loop(e0).steps)
+        for e0 in K.non_tree_edges
+    ]
 
 
 def vertex_values(cov: CoveringMap, c: Cochain) -> np.ndarray:

@@ -14,6 +14,7 @@ cover homology growth, and quasi-additive limit estimation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .complexes import (
     h1_cocycle_basis,
     h1_dimension,
 )
-from .covers import build_abelian_p_cover, build_cyclic_cover
+from .covers import CoveringMap, build_abelian_p_cover, build_cyclic_cover, loop_evaluations
 from .errors import (
     MalformedTowerError,
     NotRapidlyDescendingError,
@@ -40,9 +41,12 @@ from .wedge import build_wedge_family
 
 __all__ = [
     "SeriesSpec",
+    "TowerLevel",
     "TowerRecord",
     "DescentReport",
     "descent_parameters",
+    "tower_level",
+    "iter_covers",
     "run_descent",
     "CriteriaReport",
     "largeness_criteria_report",
@@ -145,9 +149,8 @@ def _family_support(family) -> set[int]:
     return support
 
 
-def _series_classes(K: TwoComplex, spec: SeriesSpec, level: int, family) -> list[Cochain]:
-    """The covering classes for the next level, per the series kind."""
-    basis = h1_cocycle_basis(K, spec.p)
+def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain]:
+    """The next level's covering classes from its echelon H^1 basis, per the series kind."""
     if spec.kind == "derived":
         if not basis:
             raise ValueError(f"level {level}: H^1 is trivial, series cannot continue")
@@ -164,29 +167,20 @@ def _series_classes(K: TwoComplex, spec: SeriesSpec, level: int, family) -> list
         return [basis[i] for i in picks]
     # rank kind: prefer classes independent of the family span so the
     # complement (and with it the wedge family) stays as large as possible
-    p = spec.p
     avoid = [class_coordinates(c) for c in family]
     chosen: list[Cochain] = []
     chosen_coords: list[np.ndarray] = []
-
-    def independent(rows, c):
-        stacked = np.array(rows + [class_coordinates(c)], dtype=np.int64)
-        return fplinalg.rank(stacked, p) == len(stacked)
-
-    for c in basis:
-        if len(chosen) == spec.rank:
-            break
-        if independent(avoid + chosen_coords, c):
-            chosen.append(c)
-            chosen_coords.append(class_coordinates(c))
-    for c in basis:
-        if len(chosen) == spec.rank:
-            break
-        if any(c is x for x in chosen):
-            continue
-        if independent(chosen_coords, c):
-            chosen.append(c)
-            chosen_coords.append(class_coordinates(c))
+    for prefix in (avoid, []):
+        for c in basis:
+            if len(chosen) == spec.rank:
+                break
+            if any(c is x for x in chosen):
+                continue
+            row = class_coordinates(c)
+            stacked = np.array(prefix + chosen_coords + [row], dtype=np.int64)
+            if fplinalg.rank(stacked, spec.p) == len(stacked):
+                chosen.append(c)
+                chosen_coords.append(row)
     if len(chosen) < spec.rank:
         raise ValueError(
             f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes"
@@ -194,18 +188,63 @@ def _series_classes(K: TwoComplex, spec: SeriesSpec, level: int, family) -> list
     return chosen
 
 
-def _record(level, index, K, family, p, quotient_rank=None, bound_factor=None, wedge_count=None):
+@dataclass(frozen=True)
+class TowerLevel:
+    """One tower level: its complex, the complex's H^1 basis, and the cover built on it.
+
+    cover is None when the projected cell count exceeds the budget; note
+    then says so.
+    """
+
+    level: int
+    index: int
+    complex: TwoComplex
+    basis: tuple[Cochain, ...]
+    classes: tuple[Cochain, ...]
+    cover: CoveringMap | None
+    note: str | None = None
+
+
+def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) -> TowerLevel:
+    """Pick the covering classes of K (echelon H^1 basis `basis`) and build their cover.
+
+    The rank series avoids the span of `family`.  The cover is not built
+    when its p**n * K.num_cells cells would exceed the cell budget.
+    """
+    classes = tuple(_series_classes(basis, spec, level, family))
+    projected = spec.p ** len(classes) * K.num_cells
+    if projected > spec.cell_budget:
+        note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
+        return TowerLevel(level, index, K, tuple(basis), classes, None, note)
+    cov = build_abelian_p_cover(K, classes, spec.p)
+    return TowerLevel(level, index, K, tuple(basis), classes, cov)
+
+
+def iter_covers(K: TwoComplex, spec: SeriesSpec) -> Iterator[TowerLevel]:
+    """The tower's levels over K without the wedge machinery, for an empty family.
+
+    Stops after spec.depth levels or at the first level over budget.
+    """
+    index = 1
+    for level in range(1, spec.depth + 1):
+        step = tower_level(K, h1_cocycle_basis(K, spec.p), spec, level, index, ())
+        yield step
+        if step.cover is None:
+            return
+        index *= step.cover.degree
+        K = step.cover.total
+
+
+def _record(level, index, K, dp, family, **step_fields):
     support = _family_support(family)
     return TowerRecord(
         level=level,
         index=index,
-        dp=h1_dimension(K, p),
+        dp=dp,
         support_size=len(support),
         edge_count=K.num_edges,
         relsize_upper=Fraction(len(support), K.num_edges),
-        quotient_rank=quotient_rank,
-        bound_factor=bound_factor,
-        wedge_count=wedge_count,
+        **step_fields,
     )
 
 
@@ -232,29 +271,27 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int, seed: int = 0
     verdict = "decay-certified"
 
     for level in range(1, spec.depth + 1):
-        classes = _series_classes(K, spec, level, family)
-        n = len(classes)
-        degree = p**n
-        projected = degree * K.num_cells
-        if projected > spec.cell_budget:
+        if level > 1:
+            basis = h1_cocycle_basis(K, p)
+        step = tower_level(K, basis, spec, level, index, family)
+        here = (level, index, K, len(basis), family)
+        n = len(step.classes)
+        cov = step.cover
+        if cov is None:
             verdict = "budget-exhausted"
-            notes.append(
-                f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
-            )
-            records.append(_record(level, index, K, family, p, quotient_rank=n))
+            notes.append(step.note)
+            records.append(_record(*here, quotient_rank=n))
             break
-        cov = build_abelian_p_cover(K, classes, p)
         fam = build_wedge_family(cov, family)
         if fam.size <= u:
             verdict = "bound-violated"
             notes.append(
                 f"level {level}: wedge family has {fam.size} classes, need more than u = {u}"
             )
-            records.append(
-                _record(level, index, K, family, p, quotient_rank=n, wedge_count=fam.size)
-            )
-            index *= degree
-            records.append(_record(level + 1, index, cov.total, fam.cocycle_basis, p))
+            records.append(_record(*here, quotient_rank=n, wedge_count=fam.size))
+            index *= cov.degree
+            dp = h1_dimension(cov.total, p)
+            records.append(_record(level + 1, index, cov.total, dp, fam.cocycle_basis))
             break
         span = fplinalg.FpSubspace.from_rows(
             np.array([c.values for c in fam.cocycle_basis], dtype=np.int64),
@@ -264,26 +301,16 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int, seed: int = 0
         reduction = reduce_to_dimension(span, u, seed=seed)
         if not reduction.certified:
             notes.append(f"level {level}: sampled reduction missed the averaging bound")
-        records.append(
-            _record(
-                level,
-                index,
-                K,
-                family,
-                p,
-                quotient_rank=n,
-                bound_factor=chain_factor(p, fam.size, u),
-                wedge_count=fam.size,
-            )
-        )
+        bound = chain_factor(p, fam.size, u)
+        records.append(_record(*here, quotient_rank=n, bound_factor=bound, wedge_count=fam.size))
         old_support = records[-1].support_size
-        index *= degree
+        index *= cov.degree
         K = cov.total
         family = [Cochain(K, p, row) for row in reduction.subspace.basis]
         # the new family's support stays inside the preimage of the old one
-        assert len(_family_support(family)) <= degree * old_support
+        assert len(_family_support(family)) <= cov.degree * old_support
     else:
-        records.append(_record(spec.depth + 1, index, K, family, p))
+        records.append(_record(spec.depth + 1, index, K, h1_dimension(K, p), family))
 
     if verdict == "decay-certified":
         factor = uniform_factor(p, u)
@@ -381,10 +408,7 @@ def cyclic_growth_report(
         raise ValueError("max_order must be at least 1")
     K = build_presentation_complex(pres)
     w = np.asarray(weights, dtype=np.int64)
-    evals = [
-        sum(d * int(w[e]) for e, d in K.fundamental_loop(e0).steps)
-        for e0 in K.non_tree_edges
-    ]
+    evals = loop_evaluations(K, w)
     g = math.gcd(*[abs(x) for x in evals]) if evals else 0
     if g == 0:
         raise ValueError("weights induce the zero homomorphism")

@@ -23,6 +23,7 @@ from .complexes import (
     class_coordinates,
     cocycle_from_coordinates,
     combine_cochains,
+    face_sums,
 )
 from .covers import CoveringMap, vertex_values
 from .errors import CocycleConditionError, UnsupportedCoverError
@@ -113,11 +114,7 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     assert fplinalg.rank(span_matrix, p) == len(span_basis)
 
     reps = cov.deck_orbit_representatives()
-    constraints = np.zeros((len(reps), len(span_basis)), dtype=np.int64)
-    for i, face in enumerate(reps):
-        path = cov.total.boundary_path(face)
-        for k, w in enumerate(span_basis):
-            constraints[i, k] = w.evaluate(path)
+    constraints = face_sums(cov.total, span_matrix)[:, reps].T % p
     combos = fplinalg.kernel_basis(constraints, p)
     cocycle_basis = tuple(
         combine_cochains(span_basis, combo, p) for combo in combos

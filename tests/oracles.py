@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
-routines is meaningful.  The full-recount expansion routines are the
-package's earlier implementations, kept as references; they use numpy.
+routines is meaningful.  The full-recount expansion routines and the
+tuple-label cover builder and path lift are the package's earlier
+implementations, kept as references; the former use numpy.
 Nothing in this module imports the package: complexes, graphs and
 cochains are read through their attributes only.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +290,69 @@ def vertex_values_by_tree_paths(total, pulled, p):
         if (values[a] + int(pulled[e]) - values[b]) % p != 0:
             return values, e
     return values, None
+
+
+def tuple_label_cover(K, shifts, moduli):
+    """The package's earlier cover builder, on tuple deck labels.
+
+    Deck labels are tuples enumerated by itertools.product and ranked by
+    a dict; every edge and face lift shifts a label tuple one step at a
+    time.  Returns (edges, faces, basepoint, labels) of the total complex
+    instead of constructing it.
+    """
+    moduli = tuple(int(m) for m in moduli)
+    degree = math.prod(moduli)
+    labels = [label for label in itertools.product(*(range(m) for m in moduli))]
+    label_rank = {label: i for i, label in enumerate(labels)}
+
+    def shifted(label, e, direction):
+        s = shifts[e]
+        return tuple((label[k] + direction * int(s[k])) % m for k, m in enumerate(moduli))
+
+    edges = []
+    for e, (u, v) in enumerate(K.edges):
+        for a in labels:
+            b = shifted(a, e, 1)
+            edges.append((u * degree + label_rank[a], v * degree + label_rank[b]))
+    faces = []
+    for f in K.faces:
+        for a in labels:
+            cur = a
+            steps = []
+            for e, d in f:
+                if d == 1:
+                    steps.append((e * degree + label_rank[cur], 1))
+                    cur = shifted(cur, e, 1)
+                else:
+                    cur = shifted(cur, e, -1)
+                    steps.append((e * degree + label_rank[cur], -1))
+            assert cur == a, "face attaching path failed to close in the cover"
+            faces.append(tuple(steps))
+    return edges, faces, K.basepoint * degree, labels
+
+
+def tuple_label_lift(shifts, moduli, start, steps, label_rank):
+    """The package's earlier path lift on tuple deck labels.
+
+    Lifts the base path (start, steps) from the deck label of the given
+    rank; returns the lifted path's (start, steps).
+    """
+    moduli = tuple(int(m) for m in moduli)
+    degree = math.prod(moduli)
+    deck_labels = [label for label in itertools.product(*(range(m) for m in moduli))]
+    _label_rank = {label: i for i, label in enumerate(deck_labels)}
+
+    def _shift_label(label, e, direction):
+        s = shifts[e]
+        return tuple((label[k] + direction * int(s[k])) % m for k, m in enumerate(moduli))
+
+    cur = deck_labels[label_rank]
+    lifted = []
+    for e, d in steps:
+        if d == 1:
+            lifted.append((e * degree + _label_rank[cur], 1))
+            cur = _shift_label(cur, e, 1)
+        else:
+            cur = _shift_label(cur, e, -1)
+            lifted.append((e * degree + _label_rank[cur], -1))
+    return start * degree + label_rank, tuple(lifted)

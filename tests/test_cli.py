@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,19 +291,19 @@ def test_every_command_is_deterministic(tmp_path, capsys):
         assert first == second, argv
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
-         "descend_p2_rank2_u2_depth3.json"),
-        (["cyclic", "genus2_p3.txt", "--weights=1,-2,0,3", "--depth", "24"],
-         "cyclic_p3_depth24.json"),
-        (["cover", "genus2_p3.txt", "--series", "rank:2", "--depth", "2", "--format", "table"],
-         "cover_p3_rank2_depth2.txt"),
-        (["cheeger", "genus2_p2.txt", "--series", "rank:2", "--depth", "3", "--mode", "heuristic"],
-         "cheeger_p2_rank2_depth3_heuristic.json"),
-    ],
-)
+GOLDEN = [
+    (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+     "descend_p2_rank2_u2_depth3.json"),
+    (["cyclic", "genus2_p3.txt", "--weights=1,-2,0,3", "--depth", "24"],
+     "cyclic_p3_depth24.json"),
+    (["cover", "genus2_p3.txt", "--series", "rank:2", "--depth", "2", "--format", "table"],
+     "cover_p3_rank2_depth2.txt"),
+    (["cheeger", "genus2_p2.txt", "--series", "rank:2", "--depth", "3", "--mode", "heuristic"],
+     "cheeger_p2_rank2_depth3_heuristic.json"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN)
 def test_reports_match_golden_fixtures(tmp_path, argv, expected):
     # the fixtures were written by the dense-elimination kernel and the
     # full-recount Cheeger sweeps; faster kernels must reproduce their
@@ -308,3 +311,31 @@ def test_reports_match_golden_fixtures(tmp_path, argv, expected):
     out = tmp_path / "report"
     assert main([argv[0], str(DATA / argv[1]), *argv[2:], "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / expected).read_bytes()
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN)
+def test_golden_reports_do_not_depend_on_asserts(tmp_path, argv, expected):
+    # `python -O` strips every assert from the package; the reports must
+    # come out the same, so no assert may carry work a report needs
+    out = tmp_path / "report"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-O", "-m", "pdescent.cli", argv[0], str(DATA / argv[1]), *argv[2:]]
+    proc = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert out.read_bytes() == (DATA / expected).read_bytes()
+
+
+def test_budget_notes_name_the_projected_cells(tmp_path, capsys):
+    path = write(tmp_path, "genus2.txt", GENUS2)
+    note = "level 3: projected 384 cells exceeds budget 300"
+    argv = [path, "--series", "rank:2", "--depth", "3", "--budget", "300"]
+    code, out = run(capsys, ["cover", *argv])
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["notes"]) == (3, "budget-exhausted", [note])
+    assert [lvl["index"] for lvl in doc["levels"]] == [1, 4, 16]
+    code, out = run(capsys, ["descend", *argv, "--u", "2"])
+    assert (code, json.loads(out)["notes"]) == (3, [note])
+    assert main(["cheeger", *argv]) == 3
+    assert capsys.readouterr().err == f"pdescent: {note}\n"

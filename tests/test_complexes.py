@@ -14,6 +14,7 @@ from pdescent.complexes import (
     coboundary,
     cocycle_from_coordinates,
     combine_cochains,
+    face_sums,
     format_presentation,
     h1_cocycle_basis,
     h1_dimension,
@@ -288,6 +289,11 @@ def test_tree_potential_checks_match_path_walks(c):
     assert class_coordinates(c).tolist() == loops
     assert c.has_trivial_class() == (not any(loops))
     assert c.is_cocycle() == all(walk(K.boundary_path(j)) == 0 for j in range(K.num_faces))
+    # integer face sums of a stack of rows, signs and all, before any reduction
+    rows = np.stack([c.values, -3 * c.values, np.arange(K.num_edges)])
+    expect = [[sum(d * int(row[e]) for e, d in f) for f in K.faces] for row in rows]
+    assert face_sums(K, rows).tolist() == expect
+    assert face_sums(K, rows[0]).tolist() == expect[0]
 
 
 def test_cocycle_from_coordinates_round_trip():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdescent.complexes import (
+    EdgePath,
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
@@ -13,14 +14,19 @@ from pdescent.complexes import (
     parse_presentation,
     presentation_loop,
 )
-from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, vertex_values
+from pdescent.covers import (
+    _build_shift_cover,
+    build_abelian_p_cover,
+    build_cyclic_cover,
+    vertex_values,
+)
 from pdescent.errors import (
     CocycleConditionError,
     DisconnectedCoverError,
     UndefinedVertexValueError,
 )
 
-from oracles import vertex_values_by_tree_paths
+from oracles import tuple_label_cover, tuple_label_lift, vertex_values_by_tree_paths
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -155,6 +161,12 @@ def test_cyclic_cover_weights_must_kill_faces():
     )
     with pytest.raises(CocycleConditionError):
         build_cyclic_cover(K2, [1, 0], 3)
+    # the error names the first face whose boundary the weights miss
+    K3 = build_presentation_complex(
+        GroupPresentation(generators=("a", "b"), relators=("abAB", "aab", "ab"))
+    )
+    with pytest.raises(CocycleConditionError, match=r"evaluate to 2 on the boundary of face 1$"):
+        build_cyclic_cover(K3, [1, 0], 3)
 
 
 def test_vertex_values_difference_property():
@@ -229,3 +241,100 @@ def test_vertex_values_match_tree_path_walks(text, p, k, seed):
         with pytest.raises(UndefinedVertexValueError, match=f"through edge {bad} ") as info:
             vertex_values(cov, c)
         assert info.value.witness_loop == cov.total.fundamental_loop(bad)
+
+
+def assert_matches_tuple_labels(cov, shifts, moduli, paths):
+    """The cover and its lifts of `paths` from every start rank agree with
+    the tuple-label oracle, and deck_label decodes the oracle's labels."""
+    edges, faces, basepoint, labels = tuple_label_cover(cov.base, shifts, moduli)
+    assert cov.total.edges == tuple(edges)
+    assert cov.total.faces == tuple(faces)
+    assert cov.total.basepoint == basepoint
+    assert [cov.deck_label(v) for v in range(cov.total.num_vertices)] == [
+        labels[v % cov.degree] for v in range(cov.total.num_vertices)
+    ]
+    for path in paths:
+        for r in range(cov.degree):
+            lift = cov.lift_path(path, r)
+            assert (lift.start, lift.steps) == tuple_label_lift(
+                shifts, moduli, path.start, path.steps, r
+            )
+
+
+def random_words(rng, K, count):
+    """Random walks from the basepoint of a one-vertex complex."""
+    return [
+        EdgePath(
+            start=K.basepoint,
+            steps=tuple(
+                (int(e), int(d))
+                for e, d in zip(
+                    rng.integers(0, K.num_edges, size=length),
+                    rng.choice((1, -1), size=length),
+                )
+            ),
+        )
+        for length in rng.integers(0, 9, size=count)
+    ]
+
+
+def independent_classes(K, p, n, rng):
+    """min(n, d_p) random combinations of the H^1 basis, independent
+    because their coefficients on randomly chosen basis classes form an
+    identity block."""
+    basis = h1_cocycle_basis(K, p)
+    n = min(n, len(basis))
+    coeffs = rng.integers(0, p, size=(n, len(basis)))
+    coeffs[:, rng.choice(len(basis), size=n, replace=False)] = np.eye(n, dtype=np.int64)
+    return [combine_cochains(basis, row, p) for row in coeffs]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.sampled_from((TORUS, GENUS2, "p = 2\ngens = a b c\n")),
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_integer_labels_match_tuple_label_oracle(text, p, n1, n2, seed):
+    # level one over the presentation complex, then (when small enough)
+    # level two over its total complex, walked along lifted words
+    rng = np.random.default_rng(seed)
+    K = build_presentation_complex(parse_presentation(text)[0])
+    classes = independent_classes(K, p, n1, rng)
+    n1 = len(classes)
+    cov = build_abelian_p_cover(K, classes, p)
+    shifts = np.stack([c.values for c in classes], axis=1)
+    words = random_words(rng, K, 4)
+    assert_matches_tuple_labels(cov, shifts, (p,) * n1, words)
+    if n2 == 0 or p ** (n1 + n2) > 125:
+        return
+    classes2 = independent_classes(cov.total, p, n2, rng)
+    n2 = len(classes2)
+    cov2 = build_abelian_p_cover(cov.total, classes2, p)
+    shifts2 = np.stack([c.values for c in classes2], axis=1)
+    paths = [cov.lift_path(w, int(r)) for w, r in zip(words, rng.integers(0, cov.degree, 4))]
+    assert_matches_tuple_labels(cov2, shifts2, (p,) * n2, paths)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_cyclic_integer_labels_match_tuple_label_oracle(order, seed):
+    rng = np.random.default_rng(seed)
+    K = build_presentation_complex(parse_presentation(GENUS2)[0])
+    # the relator has zero exponent sums, so any weights kill the face
+    weights = [int(x) for x in rng.integers(-20, 21, size=K.num_edges)]
+    try:
+        cov = build_cyclic_cover(K, weights, order)
+    except DisconnectedCoverError:
+        return
+    shifts = np.array(weights).reshape(-1, 1) % order
+    assert_matches_tuple_labels(cov, shifts, (order,), random_words(rng, K, 4))
+
+
+def test_shift_cover_rejects_faces_that_do_not_close():
+    # shifts (1, 0) sum to 2 on the relator aab, nonzero mod 3
+    K = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=("aab",)))
+    with pytest.raises(CocycleConditionError, match="face 0 attaching path does not close"):
+        _build_shift_cover(K, np.array([[1], [0]]), (3,))
