@@ -8,7 +8,8 @@ file through its canonical form.
 
 All randomness flows from --seed, so identical invocations (including the
 seed) produce byte-identical structured output.  Exit codes: 0 on success,
-2 on precondition errors, 3 on budget or enumeration-cap exhaustion.
+2 on precondition errors, 3 on budget or enumeration-cap exhaustion, 4 when
+an internal invariant check fails (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .complexes import (
     h1_dimension,
     parse_presentation,
 )
-from .errors import EnumerationCapError, NotRapidlyDescendingError, ParseError
+from .errors import EnumerationCapError, InvariantError, NotRapidlyDescendingError, ParseError
 from .expansion import SkeletonGraph, cheeger_constant, relative_size
 from .fplinalg import FpSubspace, validate_prime
 from .plotkin import reduce_to_dimension
@@ -596,6 +597,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"pdescent: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"pdescent: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

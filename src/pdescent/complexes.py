@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .errors import CocycleConditionError, ParseError
+from .errors import CocycleConditionError, InvariantError, ParseError
 
 __all__ = [
     "GroupPresentation",
@@ -392,30 +392,52 @@ def presentation_loop(K: TwoComplex, pres: GroupPresentation, word: str) -> Edge
 
 def boundary_matrices(K: TwoComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Cellular boundary maps (d1: C1 -> C0, d2: C2 -> C1) over F_p."""
+    a = K.arrays
+    edges = np.arange(K.num_edges)
     d1 = np.zeros((K.num_vertices, K.num_edges), dtype=np.int64)
-    for e, (u, v) in enumerate(K.edges):
-        d1[v, e] += 1
-        d1[u, e] -= 1
+    np.add.at(d1, (a.term, edges), 1)
+    np.add.at(d1, (a.init, edges), -1)
     return d1 % p, _face_boundary_matrix(K, p)
 
 
 def _face_boundary_matrix(K: TwoComplex, p: int) -> np.ndarray:
     """d2: C2 -> C1 over F_p (edges x faces)."""
+    a = K.arrays
+    lengths = np.diff(np.append(a.face_starts, len(a.face_edges)))
+    faces = np.repeat(np.arange(K.num_faces), lengths)
     d2 = np.zeros((K.num_edges, K.num_faces), dtype=np.int64)
-    for j, f in enumerate(K.faces):
-        for e, d in f:
-            d2[e, j] += d
+    np.add.at(d2, (a.face_edges, faces), a.face_signs)
     return d2 % p
+
+
+def _face_rows(K: TwoComplex):
+    """One sparse row {edge label: signed count} per face, in face order.
+
+    Edges are labelled by first appearance over the faces, counting down:
+    0, -1, -2, ...  Covers list their faces by (base face, deck rank), so
+    neighbouring faces share edges with nearby labels and the rows stay
+    banded.  `sparse_rank` pivots on a row's smallest label, which is its
+    newest edge, the one that the fewest earlier faces share, so pivot
+    rows stay short.
+    """
+    label = {}
+    for f in K.faces:
+        row = {}
+        for e, d in f:
+            c = label.setdefault(e, -len(label))
+            row[c] = row.get(c, 0) + d
+        yield row
 
 
 def h1_dimension(K: TwoComplex, p: int) -> int:
     """dim H_1(K; F_p) = dim ker d1 - rank d2 (= dim H^1 over a field).
 
     K is connected, so rank d1 = |V| - 1 and dim ker d1 = |E| - |V| + 1.
+    rank d2 comes from the sparse face rows; no E x F matrix is built.
     """
     p = fplinalg.validate_prime(p)
     ker_d1 = K.num_edges - (K.num_vertices - 1)
-    return ker_d1 - fplinalg.rank(_face_boundary_matrix(K, p), p)
+    return ker_d1 - fplinalg.sparse_rank(_face_rows(K), p)
 
 
 def h1_cocycle_basis(K: TwoComplex, p: int) -> list[Cochain]:
@@ -430,7 +452,8 @@ def h1_cocycle_basis(K: TwoComplex, p: int) -> list[Cochain]:
     m = _face_boundary_matrix(K, p)[list(K.non_tree_edges)].T
     coords = fplinalg.kernel_basis(m, p)
     basis = [cocycle_from_coordinates(K, p, row) for row in coords]
-    assert len(basis) == h1_dimension(K, p)
+    if len(basis) != h1_dimension(K, p):
+        raise InvariantError("cocycle basis size differs from dim H_1(K; F_p)")
     return basis
 
 

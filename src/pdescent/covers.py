@@ -23,6 +23,7 @@ from .complexes import Cochain, EdgePath, TwoComplex, class_coordinates, face_su
 from .errors import (
     CocycleConditionError,
     DisconnectedCoverError,
+    InvariantError,
     UndefinedVertexValueError,
 )
 
@@ -135,6 +136,9 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringM
         )
     except ValueError as exc:
         raise DisconnectedCoverError(str(exc)) from exc
+    # a degree-n cover multiplies every cell count, hence chi, by n
+    if total.euler_characteristic != degree * K.euler_characteristic:
+        raise InvariantError("cover Euler characteristic is not degree times the base's")
     return CoveringMap(K, total, moduli, forward, backward, classes=classes)
 
 
@@ -165,9 +169,7 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
         )
     n = len(classes)
     shifts = np.stack([c.values for c in classes], axis=1) % p  # E x n
-    cov = _build_shift_cover(K, shifts, (p,) * n, classes=classes)
-    assert cov.total.euler_characteristic == cov.degree * K.euler_characteristic
-    return cov
+    return _build_shift_cover(K, shifts, (p,) * n, classes=classes)
 
 
 def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
@@ -198,9 +200,7 @@ def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
             certificate=g,
         )
     shifts = (w.reshape(-1, 1)) % order
-    cov = _build_shift_cover(K, shifts, (order,))
-    assert cov.total.euler_characteristic == order * K.euler_characteristic
-    return cov
+    return _build_shift_cover(K, shifts, (order,))
 
 
 def loop_evaluations(K: TwoComplex, weights) -> list[int]:

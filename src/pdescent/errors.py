@@ -2,6 +2,8 @@
 
 Everything user-facing subclasses ValueError so callers can catch
 precondition failures uniformly; the CLI maps them to exit code 2.
+InvariantError alone is not a ValueError: it signals a bug, not bad input,
+and the CLI maps it to exit code 4.
 """
 
 
@@ -71,3 +73,11 @@ class QuasiAdditivityError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class InvariantError(Exception):
+    """A mathematical invariant that the package guarantees has failed.
+
+    Raised by explicit checks (never `assert`, which `python -O` strips),
+    so a wrong result cannot pass silently; it always means a bug.
+    """

@@ -6,6 +6,8 @@ are kept in reduced row echelon form so that equal subspaces have equal
 basis matrices, which downstream code relies on for reproducibility.
 Elimination touches only the rows a pivot can change, so its cost scales
 with the nonzeros of the pivot columns rather than with the matrix size.
+`sparse_rank` ranks rows held as {column: value} dicts without building a
+matrix at all; it gives the rank only, never an echelon form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "validate_prime",
     "rref",
     "rank",
+    "sparse_rank",
     "kernel_basis",
     "solve",
     "in_rowspan",
@@ -93,6 +96,38 @@ def rref(m, p) -> tuple[np.ndarray, int]:
 
 def rank(m, p) -> int:
     return rref(m, p)[1]
+
+
+def sparse_rank(rows, p) -> int:
+    """Rank over F_p of sparse rows, each a {column: value} dict.
+
+    Values are Python ints, reduced mod p here, so the arithmetic is exact
+    for every p <= 2**16.  Each row is reduced by eliminating its smallest
+    column against the stored pivot row for that column until it vanishes
+    or reaches a column without one; it is then normalised and stored as
+    that column's pivot.  Rows with few nonzeros that overlap in few
+    columns stay short, so the cost follows the fill-in, not |rows| x
+    |columns|.  Rank does not depend on the pivot order; `rref` remains the
+    producer of canonical echelon forms.
+    """
+    pivots = {}
+    for row in rows:
+        r = {c: x for c, v in row.items() if (x := v % p)}
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = r if inv == 1 else {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in pivot.items():
+                x = (r.get(k, 0) - f * v) % p
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
+    return len(pivots)
 
 
 def _pivot_columns(echelon, r) -> np.ndarray:
@@ -216,7 +251,8 @@ class FpSubspace:
         return in_rowspan(vec, self.basis, self.p)
 
     def contains_subspace(self, other: "FpSubspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        # other lies inside self iff its rows add no rank to self's basis
+        return rank(np.vstack([self.basis, other.basis]), self.p) == self.dim
 
     def support(self) -> set[int]:
         return subspace_support(self)

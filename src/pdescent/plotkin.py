@@ -17,8 +17,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionError
-from .fplinalg import ENUMERATION_CAP, FpSubspace, in_rowspan, subspace_support
+from .errors import DimensionError, InvariantError
+from .fplinalg import ENUMERATION_CAP, FpSubspace, subspace_support
 
 __all__ = [
     "chain_factor",
@@ -134,7 +134,8 @@ def best_hyperplane(
                 best_f = f
                 best_size = total - max_count
                 break
-        assert best_f is not None
+        if best_f is None:
+            raise InvariantError("no hyperplane functional attains the largest column class")
     else:
         mode = "sampled"
         rng = np.random.default_rng(seed)
@@ -154,10 +155,11 @@ def best_hyperplane(
             best_size = total - classes.get(tuple(best_f), 0)
 
     certified = best_size * bound_den <= bound_num
-    if mode == "exact":
-        assert certified, "averaging bound must hold in exact mode"
+    if mode == "exact" and not certified:
+        raise InvariantError("averaging bound must hold in exact mode")
     sub = hyperplane_subspace(V, best_f)
-    assert len(subspace_support(sub)) == best_size
+    if len(subspace_support(sub)) != best_size:
+        raise InvariantError("hyperplane support differs from its column-class count")
     return HyperplaneResult(subspace=sub, support_size=best_size, certified=certified, mode=mode)
 
 
@@ -194,13 +196,13 @@ def reduce_to_dimension(
             mode = "sampled"
         cur = step.subspace
         step_index += 1
-    for row in cur.basis:
-        assert in_rowspan(row, V.basis, V.p)
+    if not V.contains_subspace(cur):
+        raise InvariantError("reduced subspace is not inside the input subspace")
     chain = chain_factor(V.p, v, w) * start_support
     uniform = uniform_factor(V.p, w) * start_support
     size = len(subspace_support(cur))
-    if mode == "exact":
-        assert Fraction(size) <= chain, "chain bound must hold in exact mode"
+    if mode == "exact" and size > chain:
+        raise InvariantError("chain bound must hold in exact mode")
     return ReductionResult(
         subspace=cur,
         support_size=size,

@@ -32,6 +32,7 @@ from .complexes import (
 )
 from .covers import CoveringMap, build_abelian_p_cover, build_cyclic_cover, loop_evaluations
 from .errors import (
+    InvariantError,
     MalformedTowerError,
     NotRapidlyDescendingError,
     QuasiAdditivityError,
@@ -308,7 +309,8 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int, seed: int = 0
         K = cov.total
         family = [Cochain(K, p, row) for row in reduction.subspace.basis]
         # the new family's support stays inside the preimage of the old one
-        assert len(_family_support(family)) <= cov.degree * old_support
+        if len(_family_support(family)) > cov.degree * old_support:
+            raise InvariantError(f"level {level}: reduced family left its support's preimage")
     else:
         records.append(_record(spec.depth + 1, index, K, h1_dimension(K, p), family))
 

@@ -26,7 +26,7 @@ from .complexes import (
     face_sums,
 )
 from .covers import CoveringMap, vertex_values
-from .errors import CocycleConditionError, UnsupportedCoverError
+from .errors import CocycleConditionError, InvariantError, UnsupportedCoverError
 
 __all__ = [
     "wedge_cochain",
@@ -111,7 +111,8 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
 
     # wedges of independent inputs are independent as cochains
     span_matrix = np.array([w.values for w in span_basis], dtype=np.int64)
-    assert fplinalg.rank(span_matrix, p) == len(span_basis)
+    if fplinalg.rank(span_matrix, p) != len(span_basis):
+        raise InvariantError("wedge cochains of independent inputs are dependent")
 
     reps = cov.deck_orbit_representatives()
     constraints = face_sums(cov.total, span_matrix)[:, reps].T % p
@@ -122,12 +123,11 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     for c in cocycle_basis:
         # one face per orbit suffices; verify the full condition anyway
         if not c.is_cocycle():
-            raise AssertionError("orbit representative constraints missed a face")
+            raise InvariantError("orbit representative constraints missed a face")
     if cocycle_basis:
         coords = np.array([class_coordinates(c) for c in cocycle_basis], dtype=np.int64)
-        assert fplinalg.rank(coords, p) == len(cocycle_basis), (
-            "wedge cocycle classes are dependent in the cover"
-        )
+        if fplinalg.rank(coords, p) != len(cocycle_basis):
+            raise InvariantError("wedge cocycle classes are dependent in the cover")
     return WedgeFamily(cov, family, complement, span_basis, cocycle_basis)
 
 

@@ -50,6 +50,19 @@ def mod_rank(rows, p):
     return mod_rref(rows, p)[1]
 
 
+def loop_boundary_matrices(K, p):
+    """d1 (V x E) and d2 (E x F) over F_p as lists of lists, cell by cell."""
+    d1 = [[0] * K.num_edges for _ in range(K.num_vertices)]
+    for e, (u, v) in enumerate(K.edges):
+        d1[v][e] += 1
+        d1[u][e] -= 1
+    d2 = [[0] * K.num_faces for _ in range(K.num_edges)]
+    for j, f in enumerate(K.faces):
+        for e, d in f:
+            d2[e][j] += d
+    return [[x % p for x in row] for row in d1], [[x % p for x in row] for row in d2]
+
+
 def edge_scan_spanning_tree(num_vertices, edges, basepoint):
     """BFS spanning tree that rescans every edge for each dequeued vertex.
 

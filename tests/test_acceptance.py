@@ -6,6 +6,7 @@ all quantities are integers or Fractions) plus a wall-clock budget, so
 """
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -293,3 +294,20 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes(), argv
+
+
+def test_depth6_descent_scale(tmp_path):
+    # depth 6 ends on a V=4096, E=16384, F=4096 cover (24,576 cells); its
+    # d_p comes from sparse face rows, never a dense E x F matrix.  A
+    # genus-2 cover of index N has d_p = 2 + 2N.
+    t0 = time.perf_counter()
+    genus2 = tmp_path / "genus2.txt"
+    genus2.write_text(GENUS2)
+    out = tmp_path / "report.json"
+    argv = ["descend", str(genus2), "--series", "rank:2", "--u", "2", "--depth", "6"]
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "decay-certified"
+    assert [lvl["index"] for lvl in doc["levels"]] == [4**k for k in range(7)]
+    assert all(lvl["d_p"] == 2 + 2 * lvl["index"] for lvl in doc["levels"])
+    assert time.perf_counter() - t0 < 30.0

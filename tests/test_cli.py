@@ -13,8 +13,8 @@ from pdescent.cli import (
     parse_records_file,
     parse_series_file,
 )
-from pdescent.complexes import parse_presentation
-from pdescent.errors import ParseError
+from pdescent.complexes import TwoComplex, parse_presentation
+from pdescent.errors import InvariantError, ParseError
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -300,6 +300,8 @@ GOLDEN = [
      "cover_p3_rank2_depth2.txt"),
     (["cheeger", "genus2_p2.txt", "--series", "rank:2", "--depth", "3", "--mode", "heuristic"],
      "cheeger_p2_rank2_depth3_heuristic.json"),
+    (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "5"],
+     "descend_p2_rank2_u2_depth5.json"),
 ]
 
 
@@ -325,6 +327,44 @@ def test_golden_reports_do_not_depend_on_asserts(tmp_path, argv, expected):
     proc = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert out.read_bytes() == (DATA / expected).read_bytes()
+
+
+def test_invariant_failure_exits_4_under_optimisation():
+    # invariant checks are explicit raises, so they fire under `python -O`
+    # too; a broken d_p makes the cocycle-basis cross-check fail
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit('asserts are enabled')\n"
+        "from pdescent import cli, complexes\n"
+        "complexes.h1_dimension = lambda K, p: -1\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["descend", str(DATA / "genus2_p2.txt"), "--series", "rank:2", "--depth", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, *argv], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 4, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "pdescent: internal invariant failed: "
+        "cocycle basis size differs from dim H_1(K; F_p)\n"
+    )
+
+
+def test_invariant_error_is_not_a_precondition_error(tmp_path, capsys, monkeypatch):
+    assert not issubclass(InvariantError, ValueError)
+    # a degree-n cover must multiply chi by n; a chi of |V|^2 cannot
+    chi = property(lambda K: K.num_vertices**2)
+    monkeypatch.setattr(TwoComplex, "euler_characteristic", chi)
+    path = write(tmp_path, "torus.txt", TORUS)
+    assert main(["cover", path, "--series", "rank:1", "--depth", "1"]) == 4
+    assert capsys.readouterr().err == (
+        "pdescent: internal invariant failed: "
+        "cover Euler characteristic is not degree times the base's\n"
+    )
 
 
 def test_budget_notes_name_the_projected_cells(tmp_path, capsys):

@@ -11,6 +11,7 @@ from pdescent.fplinalg import (
     FpSubspace,
     kernel_basis,
     rref,
+    sparse_rank,
     subspace_support,
     support_size_by_enumeration,
 )
@@ -77,6 +78,56 @@ def test_rref_and_kernel_match_textbook_elimination(case):
     assert np.all((m @ ker.T) % p == 0)
     assert ker.tolist() == mod_rref(ker.tolist(), p)[0]
     assert np.array_equal(m, before)
+
+
+@st.composite
+def sparse_rows_mod_p(draw):
+    """(rows, dense, p): {column: value} rows and the matrix they spell.
+
+    Entries are drawn as (column, value) pairs and summed per column, so a
+    row can hold a repeated column that cancels, a value that is a nonzero
+    multiple of p, or nothing at all.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 65521)))
+    cols = draw(st.integers(1, 16))
+    entry = st.tuples(st.integers(0, cols - 1), st.integers(-2 * p, 2 * p))
+    rows, dense = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        pairs = draw(st.lists(entry, max_size=6))
+        for c, v in draw(st.lists(entry, max_size=2)):
+            pairs += [(c, v), (c, -v)]  # a repeated column that cancels
+        row, line = {}, [0] * cols
+        for c, v in pairs:
+            row[c] = row.get(c, 0) + v
+            line[c] += v
+        rows.append(row)
+        dense.append(line)
+    return rows, dense, p
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sparse_rows_mod_p(), st.randoms(use_true_random=False))
+def test_sparse_rank_matches_textbook_elimination(case, rnd):
+    rows, dense, p = case
+    before = [dict(r) for r in rows]
+    r = sparse_rank(rows, p)
+    assert rows == before
+    assert r == mod_rank(dense, p)
+    # rank is invariant under relabelling columns and reordering rows;
+    # labels need not be contiguous or non-negative
+    cols = len(dense[0]) if dense else 1
+    relabel = dict(zip(range(cols), rnd.sample(range(-10 * cols, 10 * cols, 10), cols)))
+    moved = [{relabel[c]: v for c, v in row.items()} for row in rows]
+    rnd.shuffle(moved)
+    assert sparse_rank(iter(moved), p) == r
+
+
+def test_sparse_rank_examples():
+    assert sparse_rank([], 3) == 0
+    assert sparse_rank([{}, {0: 3, 1: -6}], 3) == 0
+    assert sparse_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2) == 2
+    assert sparse_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3) == 3
+    assert sparse_rank([{5: 65520}, {5: -1, 9: 65521}], 65521) == 1
 
 
 def test_kernel_basis_is_kernel_and_dimension_formula():
@@ -181,6 +232,9 @@ def test_subspace_membership_and_intersection():
         for row in meet:
             assert fplinalg.in_rowspan(row, a, p)
             assert fplinalg.in_rowspan(row, b, p)
+        A, B, M = (FpSubspace.from_rows(m, p, ambient) for m in (a, b, meet))
+        assert A.contains_subspace(M) and B.contains_subspace(M)
+        assert A.contains_subspace(B) == all(A.contains(row) for row in B.basis)
         # dim(A) + dim(B) = dim(A+B) + dim(A cap B)
         ra = fplinalg.rank(a, p)
         rb = fplinalg.rank(b, p)
