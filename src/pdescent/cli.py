@@ -8,8 +8,9 @@ file through its canonical form.
 
 All randomness flows from --seed, so identical invocations (including the
 seed) produce byte-identical structured output.  Exit codes: 0 on success,
-2 on precondition errors, 3 on budget or enumeration-cap exhaustion, 4 when
-an internal invariant check fails (a bug, never bad input).
+2 on precondition errors, 3 on budget or enumeration-cap exhaustion or
+when memory runs out, 4 when an internal invariant check fails (a bug,
+never bad input).
 """
 
 from __future__ import annotations
@@ -593,6 +594,9 @@ def main(argv=None) -> int:
         text, code = args.handler(args)
     except EnumerationCapError as exc:
         print(f"pdescent: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"pdescent: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"pdescent: {exc}", file=sys.stderr)

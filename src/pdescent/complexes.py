@@ -13,6 +13,7 @@ Sign conventions: an edge e runs init(e) -> term(e); a coboundary is
 from __future__ import annotations
 
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "TwoComplex",
     "CellArrays",
     "Cochain",
+    "CocycleBasis",
     "build_presentation_complex",
     "presentation_loop",
     "boundary_matrices",
@@ -397,64 +399,102 @@ def boundary_matrices(K: TwoComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
     d1 = np.zeros((K.num_vertices, K.num_edges), dtype=np.int64)
     np.add.at(d1, (a.term, edges), 1)
     np.add.at(d1, (a.init, edges), -1)
-    return d1 % p, _face_boundary_matrix(K, p)
-
-
-def _face_boundary_matrix(K: TwoComplex, p: int) -> np.ndarray:
-    """d2: C2 -> C1 over F_p (edges x faces)."""
-    a = K.arrays
     lengths = np.diff(np.append(a.face_starts, len(a.face_edges)))
     faces = np.repeat(np.arange(K.num_faces), lengths)
     d2 = np.zeros((K.num_edges, K.num_faces), dtype=np.int64)
     np.add.at(d2, (a.face_edges, faces), a.face_signs)
-    return d2 % p
+    return d1 % p, d2 % p
 
 
-def _face_rows(K: TwoComplex):
-    """One sparse row {edge label: signed count} per face, in face order.
+def _face_rows(K: TwoComplex) -> list[dict]:
+    """The tree-contracted face rows: {non-tree index: signed count} per face.
 
-    Edges are labelled by first appearance over the faces, counting down:
-    0, -1, -2, ...  Covers list their faces by (base face, deck rank), so
-    neighbouring faces share edges with nearby labels and the rows stay
-    banded.  `sparse_rank` pivots on a row's smallest label, which is its
-    newest edge, the one that the fewest earlier faces share, so pivot
-    rows stay short.
+    A cochain vanishing on the spanning tree is its values on the non-tree
+    edges, so each face constraint keeps only those steps (repeated edges
+    summed).  Contracting the tree drops |V| - 1 columns before any pivot.
     """
-    label = {}
+    index = [-1] * K.num_edges
+    for i, e in enumerate(K.non_tree_edges):
+        index[e] = i
+    rows = []
     for f in K.faces:
         row = {}
         for e, d in f:
-            c = label.setdefault(e, -len(label))
-            row[c] = row.get(c, 0) + d
-        yield row
+            k = index[e]
+            if k >= 0:
+                row[k] = row.get(k, 0) + d
+        rows.append(row)
+    return rows
 
 
 def h1_dimension(K: TwoComplex, p: int) -> int:
-    """dim H_1(K; F_p) = dim ker d1 - rank d2 (= dim H^1 over a field).
+    """dim H_1(K; F_p) = dim H^1(K; F_p), the tree-vanishing cocycle count.
 
-    K is connected, so rank d1 = |V| - 1 and dim ker d1 = |E| - |V| + 1.
-    rank d2 comes from the sparse face rows; no E x F matrix is built.
+    K is connected, so H^1 is the kernel of the tree-contracted face rows
+    on the |E| - |V| + 1 non-tree edges; no E x F matrix is built.
     """
     p = fplinalg.validate_prime(p)
-    ker_d1 = K.num_edges - (K.num_vertices - 1)
-    return ker_d1 - fplinalg.sparse_rank(_face_rows(K), p)
+    n = len(K.non_tree_edges)
+    return n - fplinalg.sparse_kernel(_face_rows(K), n, p)[0]
 
 
-def h1_cocycle_basis(K: TwoComplex, p: int) -> list[Cochain]:
+class CocycleBasis(Sequence):
+    """The echelon H^1 basis of a complex, each cocycle built when first read.
+
+    Immutable: len is d_p, and an index, a slice or iteration builds the
+    requested cocycles from the kernel rows of `fplinalg.sparse_kernel` and
+    caches them, so reading a cocycle twice gives the same object.
+    """
+
+    def __init__(self, K: TwoComplex, p: int, size: int, row):
+        self._complex = K
+        self._p = p
+        self._row = row
+        self._cache: list[Cochain | None] = [None] * size
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]  # bounds check and negative indices
+        c = self._cache[i]
+        if c is None:
+            c = cocycle_from_coordinates(self._complex, self._p, self._row(i))
+            self._cache[i] = c
+        return c
+
+
+def h1_cocycle_basis(K: TwoComplex, p: int) -> CocycleBasis:
     """Echelon basis of H^1(K; F_p) as cocycles vanishing on the spanning tree.
 
     A cocycle vanishing on the tree is determined by its non-tree values,
-    and distinct such cocycles lie in distinct classes, so solving the face
-    constraints on non-tree values gives one representative per class.
+    and distinct such cocycles lie in distinct classes, so the kernel of
+    the tree-contracted face rows holds one representative per class.  Its
+    reduced echelon basis comes from one sparse elimination; a cocycle is
+    built only when it is read.
     """
     p = fplinalg.validate_prime(p)
-    # face-boundary evaluations of the non-tree edge indicators (faces x non-tree)
-    m = _face_boundary_matrix(K, p)[list(K.non_tree_edges)].T
-    coords = fplinalg.kernel_basis(m, p)
-    basis = [cocycle_from_coordinates(K, p, row) for row in coords]
-    if len(basis) != h1_dimension(K, p):
+    rows = _face_rows(K)
+    rank, free, row = fplinalg.sparse_kernel(rows, len(K.non_tree_edges), p)
+    # an elimination with another pivot rule must find the same rank
+    if rank != fplinalg.sparse_rank(_newest_first(rows), p):
         raise InvariantError("cocycle basis size differs from dim H_1(K; F_p)")
-    return basis
+    return CocycleBasis(K, p, len(free), row)
+
+
+def _newest_first(rows) -> list[dict]:
+    """The rows with their columns relabelled 0, -1, -2, ... by first appearance.
+
+    `sparse_rank` pivots on a row's smallest label, which is then its
+    newest column, the one the fewest earlier rows share, so its pivot
+    rows stay short.  On the raw non-tree labels its pivot rows fill in:
+    2.2 million stored entries on a V=16384 cover of a descent tower,
+    against 41 thousand with these.
+    """
+    label = {}
+    return [{label.setdefault(c, -len(label)): v for c, v in r.items()} for r in rows]
 
 
 def coboundary(K: TwoComplex, potential, p: int) -> Cochain:

@@ -6,12 +6,14 @@ are kept in reduced row echelon form so that equal subspaces have equal
 basis matrices, which downstream code relies on for reproducibility.
 Elimination touches only the rows a pivot can change, so its cost scales
 with the nonzeros of the pivot columns rather than with the matrix size.
-`sparse_rank` ranks rows held as {column: value} dicts without building a
-matrix at all; it gives the rank only, never an echelon form.
+`sparse_kernel` and `sparse_rank` eliminate rows held as {column: value}
+dicts without building a matrix at all: the first gives the reduced
+echelon kernel basis one row at a time, the second the rank only.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ __all__ = [
     "rref",
     "rank",
     "sparse_rank",
+    "sparse_kernel",
     "kernel_basis",
     "solve",
     "in_rowspan",
@@ -65,23 +68,28 @@ def rref(m, p) -> tuple[np.ndarray, int]:
     """Reduced row echelon form over F_p; returns (echelon matrix, rank).
 
     Deterministic: columns are processed left to right and the first
-    nonzero entry below the current row is the pivot.  Each pivot updates
-    only the rows with a nonzero entry in its column, and only from that
-    column rightwards (the pivot row is zero to its left); the other rows
-    would be unchanged by the elimination.  A pivot therefore costs the
-    rows it touches times the columns it spans, so the total follows the
-    nonzeros of the pivot columns.  The input is not modified.
+    nonzero entry below the current row is the pivot.  The next pivot
+    column is found by scanning the remaining block below the current row
+    in column windows that double in width, so a run of zero columns costs
+    a few vectorised scans rather than one call per column.  Each pivot
+    updates only the rows with a nonzero entry in its column, and only from
+    that column rightwards (the pivot row is zero to its left); the other
+    rows would be unchanged by the elimination.  A pivot therefore costs
+    the rows it touches times the columns it spans, so the total follows
+    the nonzeros of the pivot columns.  The input is not modified.
     """
     a = _as_matrix(m, p)
     rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
+    r = c = 0
+    while r < rows and c < cols:
+        width = 1
+        while not (hits := np.flatnonzero(a[r:, c : c + width].any(axis=0))).size:
+            c += width
+            width *= 2
+            if c >= cols:
+                return a, r
+        c += int(hits[0])
+        piv = r + int(np.argmax(a[r:, c] != 0))
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, c]), -1, p)
@@ -91,6 +99,7 @@ def rref(m, p) -> tuple[np.ndarray, int]:
         if hit.size:
             a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         r += 1
+        c += 1
     return a, r
 
 
@@ -98,36 +107,87 @@ def rank(m, p) -> int:
     return rref(m, p)[1]
 
 
-def sparse_rank(rows, p) -> int:
-    """Rank over F_p of sparse rows, each a {column: value} dict.
+def _eliminate(rows, p, lead) -> tuple[dict, dict]:
+    """Sparse elimination of {column: value} rows, one stored row per pivot.
 
     Values are Python ints, reduced mod p here, so the arithmetic is exact
-    for every p <= 2**16.  Each row is reduced by eliminating its smallest
-    column against the stored pivot row for that column until it vanishes
-    or reaches a column without one; it is then normalised and stored as
-    that column's pivot.  Rows with few nonzeros that overlap in few
-    columns stay short, so the cost follows the fill-in, not |rows| x
-    |columns|.  Rank does not depend on the pivot order; `rref` remains the
-    producer of canonical echelon forms.
+    for every p <= 2**16.  Each row is reduced against the stored row of
+    its lead column (`lead` is min or max over the row's columns) until it
+    vanishes or reaches a lead column without one, where it is stored.
+    Returns (pivots, scale): pivots[c] is the row stored for column c
+    without its lead entry, and scale[c] the inverse of that entry where it
+    is not 1, so the pivot row scaled to lead with 1 is
+    e_c + scale.get(c, 1) * pivots[c].  Rows with few nonzeros that
+    overlap in few columns stay short, so the cost follows the fill-in,
+    not |rows| x |columns|.  The input is not modified.
     """
     pivots = {}
+    scale = {}
     for row in rows:
         r = {c: x for c, v in row.items() if (x := v % p)}
         while r:
-            c = min(r)
+            c = lead(r)
             pivot = pivots.get(c)
+            f = r.pop(c)
             if pivot is None:
-                inv = pow(r[c], -1, p)
-                pivots[c] = r if inv == 1 else {k: v * inv % p for k, v in r.items()}
+                if f != 1:
+                    scale[c] = pow(f, -1, p)
+                pivots[c] = r
                 break
-            f = r[c]
+            if c in scale:
+                f = f * scale[c] % p
             for k, v in pivot.items():
                 x = (r.get(k, 0) - f * v) % p
                 if x:
                     r[k] = x
                 else:
                     del r[k]
-    return len(pivots)
+    return pivots, scale
+
+
+def sparse_rank(rows, p) -> int:
+    """Rank over F_p of sparse rows, each a {column: value} dict.
+
+    Values are Python ints, reduced mod p here; the input is not modified.
+    Pivots on each row's smallest column.  Rank does not depend on the
+    pivot rule, so this checks `sparse_kernel`, which pivots on the largest.
+    """
+    return len(_eliminate(rows, p, min)[0])
+
+
+def sparse_kernel(rows, ncols: int, p):
+    """The reduced echelon kernel basis of sparse rows, one row on demand.
+
+    rows are {column: value} dicts over columns 0..ncols-1, with Python
+    int values reduced mod p here; the input is not modified.  Returns
+    (rank, free, row): free lists the kernel's leading columns in
+    increasing order, and row(i) is the i-th row of the reduced echelon
+    basis of {x : row . x = 0 for every row}, the row `kernel_basis` gives
+    for the same matrix.
+
+    Each row pivots on its largest column.  The pivot columns T are then
+    the trailing columns of the row space, and the leading columns of its
+    orthogonal complement are exactly the columns outside T (pivot sets of
+    a space and its complement are complementary under reversed column
+    order).  Kernel row i is therefore e_free[i] plus values on the pivot
+    columns past free[i], found by forward substitution: pivot row t has
+    its other entries left of t, so x[t] follows from values already set.
+    """
+    pivots, scale = _eliminate(rows, p, max)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
+    order = sorted(pivots)
+
+    def row(i) -> np.ndarray:
+        f = int(free[i])
+        x = [0] * ncols
+        x[f] = 1
+        for t in order[bisect.bisect_right(order, f) :]:
+            x[t] = -scale.get(t, 1) * sum(v * x[k] for k, v in pivots[t].items()) % p
+        return np.array(x, dtype=np.int64)
+
+    return len(pivots), free, row
 
 
 def _pivot_columns(echelon, r) -> np.ndarray:

@@ -73,24 +73,25 @@ def hyperplane_subspace(V: FpSubspace, f) -> FpSubspace:
     return FpSubspace.from_rows((coeffs @ V.basis) % V.p, V.p, V.ambient_dim)
 
 
-def _column_classes(V: FpSubspace):
+def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
     """Projective class of each nonzero basis column, as functional tuples.
 
     A coordinate stays in the support of the hyperplane ker(f) unless its
     basis column is proportional to f, so grouping columns by projective
-    class makes every hyperplane support a dictionary lookup.
+    class makes every hyperplane support a dictionary lookup.  Each column
+    is scaled to lead with 1 (one inverse per distinct leading value), and
+    equal scaled columns are counted with one `np.unique`.
     """
-    classes: dict[tuple, int] = {}
     p = V.p
-    for j in range(V.ambient_dim):
-        col = V.basis[:, j] % p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        inv = pow(int(col[nz[0]]), -1, p)
-        key = tuple((col * inv) % p)
-        classes[key] = classes.get(key, 0) + 1
-    return classes
+    basis = V.basis % p
+    cols = basis[:, basis.any(axis=0)]
+    if cols.shape[1] == 0:
+        return {}
+    lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
+    values, which = np.unique(lead, return_inverse=True)
+    inverses = np.array([pow(int(x), -1, p) for x in values], dtype=np.int64)
+    keys, counts = np.unique((cols * inverses[which]).T % p, axis=0, return_counts=True)
+    return {tuple(key.tolist()): int(n) for key, n in zip(keys, counts)}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ cover homology growth, and quasi-additive limit estimation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -167,14 +167,15 @@ def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain
                 )
         return [basis[i] for i in picks]
     # rank kind: prefer classes independent of the family span so the
-    # complement (and with it the wedge family) stays as large as possible
+    # complement (and with it the wedge family) stays as large as possible;
+    # reading a basis entry builds its cocycle, so stop once enough are chosen
     avoid = [class_coordinates(c) for c in family]
     chosen: list[Cochain] = []
     chosen_coords: list[np.ndarray] = []
     for prefix in (avoid, []):
+        if len(chosen) == spec.rank:
+            break
         for c in basis:
-            if len(chosen) == spec.rank:
-                break
             if any(c is x for x in chosen):
                 continue
             row = class_coordinates(c)
@@ -182,6 +183,8 @@ def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain
             if fplinalg.rank(stacked, spec.p) == len(stacked):
                 chosen.append(c)
                 chosen_coords.append(row)
+                if len(chosen) == spec.rank:
+                    break
     if len(chosen) < spec.rank:
         raise ValueError(
             f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes"
@@ -193,14 +196,15 @@ def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain
 class TowerLevel:
     """One tower level: its complex, the complex's H^1 basis, and the cover built on it.
 
-    cover is None when the projected cell count exceeds the budget; note
-    then says so.
+    basis is the lazy `CocycleBasis` itself, so only the cocycles the
+    series reads are ever built.  cover is None when the projected cell
+    count exceeds the budget; note then says so.
     """
 
     level: int
     index: int
     complex: TwoComplex
-    basis: tuple[Cochain, ...]
+    basis: Sequence[Cochain]
     classes: tuple[Cochain, ...]
     cover: CoveringMap | None
     note: str | None = None
@@ -216,9 +220,9 @@ def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) ->
     projected = spec.p ** len(classes) * K.num_cells
     if projected > spec.cell_budget:
         note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
-        return TowerLevel(level, index, K, tuple(basis), classes, None, note)
+        return TowerLevel(level, index, K, basis, classes, None, note)
     cov = build_abelian_p_cover(K, classes, spec.p)
-    return TowerLevel(level, index, K, tuple(basis), classes, cov)
+    return TowerLevel(level, index, K, basis, classes, cov)
 
 
 def iter_covers(K: TwoComplex, spec: SeriesSpec) -> Iterator[TowerLevel]:
@@ -265,7 +269,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int, seed: int = 0
     basis = h1_cocycle_basis(K, p)
     if len(basis) < u:
         raise ValueError(f"H^1 of the presentation complex has rank {len(basis)} < u = {u}")
-    family: list[Cochain] = basis[:u]
+    family: Sequence[Cochain] = basis[:u]
     records: list[TowerRecord] = []
     notes: list[str] = []
     index = 1

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
-routines is meaningful.  The full-recount expansion routines and the
-tuple-label cover builder and path lift are the package's earlier
-implementations, kept as references; the former use numpy.
+routines is meaningful.  The full-recount expansion routines, the
+tuple-label cover builder and path lift, the dense H^1 basis and the
+column-class loop are the package's earlier implementations, kept as
+references; the expansion routines and the column-class loop use numpy.
 Nothing in this module imports the package: complexes, graphs and
 cochains are read through their attributes only.
 """
@@ -369,3 +370,46 @@ def tuple_label_lift(shifts, moduli, start, steps, label_rank):
             cur = _shift_label(cur, e, -1)
             lifted.append((e * degree + _label_rank[cur], -1))
     return start * degree + label_rank, tuple(lifted)
+
+
+def column_classes_by_loop(basis, p):
+    """Projective classes of the nonzero columns, one column at a time.
+
+    The column loop that `plotkin._column_classes` replaced: scale each
+    nonzero column by the inverse of its first nonzero entry and count the
+    scaled tuples.
+    """
+    classes = {}
+    basis = np.asarray(basis, dtype=np.int64) % p
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        inv = pow(int(col[nz[0]]), -1, p)
+        key = tuple(int(x) for x in (col * inv) % p)
+        classes[key] = classes.get(key, 0) + 1
+    return classes
+
+
+def dense_cocycle_coordinates(K, p):
+    """The earlier `h1_cocycle_basis` as coordinate rows on the non-tree edges.
+
+    Builds the dense d2, keeps its non-tree rows, transposed (faces x
+    non-tree edges), and returns the reduced echelon basis of their kernel:
+    the standard solution of each free column, re-echelonised, all by
+    textbook elimination.
+    """
+    d2 = loop_boundary_matrices(K, p)[1]
+    nt = list(K.non_tree_edges)
+    n = len(nt)
+    ech, r = mod_rref([[d2[e][j] for e in nt] for j in range(K.num_faces)], p)
+    pivots = [next(c for c in range(n) if ech[i][c]) for i in range(r)]
+    vectors = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = 1
+        for i, c in enumerate(pivots):
+            x[c] = -ech[i][f] % p
+        vectors.append(x)
+    return mod_rref(vectors, p)[0]

@@ -311,3 +311,35 @@ def test_depth6_descent_scale(tmp_path):
     assert [lvl["index"] for lvl in doc["levels"]] == [4**k for k in range(7)]
     assert all(lvl["d_p"] == 2 + 2 * lvl["index"] for lvl in doc["levels"])
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_depth8_descent_scale(tmp_path):
+    # depth 8 ends on a V=65536, E=262144 cover; the H^1 basis of each
+    # level comes from one sparse elimination of the tree-contracted face
+    # rows, and only the cocycles the rank series reads are ever built
+    t0 = time.perf_counter()
+    genus2 = tmp_path / "genus2.txt"
+    genus2.write_text(GENUS2)
+    out = tmp_path / "report.json"
+    argv = ["descend", str(genus2), "--series", "rank:2", "--u", "2", "--depth", "8"]
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "decay-certified"
+    assert [lvl["index"] for lvl in doc["levels"]] == [4**k for k in range(9)]
+    assert all(lvl["d_p"] == 2 + 2 * lvl["index"] for lvl in doc["levels"])
+    assert time.perf_counter() - t0 < 30.0
+
+
+def test_depth8_cover_tower(tmp_path):
+    # a dense E x F matrix of the V=16384 level would take 8 GiB
+    t0 = time.perf_counter()
+    genus2 = tmp_path / "genus2.txt"
+    genus2.write_text(GENUS2)
+    out = tmp_path / "report.json"
+    argv = ["cover", str(genus2), "--series", "rank:2", "--depth", "8"]
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "completed"
+    last = doc["levels"][-1]
+    assert (last["level"], last["vertices"], last["d_p"]) == (9, 65536, 131074)
+    assert time.perf_counter() - t0 < 30.0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pdescent import tower
 from pdescent.cli import (
     emit_report,
     main,
@@ -302,6 +303,8 @@ GOLDEN = [
      "cheeger_p2_rank2_depth3_heuristic.json"),
     (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "5"],
      "descend_p2_rank2_u2_depth5.json"),
+    (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "7"],
+     "descend_p2_rank2_u2_depth7.json"),
 ]
 
 
@@ -331,15 +334,15 @@ def test_golden_reports_do_not_depend_on_asserts(tmp_path, argv, expected):
 
 def test_invariant_failure_exits_4_under_optimisation():
     # invariant checks are explicit raises, so they fire under `python -O`
-    # too; a broken d_p makes the cocycle-basis cross-check fail
+    # too; a broken independent rank makes the cocycle-basis cross-check fail
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys\n"
         "if __debug__: sys.exit('asserts are enabled')\n"
-        "from pdescent import cli, complexes\n"
-        "complexes.h1_dimension = lambda K, p: -1\n"
+        "from pdescent import cli, fplinalg\n"
+        "fplinalg.sparse_rank = lambda rows, p: -1\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     argv = ["descend", str(DATA / "genus2_p2.txt"), "--series", "rank:2", "--depth", "1"]
@@ -365,6 +368,24 @@ def test_invariant_error_is_not_a_precondition_error(tmp_path, capsys, monkeypat
         "pdescent: internal invariant failed: "
         "cover Euler characteristic is not degree times the base's\n"
     )
+
+
+# numpy names the failed allocation; the interpreter raises a bare MemoryError
+NUMPY_OOM = "Unable to allocate 8.00 GiB for an array with shape (65536, 16384)"
+
+
+@pytest.mark.parametrize(
+    "message, shown", [(NUMPY_OOM, NUMPY_OOM), ("", "allocation failed")]
+)
+def test_out_of_memory_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch, message, shown):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tower, "build_abelian_p_cover", exhausted)
+    path = write(tmp_path, "genus2.txt", GENUS2)
+    for command in (["cover"], ["descend", "--u", "2"]):
+        assert main([command[0], path, "--series", "rank:2", *command[1:]]) == 3
+        assert capsys.readouterr() == ("", f"pdescent: out of memory: {shown}\n")
 
 
 def test_budget_notes_name_the_projected_cells(tmp_path, capsys):

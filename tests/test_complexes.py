@@ -1,3 +1,5 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
 from pdescent.errors import CocycleConditionError, ParseError
 
 from oracles import (
+    dense_cocycle_coordinates,
     edge_scan_spanning_tree,
     loop_boundary_matrices,
     mod_rank,
@@ -243,6 +246,66 @@ def test_h1_cocycle_basis_properties():
             coord_rows.append(class_coordinates(c).tolist())
         if coord_rows:
             assert mod_rank(coord_rows, p) == len(basis)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5, 65521)), st.integers(0, 2**32 - 1), st.data())
+def test_h1_cocycle_basis_matches_dense_oracle(p, seed, data):
+    # the lazy rows of one sparse elimination are the dense echelon basis,
+    # row for row, on random complexes, abelian covers and cyclic covers
+    rng = np.random.default_rng(seed)
+    kinds = ("abelian", "cyclic", "random") if p <= 5 else ("cyclic", "random")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "random":
+        K = _random_connected_complex(rng)
+    else:
+        base = build_presentation_complex(
+            parse_presentation(data.draw(st.sampled_from((TORUS, GENUS2, WEDGE2))))[0]
+        )
+        if kind == "abelian":
+            classes = h1_cocycle_basis(base, p)[: data.draw(st.integers(1, 2))]
+            K = build_abelian_p_cover(base, classes, p).total
+        else:
+            weights = [1] + [int(x) for x in rng.integers(-3, 4, size=base.num_edges - 1)]
+            K = build_cyclic_cover(base, weights, data.draw(st.integers(1, 9))).total
+    basis = h1_cocycle_basis(K, p)
+    want = dense_cocycle_coordinates(K, p)
+    assert len(basis) == len(want) == h1_dimension(K, p)
+    non_tree = list(K.non_tree_edges)
+    tree = sorted(K.tree_edges)
+    for i in data.draw(st.permutations(range(len(want)))):
+        c = basis[i]
+        assert c.values[non_tree].tolist() == want[i]
+        assert not c.values[tree].any()
+
+
+def test_cocycle_basis_is_a_lazy_immutable_sequence():
+    pres, p = parse_presentation(GENUS2)
+    genus2 = build_presentation_complex(pres)
+    K = build_abelian_p_cover(genus2, h1_cocycle_basis(genus2, 3)[:2], 3).total
+    basis = h1_cocycle_basis(K, 3)
+    want = dense_cocycle_coordinates(K, 3)
+    assert isinstance(basis, Sequence) and len(basis) == len(want) == 20
+    # read out of order: the rows do not depend on what was read before
+    late = basis[7]
+    assert basis[-13] is late and basis[7] is late
+    assert class_coordinates(late).tolist() == want[7]
+    window = basis[5:9]
+    assert isinstance(window, tuple) and window[2] is late
+    assert [c.values.tolist() for c in basis[::-7]] == [
+        basis[i].values.tolist() for i in (19, 12, 5)
+    ]
+    assert [class_coordinates(c).tolist() for c in basis] == want
+    assert all(a is b for a, b in zip(basis, list(basis)))
+    for bad in (20, -21):
+        with pytest.raises(IndexError):
+            basis[bad]
+    with pytest.raises(TypeError):
+        basis[0] = late
+    # no faces: every non-tree value is free; no non-tree edges: H^1 = 0
+    rose = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=()))
+    assert [c.values.tolist() for c in h1_cocycle_basis(rose, 5)] == [[1, 0], [0, 1]]
+    assert len(h1_cocycle_basis(TwoComplex(3, [(0, 1), (1, 2)]), 2)) == 0
 
 
 def test_class_coordinates_are_loop_evaluations():

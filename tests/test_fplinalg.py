@@ -11,6 +11,7 @@ from pdescent.fplinalg import (
     FpSubspace,
     kernel_basis,
     rref,
+    sparse_kernel,
     sparse_rank,
     subspace_support,
     support_size_by_enumeration,
@@ -81,6 +82,43 @@ def test_rref_and_kernel_match_textbook_elimination(case):
 
 
 @st.composite
+def wide_matrices_mod_p(draw):
+    """(matrix, p): 1-4 rows, >= 1000 columns, a block of zero leading columns."""
+    p = draw(st.sampled_from((2, 3, 5, 65521)))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1000, 1500))
+    lead = draw(st.integers(0, cols - 1))
+    m = np.zeros((rows, cols), dtype=np.int64)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(lead, cols - 1), st.integers(1, p - 1))
+    for r, c, v in draw(st.lists(cells, max_size=24)):
+        m[r, c] = v
+    if draw(st.booleans()):  # a dependent row
+        m[-1] = (m[0] * draw(st.integers(0, p - 1)) + m[rows // 2]) % p
+    return m, p
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(wide_matrices_mod_p())
+def test_rref_matches_textbook_elimination_on_wide_matrices(case):
+    # the pivot search scans column windows; zero runs of any length must
+    # give the same echelon form as the column-by-column textbook scan
+    m, p = case
+    before = m.copy()
+    ech, r = rref(m, p)
+    want, want_rank = mod_rref(m.tolist(), p)
+    assert r == want_rank
+    assert ech.tolist() == want
+    assert np.array_equal(m, before)
+    ker = kernel_basis(m, p)
+    assert len(ker) == m.shape[1] - r
+    assert not np.any((m @ ker.T) % p)
+    # reduced echelon: increasing leading columns, each a unit column of ker
+    leads = np.argmax(ker != 0, axis=1)
+    assert np.all(np.diff(leads) > 0)
+    assert np.array_equal(ker[:, leads], np.eye(len(ker), dtype=np.int64))
+
+
+@st.composite
 def sparse_rows_mod_p(draw):
     """(rows, dense, p): {column: value} rows and the matrix they spell.
 
@@ -120,6 +158,50 @@ def test_sparse_rank_matches_textbook_elimination(case, rnd):
     moved = [{relabel[c]: v for c, v in row.items()} for row in rows]
     rnd.shuffle(moved)
     assert sparse_rank(iter(moved), p) == r
+
+
+def _dense_kernel(dense, ncols, p):
+    m = np.array(dense, dtype=np.int64).reshape(len(dense), ncols)
+    if m.shape[0] == 0 or ncols == 0:  # no constraints: the identity
+        return np.eye(ncols, dtype=np.int64)
+    return kernel_basis(m, p)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sparse_rows_mod_p(), st.randoms(use_true_random=False))
+def test_sparse_kernel_rows_are_the_dense_kernel_basis(case, rnd):
+    rows, dense, p = case
+    ncols = len(dense[0]) if dense else rnd.randint(0, 8)
+    before = [dict(r) for r in rows]
+    rank, free, row = sparse_kernel(rows, ncols, p)
+    assert rows == before
+    want = _dense_kernel(dense, ncols, p)
+    assert rank == mod_rank(dense, p)
+    assert len(free) == len(want) == ncols - rank
+    assert [int(np.flatnonzero(w)[0]) for w in want] == free.tolist()
+    # rows on demand, in any order, and by negative index
+    order = list(range(len(want)))
+    rnd.shuffle(order)
+    for i in order:
+        got = row(i)
+        assert got.dtype == np.int64 and got.tolist() == want[i].tolist()
+        assert row(i - len(want)).tolist() == want[i].tolist()
+    assert rows == before
+
+
+def test_sparse_kernel_examples():
+    rank, free, row = sparse_kernel([], 0, 5)
+    assert (rank, free.tolist()) == (0, [])
+    rank, free, row = sparse_kernel([{}, {}], 3, 2)
+    assert (rank, free.tolist(), [row(i).tolist() for i in range(3)]) == (
+        0, [0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    )
+    # x0 + x1 + x2 = 0 and x1 - x2 = 0 at p = 3: the kernel is (1, 1, 1)
+    rank, free, row = sparse_kernel([{0: 1, 1: 1, 2: 1}, {1: 4, 2: -1}], 3, 3)
+    assert (rank, free.tolist(), row(0).tolist()) == (2, [0], [1, 1, 1])
+    # entries that are multiples of p vanish, and a dependent row adds no rank
+    rank, free, row = sparse_kernel([{1: 65521}, {0: 2, 1: 0}, {0: -2}], 2, 65521)
+    assert (rank, free.tolist(), row(0).tolist()) == (1, [1], [0, 1])
 
 
 def test_sparse_rank_examples():

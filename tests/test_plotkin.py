@@ -6,6 +6,7 @@ import pytest
 from pdescent.errors import DimensionError
 from pdescent.fplinalg import FpSubspace, subspace_support
 from pdescent.plotkin import (
+    _column_classes,
     best_hyperplane,
     chain_factor,
     hyperplane_functionals,
@@ -17,6 +18,7 @@ from pdescent.plotkin import (
 from oracles import (
     all_hyperplane_supports,
     brute_min_hyperplane_support,
+    column_classes_by_loop,
     mod_rank,
     random_subspace_rows,
 )
@@ -159,3 +161,19 @@ def test_reduce_seeded_sampling_deterministic():
     assert a.mode == "sampled"
     assert np.array_equal(a.subspace.basis, b.subspace.basis)
     assert a.support_size == b.support_size
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_column_classes_match_the_column_loop(p):
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        dim = int(rng.integers(1, 5))
+        ambient = int(rng.integers(dim, 40))
+        rows = rng.integers(0, p, size=(dim, ambient))
+        # zero columns, repeated columns and multiples of one column
+        rows[:, rng.integers(0, ambient, size=ambient // 4)] = 0
+        src, dst = rng.integers(0, ambient, size=(2, ambient // 3))
+        rows[:, dst] = rows[:, src] * rng.integers(1, p, size=dst.size) % p
+        V = FpSubspace.from_rows(rows, p)
+        assert _column_classes(V) == column_classes_by_loop(V.basis, p)
+    assert _column_classes(FpSubspace.from_rows(np.zeros((2, 6), dtype=np.int64), p)) == {}
