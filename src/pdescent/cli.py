@@ -24,6 +24,8 @@ import numpy as np
 
 from . import tower
 from .complexes import (
+    _key_value_lines,
+    _prime_line,
     build_presentation_complex,
     format_presentation,
     h1_cocycle_basis,
@@ -53,20 +55,6 @@ __all__ = ["main", "emit_report", "parse_series_file", "parse_matrix_file", "par
 # presentation format: blank lines and # comments ignored)
 
 
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _split_kv(lineno: int, line: str) -> tuple[str, str]:
-    if "=" not in line:
-        raise ParseError(f"line {lineno}: expected `key = value`, got {line!r}")
-    key, _, value = line.partition("=")
-    return key.strip(), value.strip()
-
-
 def parse_series_file(text: str) -> tuple[tuple[int, ...], ...]:
     """Explicit-series file: one `level = i j k` line per tower level.
 
@@ -74,8 +62,7 @@ def parse_series_file(text: str) -> tuple[tuple[int, ...], ...]:
     complex, in file order.
     """
     levels = []
-    for lineno, line in _data_lines(text):
-        key, value = _split_kv(lineno, line)
+    for lineno, key, value in _key_value_lines(text):
         if key != "level":
             raise ParseError(f"line {lineno}: unknown key {key!r} in series file")
         try:
@@ -94,13 +81,9 @@ def parse_matrix_file(text: str) -> tuple[np.ndarray, int]:
     """Matrix file: a `p = <prime>` line plus `row = c0 c1 ...` lines."""
     p = None
     rows = []
-    for lineno, line in _data_lines(text):
-        key, value = _split_kv(lineno, line)
+    for lineno, key, value in _key_value_lines(text):
         if key == "p":
-            try:
-                p = validate_prime(int(value))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+            p = _prime_line(lineno, value, p)
         elif key == "row":
             try:
                 rows.append([int(tok) for tok in value.split()])
@@ -122,8 +105,7 @@ def parse_matrix_file(text: str) -> tuple[np.ndarray, int]:
 def parse_records_file(text: str) -> tuple[tuple[int, int], ...]:
     """Tower-prefix file: one `record = <index> <quotient_rank>` per level."""
     records = []
-    for lineno, line in _data_lines(text):
-        key, value = _split_kv(lineno, line)
+    for lineno, key, value in _key_value_lines(text):
         if key != "record":
             raise ParseError(f"line {lineno}: unknown key {key!r} in records file")
         toks = value.split()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,28 @@ class GroupPresentation:
         return steps
 
 
+def _key_value_lines(text: str):
+    """(line number, key, value) per `key = value` line, skipping blanks and # comments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"line {lineno}: expected `key = value`, got {raw!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
+def _prime_line(lineno: int, value: str, earlier) -> int:
+    """The prime of a `p = <prime>` line; `earlier` is that of a previous one, or None."""
+    if earlier is not None:
+        raise ParseError(f"line {lineno}: p given twice")
+    try:
+        return fplinalg.validate_prime(int(value))
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+
+
 def parse_presentation(text: str) -> tuple[GroupPresentation, int]:
     """Parse the presentation file format; returns (presentation, p).
 
@@ -98,20 +121,9 @@ def parse_presentation(text: str) -> tuple[GroupPresentation, int]:
     p = None
     gens = None
     rels = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in _key_value_lines(text):
         if key == "p":
-            try:
-                p = fplinalg.validate_prime(int(value))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+            p = _prime_line(lineno, value, p)
         elif key == "gens":
             if gens is not None:
                 raise ParseError(f"line {lineno}: gens given twice")
@@ -157,64 +169,149 @@ class EdgePath:
 
 @dataclass(frozen=True, eq=False)
 class CellArrays:
-    """Index arrays of a complex for vectorised cochain work.
+    """The cells of a complex and its spanning tree, as read-only int64 arrays.
 
-    init[e], term[e] are the endpoints of edge e and non_tree lists the
-    non-tree edges in order.  bfs_vertices holds every vertex but the
-    basepoint in BFS order, reached from parent_vertex along parent_edge
-    traversed in direction parent_sign; layers[k] = (lo, hi) slices the
-    vertices at tree distance k + 1.  face_edges and face_signs are the
-    steps of all faces concatenated, face j starting at face_starts[j].
+    Edge e runs init[e] -> term[e]; face_edges and face_signs are the
+    (edge, direction) steps of all faces concatenated, face j starting at
+    face_starts[j].  non_tree lists the non-tree edges in order.
+    bfs_vertices holds every vertex but the basepoint in BFS order, reached
+    from parent_vertex along parent_edge traversed in direction
+    parent_sign; v sits at bfs_index[v] (-1 for the basepoint), and
+    layers[k] = (lo, hi) slices the vertices at tree distance k + 1.
     """
 
     init: np.ndarray
     term: np.ndarray
+    face_edges: np.ndarray
+    face_signs: np.ndarray
+    face_starts: np.ndarray
     non_tree: np.ndarray
     bfs_vertices: np.ndarray
+    bfs_index: np.ndarray
     parent_vertex: np.ndarray
     parent_edge: np.ndarray
     parent_sign: np.ndarray
     layers: tuple[tuple[int, int], ...]
-    face_edges: np.ndarray
-    face_signs: np.ndarray
-    face_starts: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def _index_array(values, name: str) -> np.ndarray:
+    """An int64 copy of a one-dimensional array of integers."""
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise ValueError(f"{name} is not a one-dimensional integer array")
+    return a.astype(np.int64)
+
+
+def _cell_arrays(num_vertices, basepoint, *cells) -> CellArrays:
+    """Check the cells of a complex, all steps at once, and add a BFS spanning tree."""
+    if not 0 <= basepoint < num_vertices:
+        raise ValueError("basepoint out of range (a complex needs at least one vertex)")
+    names = ("init", "term", "face_edges", "face_signs", "face_starts")
+    init, term, face_edges, face_signs, face_starts = map(_index_array, cells, names)
+    if init.shape != term.shape or face_edges.shape != face_signs.shape:
+        raise ValueError("paired cell arrays differ in length")
+    if np.any((init < 0) | (init >= num_vertices) | (term < 0) | (term >= num_vertices)):
+        raise ValueError("edge endpoint out of range")
+    steps = len(face_edges)
+    gaps = np.diff(face_starts, prepend=0, append=steps)
+    if gaps[0] != 0 or np.any(gaps[1:] < 1):
+        raise ValueError("faces need nonempty attaching paths, the first starting at step 0")
+    bad = np.flatnonzero((face_edges < 0) | (face_edges >= len(init)) | (abs(face_signs) != 1))
+    if steps and not bad.size:
+        forward = face_signs == 1
+        first = np.where(forward, init[face_edges], term[face_edges])
+        last = np.where(forward, term[face_edges], init[face_edges])
+        # a step must end where the next one starts; a face's last step, where its first does
+        following = np.arange(1, steps + 1)
+        following[np.append(face_starts[1:], steps) - 1] = face_starts
+        bad = np.flatnonzero(last != first[following])
+    if bad.size:
+        j = int(np.searchsorted(face_starts, bad[0], side="right")) - 1
+        k = int(bad[0] - face_starts[j])
+        raise ValueError(f"face {j} is not a closed path of edge steps (fails at step {k})")
+    # adjacency lists in edge-index order reproduce a BFS that scans the
+    # edges in index order at each vertex; loops never join the tree
+    adjacent = [[] for _ in range(num_vertices)]
+    for e, (a, b) in enumerate(zip(init.tolist(), term.tolist())):
+        if a != b:
+            adjacent[a].append((e, b, 1))
+            adjacent[b].append((e, a, -1))
+    seen = [False] * num_vertices
+    seen[basepoint] = True
+    order, parents, layers = [], [], []
+    frontier = [basepoint]
+    while frontier:  # one BFS layer per pass
+        lo = len(order)
+        for v in frontier:
+            for e, w, d in adjacent[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+                    parents.append((v, e, d))
+        frontier = order[lo:]
+        if frontier:
+            layers.append((lo, len(order)))
+    if len(order) < num_vertices - 1:
+        raise ValueError(f"complex is not connected (vertex {seen.index(False)} unreachable)")
+    parents = np.array(parents, dtype=np.int64).reshape(-1, 3).T.copy()  # vertex, edge, sign
+    bfs_index = np.full(num_vertices, -1)
+    bfs_index[order] = np.arange(len(order))
+    is_tree = np.zeros(len(init), dtype=bool)
+    is_tree[parents[1]] = True
+    non_tree, order = np.flatnonzero(~is_tree), np.array(order, dtype=np.int64)
+    return CellArrays(
+        init, term, face_edges, face_signs, face_starts, non_tree, order, bfs_index, *parents,
+        layers=tuple(layers),
+    )
 
 
 class TwoComplex:
-    """A finite connected 2-complex.
+    """A finite connected 2-complex, its cells stored once as the arrays of `arrays`.
 
-    edges[i] = (init, term); faces[j] is a closed attaching path given as
-    (edge, direction) steps.  A BFS spanning tree from the basepoint is
-    computed at construction (edges explored in index order), giving
-    deterministic tree paths and fundamental loops.  The index arrays of
-    `arrays` are built on first use only: most covers of a tower never
-    need them.
+    The constructor takes edges as (init, term) pairs and faces as closed
+    attaching paths of (edge, direction) steps; `from_arrays` takes the
+    arrays.  Both run the same checks and build a BFS spanning tree from
+    the basepoint (edges explored in index order), giving deterministic
+    tree paths and fundamental loops.  `edges`, `faces`, `tree_edges` and
+    `non_tree_edges` are views of the arrays, built on first read.
     """
 
     def __init__(self, num_vertices, edges, faces=(), basepoint=0):
-        self.num_vertices = int(num_vertices)
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
-        self.faces = tuple(tuple((int(e), int(d)) for e, d in f) for f in faces)
-        self.basepoint = int(basepoint)
-        if self.num_vertices <= 0:
-            raise ValueError("complex needs at least one vertex")
-        if not 0 <= self.basepoint < self.num_vertices:
-            raise ValueError("basepoint out of range")
-        for u, v in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError("edge endpoint out of range")
-        self._build_tree()
-        for j, f in enumerate(self.faces):
-            self._check_face(j, f)
-        self._arrays = None
+        faces = [tuple(f) for f in faces]
+        edges, steps = (
+            np.array(pairs or np.zeros((0, 2), dtype=np.int64))
+            for pairs in (list(edges), [step for f in faces for step in f])
+        )
+        if edges.shape[1:] != (2,) or steps.shape[1:] != (2,):
+            raise ValueError("edges and face steps must be pairs")
+        starts = np.cumsum([0] + [len(f) for f in faces])[:-1]
+        self._set_cells(num_vertices, basepoint, *edges.T, *steps.T, starts)
+
+    @classmethod
+    def from_arrays(
+        cls, num_vertices, init, term, face_edges, face_signs, face_starts, basepoint=0
+    ) -> "TwoComplex":
+        """The complex with the given cell arrays, laid out as in CellArrays."""
+        K = cls.__new__(cls)
+        K._set_cells(num_vertices, basepoint, init, term, face_edges, face_signs, face_starts)
+        return K
+
+    def _set_cells(self, num_vertices, basepoint, *cells):
+        self.num_vertices, self.basepoint = int(num_vertices), int(basepoint)
+        self.arrays = _cell_arrays(self.num_vertices, self.basepoint, *cells)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.arrays.init)
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.arrays.face_starts)
 
     @property
     def num_cells(self) -> int:
@@ -224,90 +321,31 @@ class TwoComplex:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
-    def _build_tree(self):
-        # adjacency lists in edge-index order reproduce a BFS that scans the
-        # edges in index order at each vertex; loops never join the tree
-        adjacent = [[] for _ in range(self.num_vertices)]
-        for e, (a, b) in enumerate(self.edges):
-            if a != b:
-                adjacent[a].append((e, b, 1))
-                adjacent[b].append((e, a, -1))
-        parent = [None] * self.num_vertices
-        seen = [False] * self.num_vertices
-        seen[self.basepoint] = True
-        tree = []
-        queue = [self.basepoint]
-        for v in queue:  # FIFO: the loop visits vertices appended below
-            for e, w, d in adjacent[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = (v, e, d)
-                    tree.append(e)
-                    queue.append(w)
-        if not all(seen):
-            missing = seen.index(False)
-            raise ValueError(f"complex is not connected (vertex {missing} unreachable)")
-        self._parent = parent
-        self._bfs_order = queue
-        self.tree_edges = frozenset(tree)
-        self.non_tree_edges = tuple(e for e in range(self.num_edges) if e not in self.tree_edges)
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(init, term) of each edge."""
+        return tuple(zip(self.arrays.init.tolist(), self.arrays.term.tolist()))
 
-    @property
-    def arrays(self) -> CellArrays:
-        """The complex's CellArrays, built on the first access."""
-        if self._arrays is None:
-            self._arrays = self._build_arrays()
-        return self._arrays
+    @cached_property
+    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The (edge, direction) steps of each face's attaching path."""
+        a = self.arrays
+        steps = list(zip(a.face_edges.tolist(), a.face_signs.tolist()))
+        bounds = [*a.face_starts.tolist(), len(steps)]
+        return tuple(tuple(steps[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
-    def _build_arrays(self) -> CellArrays:
-        def frozen(values, width=None):
-            a = np.array(values, dtype=np.int64)
-            if width is not None:
-                a = a.reshape(-1, width).T.copy()
-            a.flags.writeable = False
-            return a
+    @cached_property
+    def tree_edges(self) -> frozenset[int]:
+        return frozenset(self.arrays.parent_edge.tolist())
 
-        init, term = frozen(self.edges, 2)
-        order = self._bfs_order[1:]
-        parent_vertex, parent_edge, parent_sign = frozen([self._parent[v] for v in order], 3)
-        depth = [0] * self.num_vertices
-        for v in order:
-            depth[v] = depth[self._parent[v][0]] + 1
-        # BFS order lists the vertices layer by layer
-        cuts = [i for i in range(1, len(order)) if depth[order[i]] != depth[order[i - 1]]]
-        bounds = [0, *cuts, len(order)]
-        face_edges, face_signs = frozen([step for f in self.faces for step in f], 2)
-        return CellArrays(
-            init=init,
-            term=term,
-            non_tree=frozen(self.non_tree_edges),
-            bfs_vertices=frozen(order),
-            parent_vertex=parent_vertex,
-            parent_edge=parent_edge,
-            parent_sign=parent_sign,
-            layers=tuple(zip(bounds[:-1], bounds[1:])),
-            face_edges=face_edges,
-            face_signs=face_signs,
-            face_starts=frozen(np.cumsum([0] + [len(f) for f in self.faces])[:-1]),
-        )
+    @cached_property
+    def non_tree_edges(self) -> tuple[int, ...]:
+        return tuple(self.arrays.non_tree.tolist())
 
     def step_endpoints(self, step):
         e, d = step
-        u, v = self.edges[e]
+        u, v = int(self.arrays.init[e]), int(self.arrays.term[e])
         return (u, v) if d == 1 else (v, u)
-
-    def _check_face(self, j, f):
-        if len(f) == 0:
-            raise ValueError(f"face {j} has an empty attaching path")
-        cur = self.step_endpoints(f[0])[0]
-        start = cur
-        for step in f:
-            a, b = self.step_endpoints(step)
-            if a != cur:
-                raise ValueError(f"face {j} attaching path breaks at step {step}")
-            cur = b
-        if cur != start:
-            raise ValueError(f"face {j} attaching path is not closed")
 
     def path_end(self, path: EdgePath) -> int:
         cur = path.start
@@ -320,18 +358,18 @@ class TwoComplex:
 
     def tree_path(self, v: int) -> EdgePath:
         """The spanning-tree path from the basepoint to v."""
+        a = self.arrays
         steps = []
         while v != self.basepoint:
-            pv, e, d = self._parent[v]
-            steps.append((e, d))
-            v = pv
+            i = a.bfs_index[v]
+            steps.append((int(a.parent_edge[i]), int(a.parent_sign[i])))
+            v = int(a.parent_vertex[i])
         return EdgePath(start=self.basepoint, steps=tuple(reversed(steps)))
 
     def fundamental_loop(self, e: int) -> EdgePath:
         """Basepoint loop through the non-tree edge e: tree in, e, tree back."""
-        u, v = self.edges[e]
-        to_u = self.tree_path(u)
-        from_v = self.tree_path(v).reverse(self)
+        to_u = self.tree_path(int(self.arrays.init[e]))
+        from_v = self.tree_path(int(self.arrays.term[e])).reverse(self)
         return EdgePath(start=self.basepoint, steps=to_u.steps + ((e, 1),) + from_v.steps)
 
     def fundamental_loops(self) -> list[EdgePath]:
@@ -361,15 +399,8 @@ class Cochain:
         return {int(j) for j in np.flatnonzero(self.values)}
 
     def evaluate(self, path: EdgePath) -> int:
-        total = 0
-        cur = path.start
-        for e, d in path.steps:
-            a, b = self.complex.step_endpoints((e, d))
-            if a != cur:
-                raise ValueError("path step does not start at the current vertex")
-            total += d * int(self.values[e])
-            cur = b
-        return total % self.p
+        self.complex.path_end(path)  # raises unless the steps connect
+        return sum(d * int(self.values[e]) for e, d in path.steps) % self.p
 
     def is_cocycle(self) -> bool:
         """True when the cochain evaluates to zero on every face boundary."""
@@ -413,17 +444,15 @@ def _face_rows(K: TwoComplex) -> list[dict]:
     edges, so each face constraint keeps only those steps (repeated edges
     summed).  Contracting the tree drops |V| - 1 columns before any pivot.
     """
-    index = [-1] * K.num_edges
-    for i, e in enumerate(K.non_tree_edges):
-        index[e] = i
-    rows = []
-    for f in K.faces:
-        row = {}
-        for e, d in f:
-            k = index[e]
-            if k >= 0:
-                row[k] = row.get(k, 0) + d
-        rows.append(row)
+    a = K.arrays
+    index = np.full(K.num_edges, -1, dtype=np.int64)
+    index[a.non_tree] = np.arange(len(a.non_tree))
+    cols = index[a.face_edges]
+    steps = np.flatnonzero(cols >= 0)
+    faces = np.searchsorted(a.face_starts, steps, side="right") - 1
+    rows = [{} for _ in range(K.num_faces)]
+    for j, k, d in zip(faces.tolist(), cols[steps].tolist(), a.face_signs[steps].tolist()):
+        rows[j][k] = rows[j].get(k, 0) + d
     return rows
 
 
@@ -434,7 +463,7 @@ def h1_dimension(K: TwoComplex, p: int) -> int:
     on the |E| - |V| + 1 non-tree edges; no E x F matrix is built.
     """
     p = fplinalg.validate_prime(p)
-    n = len(K.non_tree_edges)
+    n = len(K.arrays.non_tree)
     return n - fplinalg.sparse_kernel(_face_rows(K), n, p)[0]
 
 
@@ -477,7 +506,7 @@ def h1_cocycle_basis(K: TwoComplex, p: int) -> CocycleBasis:
     """
     p = fplinalg.validate_prime(p)
     rows = _face_rows(K)
-    rank, free, row = fplinalg.sparse_kernel(rows, len(K.non_tree_edges), p)
+    rank, free, row = fplinalg.sparse_kernel(rows, len(K.arrays.non_tree), p)
     # an elimination with another pivot rule must find the same rank
     if rank != fplinalg.sparse_rank(_newest_first(rows), p):
         raise InvariantError("cocycle basis size differs from dim H_1(K; F_p)")
@@ -550,7 +579,7 @@ def class_coordinates(c: Cochain) -> np.ndarray:
 def cocycle_from_coordinates(K: TwoComplex, p: int, coords) -> Cochain:
     """The tree-vanishing cocycle with the given non-tree values."""
     coords = np.asarray(coords, dtype=np.int64) % p
-    if coords.shape != (len(K.non_tree_edges),):
+    if coords.shape != K.arrays.non_tree.shape:
         raise ValueError("coordinate length does not match non-tree edge count")
     values = np.zeros(K.num_edges, dtype=np.int64)
     values[K.arrays.non_tree] = coords

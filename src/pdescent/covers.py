@@ -41,23 +41,31 @@ def _strides(moduli) -> np.ndarray:
     return np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
 
 
-def _lift(steps, forward, backward, ranks):
-    """Lift a base path's (edge, direction) steps from an array of start ranks.
+def _lift(edges, signs, starts, shifts, moduli, ranks):
+    """Lift base paths, laid out as CellArrays faces, from an array of start ranks.
 
-    Returns the lifted edges, one row per step and one column per start,
-    and the ranks the lifts end at.
+    A lift's deck digits are its start digits plus the signed shifts of
+    the steps taken so far, so one prefix sum over the steps places every
+    lift at once.  Returns the lifts in the same layout, the lift of path
+    i from ranks[r] being path i * len(ranks) + r, and the ranks they end
+    at, one row per path.
     """
-    degree = forward.shape[1]
-    cur = np.asarray(ranks, dtype=np.int64)
-    lifted = np.empty((len(steps), len(cur)), dtype=np.int64)
-    for i, (e, d) in enumerate(steps):
-        if d == 1:
-            lifted[i] = e * degree + cur
-            cur = forward[e, cur]
-        else:
-            cur = backward[e, cur]
-            lifted[i] = e * degree + cur
-    return lifted, cur
+    strides, count, degree = _strides(moduli), len(ranks), math.prod(moduli)
+    digits = np.asarray(ranks, dtype=np.int64)[:, None] // strides % moduli  # count x n
+    lengths = np.diff(starts, append=len(edges))
+    path = np.repeat(np.arange(len(starts)), lengths)
+    taken = np.zeros((len(edges) + 1, len(moduli)), dtype=np.int64)
+    np.cumsum(signs[:, None] * shifts[edges], axis=0, out=taken[1:])
+    # a forward step's lift leaves from the digits before it, a backward one's from those after
+    leave = np.where(signs[:, None] == 1, taken[:-1], taken[1:]) - taken[starts][path]
+    lifted = edges[:, None] * degree + (leave[:, None, :] + digits) % moduli @ strides
+    end = ((taken[starts + lengths] - taken[starts])[:, None, :] + digits) % moduli @ strides
+    lift_starts = count * starts[:, None] + lengths[:, None] * np.arange(count)
+    at = lift_starts[path] + (np.arange(len(edges)) - starts[path])[:, None]
+    lift_edges = np.empty(lifted.size, dtype=np.int64)
+    lift_signs = np.empty(lifted.size, dtype=np.int64)
+    lift_edges[at], lift_signs[at] = lifted, signs[:, None]
+    return (lift_edges, lift_signs, lift_starts.ravel()), end
 
 
 class CoveringMap:
@@ -65,19 +73,17 @@ class CoveringMap:
 
     deck_moduli gives the cyclic factors of the deck group.  Deck labels
     are integer mixed-radix ranks in [0, degree); deck_label(v) gives the
-    digits of v's rank, digit k ranging over Z/deck_moduli[k].  The lift
-    of base edge e at rank r ends at rank forward[e, r], and backward[e]
-    inverts forward[e].  For covers built from mod-p classes, `classes`
-    retains the defining cocycles.
+    digits of v's rank, digit k ranging over Z/deck_moduli[k].  A lift of
+    base edge e adds shifts[e] to the digits of its start.  For covers
+    built from mod-p classes, `classes` retains the defining cocycles.
     """
 
-    def __init__(self, base, total, deck_moduli, forward, backward, classes=None):
+    def __init__(self, base, total, deck_moduli, shifts, classes=None):
         self.base: TwoComplex = base
         self.total: TwoComplex = total
         self.deck_moduli = tuple(int(m) for m in deck_moduli)
         self.degree = math.prod(self.deck_moduli)
-        self.forward = forward  # (base edges) x degree
-        self.backward = backward
+        self.shifts = shifts  # (base edges) x len(deck_moduli)
         self.classes = None if classes is None else tuple(classes)
         self.edge_projection = np.arange(total.num_edges, dtype=np.int64) // self.degree
         self.face_projection = np.arange(total.num_faces, dtype=np.int64) // self.degree
@@ -94,9 +100,11 @@ class CoveringMap:
 
     def lift_path(self, path: EdgePath, label_rank: int = 0) -> EdgePath:
         """The lift of a base path starting at the given deck rank."""
-        lifted, _ = _lift(path.steps, self.forward, self.backward, [label_rank])
-        steps = zip(lifted[:, 0].tolist(), (d for _, d in path.steps))
-        return EdgePath(start=self.lift_vertex(path.start, label_rank), steps=tuple(steps))
+        steps = np.array(path.steps, dtype=np.int64).reshape(-1, 2)
+        start = np.zeros(1, dtype=np.int64)
+        (edges, signs, _), _ = _lift(*steps.T, start, self.shifts, self.deck_moduli, [label_rank])
+        lifted = tuple(zip(edges.tolist(), signs.tolist()))
+        return EdgePath(start=self.lift_vertex(path.start, label_rank), steps=lifted)
 
     def pullback(self, c: Cochain) -> Cochain:
         """The pulled-back cochain: each edge lift takes the base value."""
@@ -116,30 +124,23 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringM
     strides = _strides(moduli)
     ranks = np.arange(degree, dtype=np.int64)
     digits = ranks[:, None] // strides % moduli  # degree x n
-    forward = (digits + shifts[:, None, :]) % moduli @ strides  # E x degree
-    backward = (digits - shifts[:, None, :]) % moduli @ strides
-    init = (K.arrays.init[:, None] * degree + ranks).ravel()
-    term = (K.arrays.term[:, None] * degree + forward).ravel()
-    faces = []
-    for j, f in enumerate(K.faces):
-        lifted, end = _lift(f, forward, backward, ranks)
-        if np.any(end != ranks):
-            raise CocycleConditionError(f"face {j} attaching path does not close in the cover")
-        dirs = [d for _, d in f]
-        faces.extend(tuple(zip(col, dirs)) for col in lifted.T.tolist())
+    a = K.arrays
+    init = (a.init[:, None] * degree + ranks).ravel()
+    term = (a.term[:, None] * degree + (digits + shifts[:, None, :]) % moduli @ strides).ravel()
+    faces, end = _lift(a.face_edges, a.face_signs, a.face_starts, shifts, moduli, ranks)
+    bad = np.flatnonzero((end != ranks).any(axis=1))
+    if len(bad):
+        raise CocycleConditionError(f"face {bad[0]} attaching path does not close in the cover")
     try:
-        total = TwoComplex(
-            num_vertices=K.num_vertices * degree,
-            edges=zip(init.tolist(), term.tolist()),
-            faces=faces,
-            basepoint=K.basepoint * degree,
+        total = TwoComplex.from_arrays(
+            K.num_vertices * degree, init, term, *faces, basepoint=K.basepoint * degree
         )
     except ValueError as exc:
         raise DisconnectedCoverError(str(exc)) from exc
     # a degree-n cover multiplies every cell count, hence chi, by n
     if total.euler_characteristic != degree * K.euler_characteristic:
         raise InvariantError("cover Euler characteristic is not degree times the base's")
-    return CoveringMap(K, total, moduli, forward, backward, classes=classes)
+    return CoveringMap(K, total, moduli, shifts, classes=classes)
 
 
 def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:

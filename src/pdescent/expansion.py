@@ -166,7 +166,9 @@ def cheeger_constant(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_nontrivial(alpha: Cochain):
+def _check_nontrivial(K: TwoComplex, alpha: Cochain):
+    if alpha.complex is not K:
+        raise ValueError("cochain does not live on K")
     if not alpha.is_cocycle():
         raise ValueError("relative size needs a cocycle")
     if alpha.has_trivial_class():
@@ -181,7 +183,7 @@ def minimum_support_representative(
     Potentials are pinned to 0 at the basepoint; p^(|V|-1) assignments are
     enumerated, so the cap bounds the feasible vertex count.
     """
-    _check_nontrivial(alpha)
+    _check_nontrivial(K, alpha)
     p = alpha.p
     free = [v for v in range(K.num_vertices) if v != K.basepoint]
     count = p ** len(free)
@@ -270,7 +272,7 @@ def relative_size(
         _, size = minimum_support_representative(K, alpha, cap=cap)
         return Fraction(size, K.num_edges)
     if mode == "upper":
-        _check_nontrivial(alpha)
+        _check_nontrivial(K, alpha)
         _, size = _greedy_descent(K, alpha)
         return Fraction(size, K.num_edges)
     raise ValueError(f"unknown mode {mode!r}")
@@ -300,7 +302,7 @@ def expansion_bound_report(
     requested Cheeger mode on the total 1-skeleton.
     """
     p = alpha.p
-    _check_nontrivial(alpha)
+    _check_nontrivial(cov.base, alpha)
     rep, size = minimum_support_representative(cov.base, alpha, cap=cap)
     relsize = Fraction(size, cov.base.num_edges)
     # the cut argument needs the value table of the minimizing representative

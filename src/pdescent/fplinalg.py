@@ -30,7 +30,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "in_rowspan",
-    "intersect_row_spaces",
     "extend_to_complement",
     "FpSubspace",
     "subspace_support",
@@ -237,43 +236,19 @@ def in_rowspan(vec, basis, p) -> bool:
     return rank(stacked, p) == rank(basis, p)
 
 
-def intersect_row_spaces(a, b, p) -> np.ndarray:
-    """Echelon basis of rowspace(a) ∩ rowspace(b)."""
-    a = _as_matrix(a, p)
-    b = _as_matrix(b, p)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    stacked = np.vstack([a, b])
-    # left kernel rows z = (x, -y) give x @ a = y @ b, the intersection elements
-    left = kernel_basis(stacked.T, p)
-    if left.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    elements = (left[:, : a.shape[0]] @ a) % p
-    out, r = rref(elements, p)
-    return out[:r]
-
-
 def extend_to_complement(inner, outer, p) -> np.ndarray:
     """Greedy complement of span(inner) in span(outer).
 
-    Scans the echelon basis rows of span(outer) in index order and keeps
-    those that enlarge the span; the result is a basis of a complement of
-    span(inner) inside span(outer).  Requires span(inner) <= span(outer).
+    The echelon basis rows of span(outer) that, scanned in order, leave the
+    span of inner and the rows kept before them: a basis of a complement of
+    span(inner) ∩ span(outer) in span(outer).  They are the pivot columns
+    past inner of the transposed stack [inner; outer echelon].
     """
     inner = _as_matrix(inner, p)
     outer_ech, r = rref(_as_matrix(outer, p), p)
-    outer_ech = outer_ech[:r]
-    ambient = outer_ech.shape[1]
-    acc, ar = rref(inner, p)
-    acc = acc[:ar]
-    kept = []
-    for row in outer_ech:
-        stacked = np.vstack([acc, row.reshape(1, -1)]) if acc.shape[0] else row.reshape(1, -1)
-        e, rr = rref(stacked, p)
-        if rr > acc.shape[0]:
-            kept.append(row)
-            acc = e[:rr]
-    return np.array(kept, dtype=np.int64).reshape(len(kept), ambient)
+    e, rr = rref(np.vstack([inner, outer_ech[:r]]).T, p)
+    pivots = _pivot_columns(e, rr)
+    return outer_ech[pivots[pivots >= len(inner)] - len(inner)]
 
 
 @dataclass(frozen=True, eq=False)

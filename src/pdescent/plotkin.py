@@ -58,9 +58,12 @@ def hyperplane_functionals(v: int, p: int):
 
 
 def hyperplane_subspace(V: FpSubspace, f) -> FpSubspace:
-    """The hyperplane of V cut out by a functional on its basis coordinates."""
+    """The hyperplane of V cut out by a nonzero functional on its basis coordinates."""
     f = np.asarray(f, dtype=np.int64) % V.p
+    if f.shape != (V.dim,) or not f.any():
+        raise DimensionError(f"need a nonzero functional with {V.dim} coefficients")
     lead = int(np.flatnonzero(f)[0])
+    f = f * pow(int(f[lead]), -1, V.p) % V.p
     rows = []
     for i in range(V.dim):
         if i == lead:

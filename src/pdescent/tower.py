@@ -168,23 +168,21 @@ def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain
         return [basis[i] for i in picks]
     # rank kind: prefer classes independent of the family span so the
     # complement (and with it the wedge family) stays as large as possible;
-    # reading a basis entry builds its cocycle, so stop once enough are chosen
-    avoid = [class_coordinates(c) for c in family]
-    chosen: list[Cochain] = []
-    chosen_coords: list[np.ndarray] = []
-    for prefix in (avoid, []):
-        if len(chosen) == spec.rank:
-            break
-        for c in basis:
-            if any(c is x for x in chosen):
-                continue
-            row = class_coordinates(c)
-            stacked = np.array(prefix + chosen_coords + [row], dtype=np.int64)
-            if fplinalg.rank(stacked, spec.p) == len(stacked):
-                chosen.append(c)
-                chosen_coords.append(row)
-                if len(chosen) == spec.rank:
-                    break
+    # reading a basis entry builds its cocycle, so stop once enough are chosen;
+    # an entry vanishes on the spanning tree, so its non-tree values are its coordinates
+    rows = [class_coordinates(c) for c in family]
+    picks: list[int] = []
+    for i, c in enumerate(basis):
+        row = c.values[c.complex.arrays.non_tree]
+        stacked = np.array(rows + [row], dtype=np.int64)
+        if fplinalg.rank(stacked, spec.p) == len(stacked):
+            picks.append(i)
+            rows.append(row)
+            if len(picks) == spec.rank:
+                break
+    # distinct echelon basis entries are independent: top up with the first unpicked ones
+    picks += [i for i in range(len(basis)) if i not in picks][: spec.rank - len(picks)]
+    chosen = [basis[i] for i in picks]
     if len(chosen) < spec.rank:
         raise ValueError(
             f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes"
@@ -211,7 +209,7 @@ class TowerLevel:
 
 
 def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) -> TowerLevel:
-    """Pick the covering classes of K (echelon H^1 basis `basis`) and build their cover.
+    """Pick the covering classes of K from `basis`, its h1_cocycle_basis, and build their cover.
 
     The rank series avoids the span of `family`.  The cover is not built
     when its p**n * K.num_cells cells would exceed the cell budget.

@@ -79,10 +79,10 @@ def _check_base_cocycles(cov, family, p):
 def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     """Construct the wedge family of independent cocycles U over a p-cover.
 
-    The complement C extends an echelon basis of span(U) ∩ (covering span)
-    to the covering span by greedy pivot extension, so |C| >= n - |U| when
-    the deck group has rank n.  The returned cocycle basis has dimension at
-    least |U|*|C| - r, where r is the number of deck orbits of faces.
+    The complement C is the greedy complement of span(U) in the covering
+    span (`fplinalg.extend_to_complement`), so |C| >= n - |U| when the deck
+    group has rank n.  The returned cocycle basis has dimension at least
+    |U|*|C| - r, where r is the number of deck orbits of faces.
     """
     if cov.classes is None:
         raise UnsupportedCoverError("wedge families need an elementary abelian p-cover")
@@ -97,8 +97,7 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
         raise ValueError("family classes are dependent in cohomology")
     cover_coords = np.array([class_coordinates(c) for c in cov.classes], dtype=np.int64)
 
-    meet = fplinalg.intersect_row_spaces(u_coords, cover_coords, p)
-    comp_rows = fplinalg.extend_to_complement(meet, cover_coords, p)
+    comp_rows = fplinalg.extend_to_complement(u_coords, cover_coords, p)
     complement = tuple(
         cocycle_from_coordinates(cov.base, p, row) for row in comp_rows
     )

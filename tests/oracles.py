@@ -3,9 +3,10 @@
 Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
 routines is meaningful.  The full-recount expansion routines, the
-tuple-label cover builder and path lift, the dense H^1 basis and the
-column-class loop are the package's earlier implementations, kept as
-references; the expansion routines and the column-class loop use numpy.
+tuple-label cover builder and path lift, the dense H^1 basis, the
+column-class loop and the greedy complement scan are the package's
+earlier implementations, kept as references; the expansion routines and
+the column-class loop use numpy.
 Nothing in this module imports the package: complexes, graphs and
 cochains are read through their attributes only.
 """
@@ -105,6 +106,22 @@ def tree_path_steps(parent, v):
         steps.append((e, d))
         v = pv
     return tuple(reversed(steps))
+
+
+def greedy_complement(inner, outer, p):
+    """Rows of the reduced echelon basis of span(outer) kept by a greedy scan.
+
+    Scans them in order and keeps each row that raises the rank of inner
+    plus the rows kept so far, one rank computation per row.
+    """
+    echelon, r = mod_rref(outer, p)
+    span = [list(row) for row in inner]
+    kept = []
+    for row in echelon[:r]:
+        if mod_rank(span + [row], p) > mod_rank(span, p):
+            span.append(row)
+            kept.append(row)
+    return kept
 
 
 def enumerate_span(rows, p):

@@ -258,6 +258,8 @@ def test_file_format_parsers():
         parse_matrix_file("p = 3\nrow = 1 2\nrow = 1\n")
     with pytest.raises(ParseError):
         parse_matrix_file("row = 1 2\n")
+    with pytest.raises(ParseError, match="line 3: p given twice"):
+        parse_matrix_file("p = 3\nrow = 1 2\np = 5\n")
     assert parse_records_file("record = 1 2\n") == ((1, 2),)
     with pytest.raises(ParseError):
         parse_records_file("record = 1\n")

@@ -66,6 +66,8 @@ def test_parse_errors_name_lines():
         parse_presentation("p = 2\ngens = a b\nrel = abX\n")  # X not a generator
     with pytest.raises(ParseError, match="line 3"):
         parse_presentation("p = 2\ngens = a\ngens = b\n")
+    with pytest.raises(ParseError, match="line 2: p given twice"):
+        parse_presentation("p = 2\np = 3\ngens = a\n")
 
 
 def test_format_round_trip():
@@ -106,6 +108,54 @@ def test_face_closure_validation():
     # and must be incident step to step
     with pytest.raises(ValueError):
         TwoComplex(3, [(0, 1), (2, 2)], faces=[((0, 1), (1, 1), (1, -1), (0, -1))])
+
+
+@pytest.mark.parametrize(
+    "num_vertices, edges, faces",
+    [
+        (1, [(0, 0)], [((-1, 1),)]),
+        (1, [(0, 0)], [((5, 1),)]),
+        (1, [(0, 0)], [((0, 2),)]),
+        (1, [(0, 0)], [((0, 0),)]),
+        (2, [(0, 1.5)], []),
+        (1, [(0, 0)], [()]),
+    ],
+    ids=[
+        "negative-edge",
+        "edge-past-last",
+        "direction-2",
+        "direction-0",
+        "fractional-endpoint",
+        "empty-face",
+    ],
+)
+def test_malformed_cells_are_rejected_by_both_entry_points(num_vertices, edges, faces):
+    with pytest.raises(ValueError):
+        TwoComplex(num_vertices, edges, faces)
+    steps = [step for f in faces for step in f]
+    starts = np.cumsum([0] + [len(f) for f in faces])[:-1]
+    with pytest.raises(ValueError):
+        TwoComplex.from_arrays(
+            num_vertices,
+            [u for u, _ in edges],
+            [v for _, v in edges],
+            [e for e, _ in steps],
+            [d for _, d in steps],
+            starts,
+        )
+
+
+def test_from_arrays_matches_constructor():
+    edges = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (1, 3), (3, 3)]
+    faces = [((0, 1),), ((1, 1), (2, 1)), ((3, 1), (7, 1), (6, 1), (4, 1))]
+    K = TwoComplex(4, edges, faces, basepoint=2)
+    L = TwoComplex.from_arrays(
+        4, *zip(*edges), [0, 1, 2, 3, 7, 6, 4], [1] * 7, [0, 1, 3], basepoint=2
+    )
+    assert (L.edges, L.faces, L.non_tree_edges) == (K.edges, K.faces, K.non_tree_edges)
+    # faces must cover the steps from step 0
+    with pytest.raises(ValueError, match="step 0"):
+        TwoComplex.from_arrays(1, [0], [0], [0], [1], [1])
 
 
 def test_spanning_tree_and_fundamental_loops():

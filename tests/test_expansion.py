@@ -166,6 +166,18 @@ def test_relative_size_rejects_trivial_class():
         relative_size(K, df, mode="exact")
 
 
+def test_relative_size_rejects_cochain_of_another_complex():
+    K = cycle_complex(4)
+    alpha = Cochain(cycle_complex(4), 3, [1, 0, 0, 0])  # same shape, other complex
+    longer = Cochain(cycle_complex(5), 3, [1, 0, 0, 0, 0])
+    for c in (alpha, longer):
+        for mode in ("exact", "upper"):
+            with pytest.raises(ValueError, match="does not live on K"):
+                relative_size(K, c, mode=mode)
+        with pytest.raises(ValueError, match="does not live on K"):
+            minimum_support_representative(K, c)
+
+
 def test_minimum_support_representative_is_same_class():
     pres, p = parse_presentation(TORUS)
     K = build_presentation_complex(pres)

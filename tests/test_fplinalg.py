@@ -17,7 +17,15 @@ from pdescent.fplinalg import (
     support_size_by_enumeration,
 )
 
-from oracles import brute_support, brute_support_sum, mod_rank, mod_rref, random_subspace_rows
+from oracles import (
+    brute_support,
+    brute_support_sum,
+    enumerate_span,
+    greedy_complement,
+    mod_rank,
+    mod_rref,
+    random_subspace_rows,
+)
 
 
 def test_validate_prime():
@@ -310,10 +318,11 @@ def test_subspace_membership_and_intersection():
         ambient = int(rng.integers(2, 7))
         a = rng.integers(0, p, size=(2, ambient))
         b = rng.integers(0, p, size=(2, ambient))
-        meet = fplinalg.intersect_row_spaces(a, b, p)
+        # the intersection by enumeration: the elements of span(a) in span(b)
+        meet = [v for v in set(enumerate_span(a.tolist(), p)) if fplinalg.in_rowspan(v, b, p)]
         for row in meet:
             assert fplinalg.in_rowspan(row, a, p)
-            assert fplinalg.in_rowspan(row, b, p)
+        meet = np.array(meet, dtype=np.int64).reshape(-1, ambient)
         A, B, M = (FpSubspace.from_rows(m, p, ambient) for m in (a, b, meet))
         assert A.contains_subspace(M) and B.contains_subspace(M)
         assert A.contains_subspace(B) == all(A.contains(row) for row in B.basis)
@@ -321,7 +330,7 @@ def test_subspace_membership_and_intersection():
         ra = fplinalg.rank(a, p)
         rb = fplinalg.rank(b, p)
         rsum = fplinalg.rank(np.vstack([a, b]), p)
-        assert ra + rb == rsum + len(meet)
+        assert ra + rb == rsum + M.dim
 
 
 def test_extend_to_complement():
@@ -337,3 +346,23 @@ def test_extend_to_complement():
         assert fplinalg.rank(stacked, p) == 3
         for row in ext:
             assert fplinalg.in_rowspan(row, outer, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 6),
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_extend_to_complement_matches_greedy_scan(p, ambient, n_inner, n_outer, seed):
+    rng = np.random.default_rng(seed)
+    # zeroed rows make outer rank-deficient; part of inner is drawn from
+    # outer and the rest at random, so span(inner) need not lie in span(outer)
+    outer = rng.integers(0, p, size=(n_outer, ambient)) * rng.integers(0, 2, size=(n_outer, 1))
+    extra = rng.integers(0, p, size=(n_inner - n_inner // 2, ambient))
+    inner = np.vstack([outer[: n_inner // 2], extra])
+    ext = fplinalg.extend_to_complement(inner, outer, p)
+    assert ext.shape[1] == ambient
+    assert ext.tolist() == greedy_complement(inner.tolist(), outer.tolist(), p)

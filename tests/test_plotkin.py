@@ -71,6 +71,17 @@ def test_hyperplane_subspace_is_codim_one():
             assert all(V.contains(row) for row in W.basis)
 
 
+def test_hyperplane_subspace_checks_the_functional():
+    V = FpSubspace.from_rows(np.eye(3, dtype=np.int64), 3, 3)
+    for f in ([0, 0, 0], [1, 2], [1, 2, 0, 1]):
+        with pytest.raises(DimensionError):
+            hyperplane_subspace(V, f)
+    # a scaled functional cuts out the same hyperplane
+    W = hyperplane_subspace(V, [2, 1, 0])
+    assert W.dim == 2
+    assert all((2 * row[0] + row[1]) % 3 == 0 for row in W.basis)
+
+
 def test_averaging_identity_exact():
     # sum over hyperplanes of |supp(W)| = ((p^v - p)/(p - 1)) |supp(V)|
     rng = np.random.default_rng(73)
