@@ -299,7 +299,9 @@ def expansion_bound_report(
 
     alpha must be a base cocycle with nontrivial class whose vertex values
     are defined on the cover.  Uses exact relative size on the base and the
-    requested Cheeger mode on the total 1-skeleton.
+    requested Cheeger mode on the total 1-skeleton; the reported Cheeger
+    value is the smaller of that and the zero class's cut ratio, which
+    leaves exact mode unchanged and tightens the heuristic upper bound.
     """
     p = alpha.p
     _check_nontrivial(cov.base, alpha)
@@ -309,11 +311,13 @@ def expansion_bound_report(
     values = vertex_values(cov, rep)
     counts = tuple(int(x) for x in np.bincount(values, minlength=p))
     graph = SkeletonGraph.from_complex(cov.total)
-    h = cheeger_constant(graph, mode=cheeger_mode)
     bound = Fraction(cov.base.num_edges * p, cov.base.num_vertices) * relsize
     # loops never cross: both ends share one value
     zero = values == 0
     zero_cut = int(np.count_nonzero(zero[cov.total.arrays.init] != zero[cov.total.arrays.term]))
+    # the zero class has |V|/p <= |V|/2 vertices, so its cut is one of the
+    # cuts h minimises over: a candidate the heuristic sweep may miss
+    h = min(cheeger_constant(graph, mode=cheeger_mode), Fraction(zero_cut, counts[0]))
     return ExpansionReport(
         cheeger=h,
         bound=bound,

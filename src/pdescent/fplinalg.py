@@ -9,6 +9,14 @@ with the nonzeros of the pivot columns rather than with the matrix size.
 `sparse_kernel` and `sparse_rank` eliminate rows held as {column: value}
 dicts without building a matrix at all: the first gives the reduced
 echelon kernel basis one row at a time, the second the rank only.
+
+At p = 2, `rref` and `rank` pack each row into one Python int, column 0
+the most significant bit, and eliminate by XOR (the word-per-row-chunk
+method of M4RI).  A row update then costs cols/64 machine words instead
+of cols int64 multiply-and-reduce steps, and no row pays numpy's
+per-call overhead; the unpacked echelon form is the same array the
+int64 path gives, because reduced echelon form is unique.  Odd p takes
+the int64 path.
 """
 
 from __future__ import annotations
@@ -63,10 +71,72 @@ def _as_matrix(m, p):
     return a % p
 
 
+def _f2_echelon(a) -> dict[int, int]:
+    """An echelon basis of the row space of a 0/1 matrix, as packed rows.
+
+    Each row becomes one int: in a row of n columns, column j is bit
+    8 * ceil(n / 8) - 1 - j, so column 0 is the most significant and a
+    row's leading column is read off its bit length.  Each row is reduced
+    by XOR against the stored row with its leading bit until it vanishes
+    or leads with a bit no stored row has, where it is stored under its
+    bit length.  The number of stored rows is the rank.
+    """
+    basis = {}
+    if a.size == 0:
+        return basis
+    nbytes = (a.shape[1] + 7) // 8
+    data = np.packbits(a, axis=1).tobytes()
+    for i in range(0, len(data), nbytes):
+        x = int.from_bytes(data[i : i + nbytes], "big")
+        while x:
+            k = x.bit_length()
+            b = basis.get(k)
+            if b is None:
+                basis[k] = x
+                break
+            x ^= b
+    return basis
+
+
+def _rref_f2(a) -> tuple[np.ndarray, int]:
+    """`rref` at p = 2 on packed rows; a is reduced mod 2 and not modified.
+
+    After `_f2_echelon`, back substitution takes the pivot rows rightmost
+    first and adds to each the reduced rows of the pivot bits it holds, so
+    the rows it adds carry no pivot bit but their own.  Each row reduction
+    and each pivot bit cleared costs one XOR of cols/64 words.
+    """
+    basis = _f2_echelon(a)
+    keys = sorted(basis)
+    mask = 0
+    for k in keys:
+        x = basis[k]
+        hits = x & mask
+        while hits:
+            h = hits.bit_length()
+            x ^= basis[h]
+            hits ^= 1 << (h - 1)
+        basis[k] = x
+        mask |= 1 << (k - 1)
+    r = len(keys)
+    out = np.zeros_like(a)
+    if r:
+        nbytes = (a.shape[1] + 7) // 8
+        data = b"".join(basis[k].to_bytes(nbytes, "big") for k in reversed(keys))
+        packed = np.frombuffer(data, dtype=np.uint8).reshape(r, nbytes)
+        out[:r] = np.unpackbits(packed, axis=1, count=a.shape[1])
+    return out, r
+
+
 def rref(m, p) -> tuple[np.ndarray, int]:
     """Reduced row echelon form over F_p; returns (echelon matrix, rank).
 
-    Deterministic: columns are processed left to right and the first
+    The echelon matrix has the input's shape and dtype int64: the rank
+    rows in pivot order, then zero rows.  At p = 2 the rows are packed
+    into ints and eliminated by XOR (`_rref_f2`); the result is the same
+    array, since reduced echelon form is unique.
+
+    At odd p, deterministic: columns are processed left to right and the first
     nonzero entry below the current row is the pivot.  The next pivot
     column is found by scanning the remaining block below the current row
     in column windows that double in width, so a run of zero columns costs
@@ -78,6 +148,8 @@ def rref(m, p) -> tuple[np.ndarray, int]:
     the nonzeros of the pivot columns.  The input is not modified.
     """
     a = _as_matrix(m, p)
+    if p == 2:
+        return _rref_f2(a)
     rows, cols = a.shape
     r = c = 0
     while r < rows and c < cols:
@@ -103,6 +175,10 @@ def rref(m, p) -> tuple[np.ndarray, int]:
 
 
 def rank(m, p) -> int:
+    """Rank over F_p.  At p = 2 it counts the pivots of `_f2_echelon` on
+    packed rows, with no back substitution and no unpacking."""
+    if p == 2:
+        return len(_f2_echelon(_as_matrix(m, 2)))
     return rref(m, p)[1]
 
 
@@ -230,7 +306,8 @@ def solve(m, b, p):
 def in_rowspan(vec, basis, p) -> bool:
     basis = _as_matrix(basis, p)
     v = _as_matrix(vec, p)
-    if basis.shape[0] == 0:
+    # an empty list arrives as shape (1, 0): no rows of the vector's length
+    if basis.size == 0:
         return not v.any()
     stacked = np.vstack([basis, v])
     return rank(stacked, p) == rank(basis, p)

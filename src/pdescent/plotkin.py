@@ -82,10 +82,15 @@ def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
     A coordinate stays in the support of the hyperplane ker(f) unless its
     basis column is proportional to f, so grouping columns by projective
     class makes every hyperplane support a dictionary lookup.  Each column
-    is scaled to lead with 1 (one inverse per distinct leading value), and
-    equal scaled columns are counted with one `np.unique`.
+    is scaled to lead with 1 (one inverse per distinct leading value) and
+    read as one integer key, base p with the first coordinate most
+    significant (at p = 2 the packed column itself).  Equal keys are
+    counted with one 1-D `np.unique`, whose ascending key order is the
+    lexicographic order of the scaled columns.  A key is below p**dim, so
+    it is exact in int64 while p**dim < 2**63; beyond that the scaled
+    columns are grouped as rows of a matrix, with the same result.
     """
-    p = V.p
+    p, v = V.p, V.dim
     basis = V.basis % p
     cols = basis[:, basis.any(axis=0)]
     if cols.shape[1] == 0:
@@ -93,8 +98,14 @@ def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
     lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
     values, which = np.unique(lead, return_inverse=True)
     inverses = np.array([pow(int(x), -1, p) for x in values], dtype=np.int64)
-    keys, counts = np.unique((cols * inverses[which]).T % p, axis=0, return_counts=True)
-    return {tuple(key.tolist()): int(n) for key, n in zip(keys, counts)}
+    scaled = cols * inverses[which] % p
+    if p**v >= 2**63:
+        keys, counts = np.unique(scaled.T, axis=0, return_counts=True)
+        return {tuple(key.tolist()): int(n) for key, n in zip(keys, counts)}
+    powers = p ** np.arange(v - 1, -1, -1, dtype=np.int64)
+    keys, counts = np.unique(powers @ scaled, return_counts=True)
+    digits = keys[:, None] // powers % p
+    return {tuple(key): n for key, n in zip(digits.tolist(), counts.tolist())}
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,17 @@ def expansion_fixture_document(path, depth):
     }
 
 
+def test_expansion_bound_holds_on_the_depth3_p2_cover():
+    # the heuristic sweep alone finds 7/8 here, above the bound 1/2; the
+    # zero class's cut, 16 edges over 32 vertices, meets it
+    cov, base_basis, _ = _tower("genus2_p2.txt", 3)
+    assert cov.total.num_vertices == 64
+    for alpha in base_basis[:2]:
+        r = expansion_bound_report(cov, alpha, cheeger_mode="heuristic")
+        assert r.holds
+        assert r.cheeger == Fraction(r.zero_cut, r.fiber_counts[0]) == r.bound == Fraction(1, 2)
+
+
 @pytest.mark.parametrize(
     "path, depth, expected",
     [

@@ -127,6 +127,67 @@ def test_rref_matches_textbook_elimination_on_wide_matrices(case):
 
 
 @st.composite
+def matrices_mod_2(draw):
+    """A matrix for the packed p = 2 path, with entries outside 0..1.
+
+    Widths sit on both sides of the byte and 64-bit word edges and past
+    1024; shapes include 0 rows and 0 columns; rows are dense, sparse or
+    zero, with duplicated and dependent rows mixed in.
+    """
+    rows = draw(st.integers(0, 10))
+    cols = draw(st.sampled_from((0, 1, 7, 8, 9, 63, 64, 65)) | st.integers(1025, 1100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.01, 0.5, 1.0)))
+    m = rng.integers(-2, 4, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    if rows >= 3 and draw(st.booleans()):
+        m[1] = m[0]  # a duplicate row, then a dependent one
+        m[2] = m[0] + 3 * m[rows - 1]
+    return m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrices_mod_2(), st.integers(0, 2**32 - 1))
+def test_packed_f2_path_matches_textbook_elimination(m, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = m.shape
+    before = m.copy()
+    ech, r = rref(m, 2)
+    want, want_rank = mod_rref(m.tolist(), 2)
+    assert ech.dtype == np.int64 and ech.shape == m.shape
+    assert r == want_rank and ech.tolist() == want
+    assert fplinalg.rank(m, 2) == mod_rank(m.tolist(), 2)
+    # reduced echelon: the kernel basis has cols - r rows, increasing
+    # leading columns, unit columns there, and m kills every row
+    ker = kernel_basis(m, 2)
+    assert ker.dtype == np.int64 and ker.shape == (cols - r, cols)
+    assert not np.any((m @ ker.T) % 2)
+    if len(ker):
+        leads = np.argmax(ker != 0, axis=1)
+        assert np.all(np.diff(leads) > 0)
+        assert np.array_equal(ker[:, leads], np.eye(len(ker), dtype=np.int64))
+    # solve: a consistent right-hand side and a random one
+    for b in ((m @ rng.integers(0, 2, size=cols)) % 2, rng.integers(0, 2, size=rows)):
+        x = fplinalg.solve(m, b, 2)
+        consistent = mod_rank(np.hstack([m, b.reshape(-1, 1)]).tolist(), 2) == want_rank
+        assert (x is not None) == consistent
+        if x is not None:
+            assert x.dtype == np.int64 and np.array_equal((m @ x) % 2, b % 2)
+    if rows and cols:
+        inner = np.vstack([m[: rows // 2], rng.integers(0, 2, size=(1, cols))])
+        ext = fplinalg.extend_to_complement(inner, m, 2)
+        assert ext.dtype == np.int64
+        assert ext.tolist() == greedy_complement(inner.tolist(), m.tolist(), 2)
+    assert np.array_equal(m, before)
+
+
+def test_in_rowspan_of_an_empty_basis():
+    assert not fplinalg.in_rowspan([1, 0, 0], [], 2)
+    assert fplinalg.in_rowspan([0, 0, 0], [], 2)
+    assert not fplinalg.in_rowspan([0, 2, 0], np.zeros((0, 3), dtype=np.int64), 3)
+    assert fplinalg.in_rowspan([0, 3, 0], [], 3)
+
+
+@st.composite
 def sparse_rows_mod_p(draw):
     """(rows, dense, p): {column: value} rows and the matrix they spell.
 

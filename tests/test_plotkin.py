@@ -188,3 +188,15 @@ def test_column_classes_match_the_column_loop(p):
         V = FpSubspace.from_rows(rows, p)
         assert _column_classes(V) == column_classes_by_loop(V.basis, p)
     assert _column_classes(FpSubspace.from_rows(np.zeros((2, 6), dtype=np.int64), p)) == {}
+    # the last dimension whose integer keys fit int64, and the first that
+    # falls back to grouping the scaled columns as rows
+    top = next(d for d in range(1, 70) if p**d >= 2**63)
+    for dim in (top - 1, top):
+        rows = rng.integers(0, p, size=(dim, dim + 30))
+        rows[:, dim + 20 :] = rows[:, 5:15] * rng.integers(1, p, size=10) % p
+        rows[:, dim + 10 : dim + 13] = 0
+        V = FpSubspace.from_rows(rows, p)
+        assert V.dim == dim
+        classes = _column_classes(V)
+        assert classes == column_classes_by_loop(V.basis, p)
+        assert list(classes) == sorted(classes)
