@@ -437,6 +437,18 @@ def boundary_matrices(K: TwoComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
     return d1 % p, d2 % p
 
 
+def _step_rows(count: int, rows, cols, signs) -> list[dict]:
+    """`count` sparse rows of {column: signed count}, built from steps.
+
+    Step i adds signs[i] at column cols[i] of row rows[i], so a column
+    that a row repeats gets the sum of its signs.
+    """
+    out = [{} for _ in range(count)]
+    for j, k, d in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+        out[j][k] = out[j].get(k, 0) + d
+    return out
+
+
 def _face_rows(K: TwoComplex) -> list[dict]:
     """The tree-contracted face rows: {non-tree index: signed count} per face.
 
@@ -450,10 +462,7 @@ def _face_rows(K: TwoComplex) -> list[dict]:
     cols = index[a.face_edges]
     steps = np.flatnonzero(cols >= 0)
     faces = np.searchsorted(a.face_starts, steps, side="right") - 1
-    rows = [{} for _ in range(K.num_faces)]
-    for j, k, d in zip(faces.tolist(), cols[steps].tolist(), a.face_signs[steps].tolist()):
-        rows[j][k] = rows[j].get(k, 0) + d
-    return rows
+    return _step_rows(K.num_faces, faces, cols[steps], a.face_signs[steps])
 
 
 def h1_dimension(K: TwoComplex, p: int) -> int:
@@ -524,6 +533,19 @@ def _newest_first(rows) -> list[dict]:
     """
     label = {}
     return [{label.setdefault(c, -len(label)): v for c, v in r.items()} for r in rows]
+
+
+def _newest_first_steps(cols) -> np.ndarray:
+    """The labels `_newest_first` gives, computed from step columns before rows are built.
+
+    One np.unique: on the lifted faces of the cyclic growth report this is
+    cheaper than relabelling their row dicts; the tree-contracted rows of
+    `h1_cocycle_basis` are built anyway, and relabelling those is cheaper.
+    """
+    _, first, inverse = np.unique(cols, return_index=True, return_inverse=True)
+    label = np.empty(len(first), dtype=np.int64)
+    label[np.argsort(first)] = -np.arange(len(first))
+    return label[inverse.reshape(-1)]
 
 
 def coboundary(K: TwoComplex, potential, p: int) -> Cochain:

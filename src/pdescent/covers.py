@@ -19,7 +19,15 @@ import math
 import numpy as np
 
 from . import fplinalg
-from .complexes import Cochain, EdgePath, TwoComplex, class_coordinates, face_sums, tree_potential
+from .complexes import (
+    Cochain,
+    EdgePath,
+    TwoComplex,
+    _newest_first_steps,
+    _step_rows,
+    class_coordinates,
+    tree_potential,
+)
 from .errors import (
     CocycleConditionError,
     DisconnectedCoverError,
@@ -117,6 +125,22 @@ class CoveringMap:
         return [f * self.degree for f in range(self.base.num_faces)]
 
 
+def _lift_faces(K: TwoComplex, shifts, moduli, error=CocycleConditionError):
+    """Every face of K lifted from every deck rank, as CellArrays faces.
+
+    The lift of face j from rank r is face j * degree + r.  Each lift must
+    close, i.e. the shifts must sum to zero around every face mod moduli;
+    otherwise `error` names the first face whose lift does not.
+    """
+    ranks = np.arange(math.prod(moduli), dtype=np.int64)
+    a = K.arrays
+    faces, end = _lift(a.face_edges, a.face_signs, a.face_starts, shifts, moduli, ranks)
+    bad = np.flatnonzero((end != ranks).any(axis=1))
+    if len(bad):
+        raise error(f"face {bad[0]} attaching path does not close in the cover")
+    return faces
+
+
 def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringMap:
     """The cover whose edge e lifts shift deck digits by shifts[e] (E x n, mod moduli)."""
     moduli = tuple(int(m) for m in moduli)
@@ -127,10 +151,7 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringM
     a = K.arrays
     init = (a.init[:, None] * degree + ranks).ravel()
     term = (a.term[:, None] * degree + (digits + shifts[:, None, :]) % moduli @ strides).ravel()
-    faces, end = _lift(a.face_edges, a.face_signs, a.face_starts, shifts, moduli, ranks)
-    bad = np.flatnonzero((end != ranks).any(axis=1))
-    if len(bad):
-        raise CocycleConditionError(f"face {bad[0]} attaching path does not close in the cover")
+    faces = _lift_faces(K, shifts, moduli)
     try:
         total = TwoComplex.from_arrays(
             K.num_vertices * degree, init, term, *faces, basepoint=K.basepoint * degree
@@ -173,6 +194,46 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
     return _build_shift_cover(K, shifts, (p,) * n, classes=classes)
 
 
+def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:
+    """Check weights for the cyclic covers of K and return them as int64.
+
+    The weights need one integer per edge, each within int64, and must sum
+    to zero around every face over the integers (summed exactly, so a sum
+    of 2**64 is not mistaken for 0).  With an order, the gcd of the loop
+    evaluations and the order must be 1, so the Z/order cover is
+    connected.  Without one, that gcd must be 1 on its own, so every
+    cyclic cover is; this is checked before the face sums.
+    """
+    exact = np.asarray(weights, dtype=object)  # Python ints, whatever their size
+    if exact.shape != (K.num_edges,):
+        raise ValueError("weight vector length does not match edge count")
+    for x in exact.tolist():
+        if not -(2**63) <= x < 2**63:
+            raise ValueError(f"weight {x} does not fit in a 64-bit integer")
+    w = exact.astype(np.int64)
+    evals = loop_evaluations(K, w)
+    if order is None:
+        g = math.gcd(*evals)
+        if g == 0:
+            raise ValueError("weights induce the zero homomorphism")
+        if g != 1:
+            raise ValueError(f"weights generate {g}Z, not all of Z")
+    a = K.arrays
+    steps = exact[a.face_edges] * a.face_signs
+    sums = np.add.reduceat(steps, a.face_starts).tolist() if K.num_faces else []
+    for j, s in enumerate(sums):
+        if s:
+            raise CocycleConditionError(f"weights evaluate to {s} on the boundary of face {j}")
+    if order is not None:
+        g = math.gcd(order, *evals)
+        if g != 1:
+            raise DisconnectedCoverError(
+                f"weights generate {g}Z/{order}Z, not all of Z/{order}Z",
+                certificate=g,
+            )
+    return w
+
+
 def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
     """The connected Z/order cover defined by an integer cocycle of weights.
 
@@ -183,25 +244,22 @@ def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
     order = int(order)
     if order < 1:
         raise ValueError("cover order must be at least 1")
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (K.num_edges,):
-        raise ValueError("weight vector length does not match edge count")
-    sums = face_sums(K, w)
-    bad = np.flatnonzero(sums)
-    if len(bad):
-        j = int(bad[0])
-        raise CocycleConditionError(
-            f"weights evaluate to {int(sums[j])} on the boundary of face {j}"
-        )
-    evals = loop_evaluations(K, w)
-    g = math.gcd(order, *[abs(x) for x in evals]) if evals else order
-    if g != 1:
-        raise DisconnectedCoverError(
-            f"weights generate {g}Z/{order}Z, not all of Z/{order}Z",
-            certificate=g,
-        )
-    shifts = (w.reshape(-1, 1)) % order
-    return _build_shift_cover(K, shifts, (order,))
+    w = _cyclic_weights(K, weights, order)
+    return _build_shift_cover(K, w.reshape(-1, 1) % order, (order,))
+
+
+def _cyclic_face_rows(K: TwoComplex, w, order: int) -> list[dict]:
+    """The face rows of d2 of the Z/order cover of K, without building the cover.
+
+    w are weights that passed `_cyclic_weights`.  Row j * order + r is the
+    lift of face j from rank r, as {edge: signed count} over the cover's
+    edges, relabelled newest first for `fplinalg.sparse_rank`.  Such
+    weights sum to zero around every face, so a lift that does not close
+    is a bug.
+    """
+    edges, signs, starts = _lift_faces(K, w.reshape(-1, 1) % order, (order,), InvariantError)
+    faces = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(edges)))
+    return _step_rows(len(starts), faces, _newest_first_steps(edges), signs)
 
 
 def loop_evaluations(K: TwoComplex, weights) -> list[int]:

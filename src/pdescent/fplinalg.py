@@ -273,20 +273,25 @@ def _pivot_columns(echelon, r) -> np.ndarray:
 
 
 def kernel_basis(m, p) -> np.ndarray:
-    """Echelon basis of {x : m @ x = 0 over F_p}, one row per basis vector."""
+    """Reduced echelon basis of {x : m @ x = 0 over F_p}, one row per basis vector.
+
+    Written directly from the rref R of m with its columns reversed: free
+    column f of R gives the kernel row with 1 at column n-1-f and -R[j, f]
+    at n-1-P_j for each pivot P_j.  Its other entries lie right of n-1-f
+    and on pivot columns, where no other row leads, so taken by decreasing
+    f these rows are already the reduced echelon form.
+    """
     a = _as_matrix(m, p)
     cols = a.shape[1]
-    e, r = rref(a, p)
+    e, r = rref(a[:, ::-1], p)
     pivots = _pivot_columns(e, r)
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
-    free = np.flatnonzero(is_free)
+    free = np.flatnonzero(is_free)[::-1]
     basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-e[:r, free].T) % p
-    # standard free-column vectors need re-echelonizing to get a canonical form
-    out, rr = rref(basis, p)
-    return out[:rr]
+    basis[np.arange(free.size), cols - 1 - free] = 1
+    basis[:, cols - 1 - pivots] = (-e[:r, free].T) % p
+    return basis
 
 
 def solve(m, b, p):

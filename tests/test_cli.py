@@ -166,6 +166,31 @@ def test_cyclic_weights_may_start_negative(tmp_path, capsys):
             assert (code, out) == (2, "")
 
 
+AAB = "p = 3\ngens = a b\nrel = aab\n"
+A4 = "p = 3\ngens = a b\nrel = aaaa\n"
+
+
+@pytest.mark.parametrize(
+    "text, weights, message",
+    [
+        (GENUS2, "0,0,0,0", "weights induce the zero homomorphism"),
+        (GENUS2, "2,4,0,6", "weights generate 2Z, not all of Z"),
+        (AAB, "1,1", "weights evaluate to 3 on the boundary of face 0"),
+        (AAB, "2,0", "weights generate 2Z, not all of Z"),
+        (GENUS2, "1,0,0", "--weights needs 4 integers, got 3"),
+        (GENUS2, "99999999999999999999,1,0,0",
+         "weight 99999999999999999999 does not fit in a 64-bit integer"),
+        # 4 * 2**62 wraps to 0 in int64: the face sum is checked exactly
+        (A4, "4611686018427387904,1",
+         "weights evaluate to 18446744073709551616 on the boundary of face 0"),
+    ],
+)
+def test_cyclic_weight_errors_exit_2_with_one_line(tmp_path, capsys, text, weights, message):
+    path = write(tmp_path, "pres.txt", text)
+    assert main(["cyclic", path, f"--weights={weights}", "--depth", "4"]) == 2
+    assert capsys.readouterr() == ("", f"pdescent: {message}\n")
+
+
 def test_criteria_command(tmp_path, capsys):
     recs = write(tmp_path, "recs.txt", "record = 1 2\nrecord = 4 5\n")
     code, out = run(capsys, ["criteria", recs])
@@ -307,6 +332,8 @@ GOLDEN = [
      "descend_p2_rank2_u2_depth5.json"),
     (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "7"],
      "descend_p2_rank2_u2_depth7.json"),
+    (["cyclic", "tworel_p3.txt", "--weights=1,0,1,-2", "--depth", "64"],
+     "cyclic_p3_tworel_depth64.json"),
 ]
 
 

@@ -169,6 +169,19 @@ def test_cyclic_cover_weights_must_kill_faces():
         build_cyclic_cover(K3, [1, 0], 3)
 
 
+def test_cyclic_weights_are_summed_exactly_and_must_fit_int64():
+    K = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=("aaaa",)))
+    # 4 * 2**62 wraps to 0 in int64; the exact sum is not a cocycle's
+    with pytest.raises(CocycleConditionError, match=r"to 18446744073709551616 on the boundary"):
+        build_cyclic_cover(K, [2**62, 1], 3)
+    # numpy keeps 2**63 as uint64 and 2**66 as an object, each past int64
+    for big in (2**63, 2**66, -(2**63) - 1):
+        with pytest.raises(ValueError, match=f"weight {big} does not fit in a 64-bit integer"):
+            build_cyclic_cover(K, [big, 1], 3)
+    cov = build_cyclic_cover(K, np.array([0, 2**63 - 1], dtype=np.uint64), 3)
+    assert cov.total.num_vertices == 3
+
+
 def test_vertex_values_difference_property():
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)

@@ -297,6 +297,53 @@ def test_kernel_basis_is_kernel_and_dimension_formula():
             assert mod_rank(ker.tolist(), p) == len(ker)
 
 
+def _textbook_kernel(m, p):
+    """The reduced echelon kernel basis: free-column vectors, echelonised again."""
+    rows, cols = m.shape
+    reduced, r = mod_rref(m.tolist(), p) if rows else ([], 0)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced[:r]]
+    vecs = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f] % p
+        vecs.append(v)
+    return mod_rref(vecs, p)[0] if vecs else []
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(matrix, p): random, wide, empty (no rows, no columns or all zero) or full row rank."""
+    p = draw(st.sampled_from((2, 3, 5, 65521)))
+    kind = draw(st.sampled_from(("random", "wide", "empty", "full")))
+    rows, cols = {
+        "random": (draw(st.integers(1, 6)), draw(st.integers(1, 8))),
+        "wide": (draw(st.integers(1, 4)), draw(st.integers(20, 70))),
+        "empty": draw(st.sampled_from(((0, 5), (3, 0), (0, 0), (2, 6)))),
+        "full": (draw(st.integers(1, 5)), draw(st.integers(5, 12))),
+    }[kind]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.4)
+    if kind == "empty":
+        m[:] = 0
+    if kind == "full":  # an identity on random columns makes the rows independent
+        m[:, rng.permutation(cols)[:rows]] = np.eye(rows, dtype=np.int64)
+    return m, p
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel_matrices())
+def test_kernel_basis_is_the_textbook_reduced_echelon_kernel(case):
+    m, p = case
+    before = m.copy()
+    ker = kernel_basis(m, p)
+    assert (m == before).all()
+    assert ker.dtype == np.int64 and ker.shape == (len(ker), m.shape[1])
+    assert ker.tolist() == _textbook_kernel(m, p)
+
+
 def test_kernel_is_complete_by_enumeration():
     # every vector annihilated by m lies in the span of kernel_basis
     rng = np.random.default_rng(13)

@@ -2,13 +2,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdescent import tower
 from pdescent.complexes import (
     GroupPresentation,
+    TwoComplex,
     build_presentation_complex,
+    h1_dimension,
     parse_presentation,
 )
+from pdescent.covers import build_cyclic_cover
 from pdescent.errors import (
+    CocycleConditionError,
+    InvariantError,
     MalformedTowerError,
     NotRapidlyDescendingError,
     QuasiAdditivityError,
@@ -220,6 +228,82 @@ def test_cyclic_growth_rejects_bad_weights():
         cyclic_growth_report(pres, [0, 0], p, 4)
     with pytest.raises(ValueError):
         cyclic_growth_report(pres, [2, 0], p, 4)
+
+
+def test_cyclic_growth_checks_weight_length_and_size_first():
+    genus2, _ = parse_presentation(GENUS2)
+    for weights in ([1, 0], [1, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="^weight vector length does not match edge count$"):
+            cyclic_growth_report(genus2, weights, 3, 4)
+    with pytest.raises(ValueError, match="^weight 99999999999999999999 does not fit in a 64-bit"):
+        cyclic_growth_report(genus2, [99999999999999999999, 1, 0, 0], 3, 4)
+    # the face sum 4 * 2**62 is 0 in int64 but not over the integers
+    a4 = GroupPresentation(generators=("a", "b"), relators=("aaaa",))
+    with pytest.raises(CocycleConditionError, match="to 18446744073709551616 on the boundary"):
+        cyclic_growth_report(a4, [2**62, 1], 3, 4)
+    # the surjection onto Z is checked before the face sums, as it always was
+    aab = GroupPresentation(generators=("a", "b"), relators=("aab",))
+    with pytest.raises(ValueError, match="^weights generate 2Z, not all of Z$"):
+        cyclic_growth_report(aab, [2, 0], 3, 4)
+    with pytest.raises(CocycleConditionError, match="^weights evaluate to 2 on the boundary of"):
+        cyclic_growth_report(aab, [1, 0], 3, 4)
+
+
+def test_cyclic_growth_builds_no_cover_complex(monkeypatch):
+    built = []
+    set_cells = TwoComplex._set_cells
+
+    def counted(self, *args):
+        built.append(args[0])
+        set_cells(self, *args)
+
+    monkeypatch.setattr(TwoComplex, "_set_cells", counted)
+    pres, _ = parse_presentation(GENUS2)
+    report = cyclic_growth_report(pres, [1, -2, 0, 3], 3, 32)
+    assert [dp for _, dp, _ in report.entries] == [2 + 2 * n for n in range(1, 33)]
+    assert built == [1]  # the presentation complex, and no cover of it
+
+
+def test_cyclic_growth_lift_that_does_not_close_is_an_invariant_failure(monkeypatch):
+    # weights past the cocycle check always close; skipping the check shows
+    # that a face lift left open is reported as a bug, not as bad input
+    monkeypatch.setattr(tower, "_cyclic_weights", lambda K, w: np.array(w, dtype=np.int64))
+    aab = GroupPresentation(generators=("a", "b"), relators=("aab",))
+    with pytest.raises(InvariantError, match="^face 0 attaching path does not close"):
+        cyclic_growth_report(aab, [1, 0], 3, 4)
+
+
+@st.composite
+def cyclic_cases(draw):
+    """(presentation, weights): 1-3 relators on which the weights, gcd 1, sum to zero.
+
+    Each relator is a random word closed off by a power of a generator of
+    weight +-1, which cancels the word's weight.
+    """
+    gens = "abcd"[: draw(st.integers(2, 4))]
+    unit = draw(st.integers(0, len(gens) - 1))
+    weights = [draw(st.integers(-3, 3)) for _ in gens]
+    weights[unit] = draw(st.sampled_from((1, -1)))
+    letters = st.sampled_from(gens + gens.upper())
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = "".join(draw(st.lists(letters, min_size=1, max_size=7)))
+        total = sum(weights[gens.index(ch.lower())] * (1 if ch.islower() else -1) for ch in word)
+        k = -total * weights[unit]  # the power of the unit generator that cancels total
+        word += (gens[unit] if k > 0 else gens[unit].upper()) * abs(k)
+        relators.append(word)
+    return GroupPresentation(generators=tuple(gens), relators=tuple(relators)), weights
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(cyclic_cases(), st.integers(1, 40), st.sampled_from((2, 3, 5, 65521)))
+def test_cyclic_growth_matches_h1_of_the_built_covers(case, max_order, p):
+    pres, weights = case
+    report = cyclic_growth_report(pres, weights, p, max_order)
+    K = build_presentation_complex(pres)
+    orders = range(1, max_order + 1)
+    want = [h1_dimension(build_cyclic_cover(K, weights, n).total, p) for n in orders]
+    assert [(n, dp) for n, dp, _ in report.entries] == list(zip(orders, want))
 
 
 def test_quasi_additive_examples():
