@@ -334,6 +334,9 @@ GOLDEN = [
      "descend_p2_rank2_u2_depth7.json"),
     (["cyclic", "tworel_p3.txt", "--weights=1,0,1,-2", "--depth", "64"],
      "cyclic_p3_tworel_depth64.json"),
+    (["cheeger", "genus2_p3.txt", "--series", "rank:2", "--depth", "2", "--mode", "heuristic",
+      "--seed", "3"],
+     "cheeger_p3_rank2_depth2_heuristic_seed3.json"),
 ]
 
 
