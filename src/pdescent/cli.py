@@ -16,6 +16,7 @@ never bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -569,9 +570,15 @@ def _attach_negative_weights(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = _main_parser().parse_args(_attach_negative_weights(argv))
     try:
         text, code = args.handler(args)
     except EnumerationCapError as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "EdgePath",
     "TwoComplex",
     "CellArrays",
+    "EdgeEnds",
     "Cochain",
     "CocycleBasis",
     "build_presentation_complex",
@@ -199,6 +200,63 @@ class CellArrays:
                 value.flags.writeable = False
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeEnds:
+    """The non-loop edge ends of a 1-skeleton, sorted by (vertex, edge index).
+
+    The ends at vertex v are offsets[v]:offsets[v + 1].  End i belongs to
+    vertex[i] and reaches other[i] along edge[i]; sign[i] is +1 at the
+    edge's init end and -1 at its term end.  Loops have no ends here.
+    """
+
+    offsets: np.ndarray
+    vertex: np.ndarray
+    other: np.ndarray
+    edge: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def of(cls, num_vertices: int, init, term) -> "EdgeEnds":
+        """The table of the edges init[e] -> term[e] on num_vertices vertices."""
+        init, term = np.asarray(init, dtype=np.int64), np.asarray(term, dtype=np.int64)
+        if np.any((init < 0) | (init >= num_vertices) | (term < 0) | (term >= num_vertices)):
+            raise ValueError("edge endpoint out of range")
+        e = np.flatnonzero(init != term)
+        vertex = np.concatenate([init[e], term[e]])
+        edge = np.concatenate([e, e])
+        order = np.lexsort((edge, vertex))
+        other = np.concatenate([term[e], init[e]])[order]
+        sign = np.repeat(np.array([1, -1], dtype=np.int64), len(e))[order]
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(vertex, minlength=num_vertices))])
+        ends = cls(offsets, vertex[order], other, edge[order], sign)
+        for value in vars(ends).values():
+            value.flags.writeable = False
+        return ends
+
+    def reaches_all(self) -> bool:
+        """True when a search from vertex 0 reaches every vertex."""
+        n = len(self.offsets) - 1
+        if n == 0:
+            return False
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        slot = np.empty(n, dtype=np.int64)
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:  # one BFS layer per pass
+            lo = self.offsets[frontier]
+            count = self.offsets[frontier + 1] - lo
+            # the ends of each frontier vertex, laid out one vertex after another
+            shift = np.repeat(lo - np.cumsum(count) + count, count)
+            found = self.other[shift + np.arange(len(shift))]
+            found = found[~reached[found]]
+            # keep one copy of each vertex (the last), in O(len(found)) and with no sort
+            index = np.arange(len(found))
+            slot[found] = index
+            frontier = found[slot[found] == index]
+            reached[frontier] = True
+        return bool(reached.all())
+
+
 def _index_array(values, name: str) -> np.ndarray:
     """An int64 copy of a one-dimensional array of integers."""
     a = np.asarray(values)
@@ -325,6 +383,11 @@ class TwoComplex:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(init, term) of each edge."""
         return tuple(zip(self.arrays.init.tolist(), self.arrays.term.tolist()))
+
+    @cached_property
+    def edge_ends(self) -> EdgeEnds:
+        """The non-loop edge ends, sorted by (vertex, edge index)."""
+        return EdgeEnds.of(self.num_vertices, self.arrays.init, self.arrays.term)
 
     @cached_property
     def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:

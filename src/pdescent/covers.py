@@ -15,6 +15,7 @@ only shifts vertex value tables by a constant and never changes supports.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -197,7 +198,8 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
 def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:
     """Check weights for the cyclic covers of K and return them as int64.
 
-    The weights need one integer per edge, each within int64, and must sum
+    The weights need one integer per edge (an integral type: 1.5 or 1.0 is
+    rejected, not truncated), each within int64, and must sum
     to zero around every face over the integers (summed exactly, so a sum
     of 2**64 is not mistaken for 0).  With an order, the gcd of the loop
     evaluations and the order must be 1, so the Z/order cover is
@@ -208,6 +210,8 @@ def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:
     if exact.shape != (K.num_edges,):
         raise ValueError("weight vector length does not match edge count")
     for x in exact.tolist():
+        if not isinstance(x, numbers.Integral):
+            raise ValueError(f"weight {x} is not an integer")
         if not -(2**63) <= x < 2**63:
             raise ValueError(f"weight {x} does not fit in a 64-bit integer")
     w = exact.astype(np.int64)

@@ -6,20 +6,25 @@ is the smallest support fraction among its representatives.  For a p-cover
 whose deck group sees a class alpha, the cut between vertex-value classes
 bounds the cover's Cheeger constant by (|E| / (|V|/p)) * relsize(alpha).
 
-Costs: a heuristic sweep keeps a running cut count, so each sweep order
-costs O(E) after the eigenvector; the greedy upper bound on relative size
-rescores a vertex from its incident edges, O(deg v + p) per vertex visit,
-so one pass over the vertices costs O(E + |V| p).
+Costs: both diagnostics read the edge-end table of the graph or complex
+(`EdgeEnds`, built once per instance).  The heuristic fills its Laplacian
+and checks connectivity from the table, and gets every prefix cut of all
+its sweep orders from one pass of array operations, O(E) per order after
+the dense eigenvector.  The greedy upper bound on relative size scores a
+vertex from its own edge ends, O(deg v + p); the first pass scores every
+vertex, and later passes only those with a neighbour that moved since
+their last scoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .complexes import Cochain, TwoComplex, coboundary
+from .complexes import Cochain, EdgeEnds, TwoComplex, coboundary
 from .covers import CoveringMap, vertex_values
 from .errors import EnumerationCapError, TrivialClassError
 
@@ -47,54 +52,45 @@ class SkeletonGraph:
     def from_complex(cls, K: TwoComplex) -> "SkeletonGraph":
         return cls(num_vertices=K.num_vertices, edges=tuple(K.edges))
 
+    @cached_property
+    def edge_ends(self) -> EdgeEnds:
+        """The non-loop edge ends, sorted by (vertex, edge index)."""
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        return EdgeEnds.of(self.num_vertices, pairs[:, 0], pairs[:, 1])
+
     def is_connected(self) -> bool:
-        return _reaches_all(_adjacency(self))
+        return self.edge_ends.reaches_all()
 
 
-def _adjacency(graph: SkeletonGraph) -> list[list[int]]:
-    """Neighbour lists with one entry per non-loop edge end."""
-    adj = [[] for _ in range(graph.num_vertices)]
-    for u, v in graph.edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
+def _sweep_min(ends: EdgeEnds, orders) -> tuple[int, int] | None:
+    """The first best (cut, size) over the prefixes of each order with size <= |V|/2.
 
-
-def _reaches_all(adj: list[list[int]]) -> bool:
-    """True when a search from vertex 0 reaches every vertex."""
-    if not adj:
-        return False
-    seen = [False] * len(adj)
-    seen[0] = True
-    queue = [0]
-    for v in queue:
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return len(queue) == len(adj)
-
-
-def _sweep_min(adj: list[list[int]], order) -> tuple[int, int]:
-    """Best (cut, size) over prefixes of `order` with size <= |V|/2.
-
-    The cut is updated as each vertex joins: its edges to outside
-    neighbours start crossing, its edges to inside neighbours stop.
+    Taking pos as an order's inverse permutation, a non-loop edge crosses
+    the prefix of size k exactly when min(pos) < k <= max(pos), so one
+    difference of counts and a prefix sum give every prefix cut at once.
+    Orders are scanned in turn and sizes upwards; a later pair wins only
+    with a strictly smaller ratio, compared exactly.  None when there is no
+    such prefix (fewer than 2 vertices).
     """
-    n = len(adj)
-    inside = [False] * n
-    cut = 0
-    best = None
-    for k, v in enumerate(order, start=1):
-        if 2 * k > n:
-            break
-        inside[v] = True
-        for w in adj[v]:
-            cut += -1 if inside[w] else 1
-        if best is None or cut * best[1] < best[0] * k:
-            best = (cut, k)
-    return best
+    orders = np.asarray(orders, dtype=np.int64).reshape(-1, len(ends.offsets) - 1)
+    m, n = orders.shape
+    pos = np.empty_like(orders)
+    pos[np.arange(m)[:, None], orders] = np.arange(n)
+    once = ends.sign > 0  # each non-loop edge once, seen from its init end
+    a, b = pos[:, ends.vertex[once]], pos[:, ends.other[once]]
+    row = np.arange(m)[:, None] * (n + 1)
+    starts = np.bincount((row + np.minimum(a, b) + 1).ravel(), minlength=m * (n + 1))
+    stops = np.bincount((row + np.maximum(a, b) + 1).ravel(), minlength=m * (n + 1))
+    cuts = np.cumsum((starts - stops).reshape(m, n + 1), axis=1)[:, 1 : n // 2 + 1].ravel()
+    sizes = np.tile(np.arange(1, n // 2 + 1), m)
+    if not sizes.size:
+        return None
+    # the float argmin is a guess; step to a strictly smaller ratio until none is left
+    i = int(np.argmin(cuts / sizes))
+    while (smaller := cuts * sizes[i] < cuts[i] * sizes).any():
+        i = int(np.argmax(smaller))
+    i = int(np.argmax(cuts * sizes[i] == cuts[i] * sizes))
+    return int(cuts[i]), int(sizes[i])
 
 
 def cheeger_constant(
@@ -113,8 +109,8 @@ def cheeger_constant(
     n = graph.num_vertices
     if n < 2:
         raise ValueError("Cheeger constant needs at least 2 vertices")
-    adj = _adjacency(graph)
-    if not _reaches_all(adj):
+    ends = graph.edge_ends
+    if not ends.reaches_all():
         raise ValueError("graph is not connected")
     if mode == "exact":
         if n > max_exact_vertices:
@@ -143,26 +139,17 @@ def cheeger_constant(
                     best_cut, best_size = int(c), int(s)
         return Fraction(best_cut, best_size)
     if mode == "heuristic":
+        # the same float matrix as adding each edge's four entries in turn
         lap = np.zeros((n, n), dtype=float)
-        for u, v in graph.edges:
-            if u == v:
-                continue
-            lap[u, u] += 1
-            lap[v, v] += 1
-            lap[u, v] -= 1
-            lap[v, u] -= 1
+        np.add.at(lap, (ends.vertex, ends.other), -1.0)
+        lap[np.diag_indices(n)] = np.diff(ends.offsets)
         _, vecs = np.linalg.eigh(lap)
-        orders = [np.argsort(vecs[:, 1], kind="stable").tolist()]
+        orders = [np.argsort(vecs[:, 1], kind="stable")]
         rng = np.random.default_rng(seed)
         for _ in range(sweeps):
             direction = rng.standard_normal(n)
-            orders.append(np.argsort(direction, kind="stable").tolist())
-        best = None
-        for order in orders:
-            cand = _sweep_min(adj, order)
-            if cand is not None and (best is None or cand[0] * best[1] < best[0] * cand[1]):
-                best = cand
-        return Fraction(best[0], best[1])
+            orders.append(np.argsort(direction, kind="stable"))
+        return Fraction(*_sweep_min(ends, orders))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -223,38 +210,41 @@ def _greedy_descent(K: TwoComplex, alpha: Cochain) -> tuple[Cochain, int]:
     only changes the residues of v's non-loop edges, and each of those is
     zero for exactly one value of f(v).  With hits[val] of them zero at
     val, setting f(v) = val changes the support by hits[f(v)] - hits[val].
+    A vertex is rescored only when a neighbour has moved since its last
+    scoring: otherwise its value still has the most hits, and rescoring
+    would leave it where it is.
     """
     p = alpha.p
-    init, term = K.arrays.init, K.arrays.term
-    vals = alpha.values.tolist()
-    # per vertex: (other end w, offset); the edge's residue is zero when f(v) = f(w) + offset
-    incident = [[] for _ in range(K.num_vertices)]
-    for e, (u, v) in enumerate(K.edges):
-        if u != v:
-            incident[u].append((v, vals[e]))
-            incident[v].append((u, -vals[e]))
+    ends = K.edge_ends
+    bounds = ends.offsets.tolist()
+    other = ends.other.tolist()
+    # the end's edge has residue zero when f(v) = f(other) + offset
+    offset = (ends.sign * alpha.values[ends.edge] % p).tolist()
     f = [0] * K.num_vertices
     best = int(np.count_nonzero(alpha.values))
+    stale = [True] * K.num_vertices
+    stale[K.basepoint] = False
     improved = True
     while improved:
         improved = False
         for v in range(K.num_vertices):
-            if v == K.basepoint:
+            if not stale[v]:
                 continue
+            stale[v] = False
+            lo, hi = bounds[v], bounds[v + 1]
             hits = [0] * p
-            for w, offset in incident[v]:
-                hits[(f[w] + offset) % p] += 1
-            orig = f[v]
-            base = best + hits[orig]
-            for val in range(p):
-                s = base - hits[val]
-                if s < best:
-                    best = s
-                    orig = val
-                    improved = True
-            f[v] = orig
+            for w, o in zip(other[lo:hi], offset[lo:hi]):
+                hits[(f[w] + o) % p] += 1
+            top = max(hits)
+            if top > hits[f[v]]:
+                best -= top - hits[f[v]]
+                f[v] = hits.index(top)
+                improved = True
+                for w in other[lo:hi]:
+                    stale[w] = True
+                stale[K.basepoint] = False
     f = np.array(f, dtype=np.int64)
-    reps = (alpha.values + f[term] - f[init]) % p
+    reps = (alpha.values + f[K.arrays.term] - f[K.arrays.init]) % p
     return Cochain(K, p, reps), best
 
 

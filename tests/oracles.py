@@ -4,7 +4,8 @@ Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
 routines is meaningful.  The full-recount expansion routines, the
 tuple-label cover builder and path lift, the dense H^1 basis, the
-column-class loop and the greedy complement scan are the package's
+column-class loop, the greedy complement scan, the edge-loop heuristic
+Cheeger sweep and the every-vertex greedy descent are the package's
 earlier implementations, kept as references; the expansion routines and
 the column-class loop use numpy.
 Nothing in this module imports the package: complexes, graphs and
@@ -293,6 +294,103 @@ def greedy_descent_full_recount(K, alpha):
                     orig = val
                     improved = True
             f[v] = orig
+    reps = (alpha.values + f[term] - f[init]) % p
+    return reps, best
+
+
+def adjacency_lists(graph):
+    """Neighbour lists with one entry per non-loop edge end, in edge order."""
+    adj = [[] for _ in range(graph.num_vertices)]
+    for u, v in graph.edges:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
+
+
+def sweep_min_incremental(adj, order):
+    """Best (cut, size) over prefixes of `order` with size <= |V|/2.
+
+    The cut is updated as each vertex joins: its edges to outside
+    neighbours start crossing, its edges to inside neighbours stop.
+    """
+    n = len(adj)
+    inside = [False] * n
+    cut = 0
+    best = None
+    for k, v in enumerate(order, start=1):
+        if 2 * k > n:
+            break
+        inside[v] = True
+        for w in adj[v]:
+            cut += -1 if inside[w] else 1
+        if best is None or cut * best[1] < best[0] * k:
+            best = (cut, k)
+    return best
+
+
+def heuristic_cheeger_by_edge_loops(graph, seed=0, sweeps=8):
+    """Heuristic Cheeger upper bound: a Laplacian filled edge by edge, then
+    one incremental sweep per order (the Fiedler vector's, then `sweeps`
+    seeded random ones); returns the best cut ratio as a Fraction."""
+    n = graph.num_vertices
+    adj = adjacency_lists(graph)
+    lap = np.zeros((n, n), dtype=float)
+    for u, v in graph.edges:
+        if u == v:
+            continue
+        lap[u, u] += 1
+        lap[v, v] += 1
+        lap[u, v] -= 1
+        lap[v, u] -= 1
+    _, vecs = np.linalg.eigh(lap)
+    orders = [np.argsort(vecs[:, 1], kind="stable").tolist()]
+    rng = np.random.default_rng(seed)
+    for _ in range(sweeps):
+        direction = rng.standard_normal(n)
+        orders.append(np.argsort(direction, kind="stable").tolist())
+    best = None
+    for order in orders:
+        cand = sweep_min_incremental(adj, order)
+        if cand is not None and (best is None or cand[0] * best[1] < best[0] * cand[1]):
+            best = cand
+    return Fraction(best[0], best[1])
+
+
+def greedy_descent_every_vertex(K, alpha):
+    """Single-vertex greedy descent on |supp(alpha + df)| that rescores
+    every vertex in every pass from per-vertex incidence lists; returns
+    (representative values, support size)."""
+    p = alpha.p
+    init, term = K.arrays.init, K.arrays.term
+    vals = alpha.values.tolist()
+    # per vertex: (other end w, offset); the edge's residue is zero when f(v) = f(w) + offset
+    incident = [[] for _ in range(K.num_vertices)]
+    for e, (u, v) in enumerate(K.edges):
+        if u != v:
+            incident[u].append((v, vals[e]))
+            incident[v].append((u, -vals[e]))
+    f = [0] * K.num_vertices
+    best = int(np.count_nonzero(alpha.values))
+    improved = True
+    while improved:
+        improved = False
+        for v in range(K.num_vertices):
+            if v == K.basepoint:
+                continue
+            hits = [0] * p
+            for w, offset in incident[v]:
+                hits[(f[w] + offset) % p] += 1
+            orig = f[v]
+            base = best + hits[orig]
+            for val in range(p):
+                s = base - hits[val]
+                if s < best:
+                    best = s
+                    orig = val
+                    improved = True
+            f[v] = orig
+    f = np.array(f, dtype=np.int64)
     reps = (alpha.values + f[term] - f[init]) % p
     return reps, best
 

@@ -191,6 +191,23 @@ def test_cyclic_weight_errors_exit_2_with_one_line(tmp_path, capsys, text, weigh
     assert capsys.readouterr() == ("", f"pdescent: {message}\n")
 
 
+def test_argparse_error_leaves_the_parser_unchanged(tmp_path, capsys):
+    # main reuses one parser; a rejected command line must not change how
+    # the next one parses
+    path = write(tmp_path, "t.txt", TORUS)
+    good = ["cheeger", path, "--mode", "heuristic", "--seed", "3", "--format", "table"]
+    outcomes = []
+    for argv in (good, ["cheeger", path, "--mode", "bogus"], good):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[2]
+    assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+    assert outcomes[1][0] == 2 and "invalid choice: 'bogus'" in outcomes[1][2]
+
+
 def test_criteria_command(tmp_path, capsys):
     recs = write(tmp_path, "recs.txt", "record = 1 2\nrecord = 4 5\n")
     code, out = run(capsys, ["criteria", recs])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pdescent.complexes import (
     Cochain,
+    EdgeEnds,
     EdgePath,
     GroupPresentation,
     TwoComplex,
@@ -482,3 +483,34 @@ def test_combine_cochains():
     basis = h1_cocycle_basis(K, p)
     combo = combine_cochains(basis[:2], [1, 1], p)
     assert np.array_equal(combo.values, (basis[0].values + basis[1].values) % p)
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and any edge list on it: loops, parallel edges, isolated vertices."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edge_lists())
+def test_edge_ends_table_and_reachability(case):
+    n, edges = case
+    ends = EdgeEnds.of(n, [u for u, _ in edges], [v for _, v in edges])
+    want = sorted(
+        [(u, e, v, 1) for e, (u, v) in enumerate(edges) if u != v]
+        + [(v, e, u, -1) for e, (u, v) in enumerate(edges) if u != v]
+    )
+    columns = (ends.vertex, ends.edge, ends.other, ends.sign)
+    assert list(zip(*(c.tolist() for c in columns))) == want
+    assert ends.offsets.tolist() == [sum(x[0] < v for x in want) for v in range(n + 1)]
+    reached = {0}
+    for _ in range(n):
+        reached |= {b for a, b in edges if a in reached} | {a for a, b in edges if b in reached}
+    assert ends.reaches_all() == (len(reached) == n)
+
+
+def test_edge_ends_reject_out_of_range_ends():
+    with pytest.raises(ValueError, match="edge endpoint out of range"):
+        EdgeEnds.of(2, [0], [2])

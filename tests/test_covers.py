@@ -182,6 +182,15 @@ def test_cyclic_weights_are_summed_exactly_and_must_fit_int64():
     assert cov.total.num_vertices == 3
 
 
+def test_cyclic_weights_must_be_integers():
+    K = build_presentation_complex(parse_presentation(TORUS)[0])
+    with pytest.raises(ValueError, match=r"^weight 1\.5 is not an integer$"):
+        build_cyclic_cover(K, [1.5, 0], 3)
+    # integral numpy and Python types still build the cover
+    for weights in ([1, 0], np.array([1, 0], dtype=np.uint8), [True, 0]):
+        assert build_cyclic_cover(K, weights, 3).total.num_vertices == 3
+
+
 def test_vertex_values_difference_property():
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdescent.complexes import (
@@ -20,7 +20,6 @@ from pdescent.covers import build_abelian_p_cover, vertex_values
 from pdescent.errors import EnumerationCapError, TrivialClassError
 from pdescent.expansion import (
     SkeletonGraph,
-    _adjacency,
     _greedy_descent,
     _sweep_min,
     cheeger_constant,
@@ -32,7 +31,9 @@ from pdescent.expansion import (
 from oracles import (
     brute_cheeger,
     brute_relative_size,
+    greedy_descent_every_vertex,
     greedy_descent_full_recount,
+    heuristic_cheeger_by_edge_loops,
     sweep_min_full_recount,
 )
 
@@ -87,6 +88,13 @@ def test_cheeger_heuristic_upper_bounds_exact():
         assert upper >= exact
 
 
+def test_cheeger_rejects_disconnected_graphs():
+    for mode in ("exact", "heuristic"):
+        with pytest.raises(ValueError, match="graph is not connected"):
+            cheeger_constant(SkeletonGraph(4, ((0, 1), (2, 3), (1, 1))), mode=mode)
+    assert not SkeletonGraph(3, ((0, 1),)).is_connected()
+
+
 def test_cheeger_caps_exact_enumeration():
     big = cycle_complex(30)
     with pytest.raises(EnumerationCapError):
@@ -114,16 +122,67 @@ def multigraph_cases(draw):
     return K, Cochain(K, p, np.array(values, dtype=np.int64)), draw(st.permutations(range(n)))
 
 
+def _same_as_edge_loop_versions(K, alpha, seeds):
+    """Heuristic Cheeger and the upper relative size agree with the
+    versions that loop over edges and rescore every vertex in every pass."""
+    if K.num_vertices >= 2:
+        graph = SkeletonGraph.from_complex(K)
+        for seed in seeds:
+            got = cheeger_constant(graph, mode="heuristic", seed=seed)
+            assert got == heuristic_cheeger_by_edge_loops(graph, seed=seed)
+    rep, size = _greedy_descent(K, alpha)
+    ref_values, ref_size = greedy_descent_every_vertex(K, alpha)
+    assert size == ref_size
+    assert np.array_equal(rep.values, ref_values)
+    if K.num_edges and not alpha.has_trivial_class():
+        assert relative_size(K, alpha, mode="upper") == Fraction(ref_size, K.num_edges)
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(multigraph_cases())
-def test_incremental_sweep_and_greedy_match_full_recount(case):
+@given(multigraph_cases(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+def test_incremental_sweep_and_greedy_match_full_recount(case, seeds):
     K, alpha, order = case
     graph = SkeletonGraph.from_complex(K)
-    assert _sweep_min(_adjacency(graph), order) == sweep_min_full_recount(graph, order)
+    assert _sweep_min(graph.edge_ends, [order]) == sweep_min_full_recount(graph, order)
     rep, size = _greedy_descent(K, alpha)
     ref_values, ref_size = greedy_descent_full_recount(K, alpha)
     assert size == ref_size == len(rep.support())
     assert np.array_equal(rep.values, ref_values)
+    _same_as_edge_loop_versions(K, alpha, seeds)
+
+
+@st.composite
+def abelian_cover_cases(draw):
+    """A rank-1 or rank-2 abelian p-cover of a small presentation complex,
+    a nontrivial cocycle on it (a class plus a random coboundary) and seeds."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    rels = draw(
+        st.sampled_from(("gens = a b", "gens = a b\nrel = abAB", "gens = a b c d\nrel = abABcdCD"))
+    )
+    pres, _ = parse_presentation(f"p = {p}\n{rels}\n")
+    K = build_presentation_complex(pres)
+    basis = h1_cocycle_basis(K, p)
+    picks = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=2, unique=True))
+    total = build_abelian_p_cover(K, [basis[i] for i in picks], p).total
+    residues = st.integers(0, p - 1)
+    cover_basis = h1_cocycle_basis(total, p)
+    coeffs = draw(st.lists(residues, min_size=len(cover_basis), max_size=len(cover_basis)))
+    values = np.zeros(total.num_edges, dtype=np.int64)
+    for c, b in zip(coeffs, cover_basis):
+        values += c * b.values
+    n = total.num_vertices
+    f = np.array(draw(st.lists(residues, min_size=n, max_size=n)))
+    alpha = Cochain(total, p, values + coboundary(total, f, p).values)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    return total, alpha, seeds
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(abelian_cover_cases())
+def test_expansion_diagnostics_match_edge_loop_versions_on_abelian_covers(case):
+    K, alpha, seeds = case
+    assume(not alpha.has_trivial_class())
+    _same_as_edge_loop_versions(K, alpha, seeds)
 
 
 def test_relative_size_exact_matches_brute_force():

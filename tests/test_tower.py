@@ -249,6 +249,14 @@ def test_cyclic_growth_checks_weight_length_and_size_first():
         cyclic_growth_report(aab, [1, 0], 3, 4)
 
 
+def test_cyclic_growth_rejects_non_integral_weights():
+    # int64 would truncate 1.5 to 1 and report the growth of [1, 0]
+    pres, _ = parse_presentation(TORUS)
+    for weights, bad in (([1.5, 0], "1.5"), ([1, 2.0], "2.0"), (np.array([0.5, 1.0]), "0.5")):
+        with pytest.raises(ValueError, match=f"^weight {bad} is not an integer$"):
+            cyclic_growth_report(pres, weights, 3, 3)
+
+
 def test_cyclic_growth_builds_no_cover_complex(monkeypatch):
     built = []
     set_cells = TwoComplex._set_cells
