@@ -6,8 +6,9 @@ reduction on a bare matrix, `cheeger`/`relsize`/`cover` expose the
 expansion and covering machinery, and `echo` round-trips a presentation
 file through its canonical form.
 
-All randomness flows from --seed, so identical invocations (including the
-seed) produce byte-identical structured output.  Exit codes: 0 on success,
+Only the heuristic Cheeger reads --seed (`cheeger --mode heuristic`);
+`descend` and `reduce` accept it and ignore it.  Identical invocations
+produce byte-identical structured output.  Exit codes: 0 on success,
 2 on precondition errors, 3 on budget or enumeration-cap exhaustion or
 when memory runs out, 4 when an internal invariant check fails (a bug,
 never bad input).
@@ -332,7 +333,7 @@ def _cmd_descend(args):
         lam, u = _default_u(pres, p)
     else:
         u = args.u
-    report = run_descent(pres, spec, u, seed=args.seed)
+    report = run_descent(pres, spec, u)
     doc = _descent_document(report, lambda_estimate=lam)
     code = 3 if report.verdict == "budget-exhausted" else 0
     return emit_report(doc, args.format), code
@@ -368,7 +369,7 @@ def _cmd_reduce(args):
     if getattr(args, "p", None) is not None:
         p = validate_prime(args.p)
     V = FpSubspace.from_rows(rows, p, rows.shape[1])
-    result = reduce_to_dimension(V, args.u, seed=args.seed)
+    result = reduce_to_dimension(V, args.u)
     doc = {
         "command": "reduce",
         "p": p,
@@ -480,6 +481,9 @@ def _add_io_flags(sp, modes=None):
         sp.add_argument("--mode", choices=modes, default=modes[0])
 
 
+_SEED_IGNORED = "ignored here; only cheeger --mode heuristic reads --seed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdescent",
@@ -494,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=None, help="tower depth (default 2)")
     sp.add_argument("--u", type=int, default=None, help="family dimension (default: estimated)")
     sp.add_argument("--budget", type=int, default=tower.DEFAULT_CELL_BUDGET)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help=_SEED_IGNORED)
     _add_io_flags(sp)
     sp.set_defaults(handler=_cmd_descend)
 
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="matrix file: `p = ...` plus `row = ...` lines")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--u", type=int, required=True, help="target dimension")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help=_SEED_IGNORED)
     _add_io_flags(sp)
     sp.set_defaults(handler=_cmd_reduce)
 

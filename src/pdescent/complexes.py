@@ -233,8 +233,9 @@ class EdgeEnds:
             value.flags.writeable = False
         return ends
 
+    @cached_property
     def reaches_all(self) -> bool:
-        """True when a search from vertex 0 reaches every vertex."""
+        """True when a search from vertex 0 reaches every vertex (searched once)."""
         n = len(self.offsets) - 1
         if n == 0:
             return False

@@ -7,13 +7,13 @@ whose deck group sees a class alpha, the cut between vertex-value classes
 bounds the cover's Cheeger constant by (|E| / (|V|/p)) * relsize(alpha).
 
 Costs: both diagnostics read the edge-end table of the graph or complex
-(`EdgeEnds`, built once per instance).  The heuristic fills its Laplacian
-and checks connectivity from the table, and gets every prefix cut of all
-its sweep orders from one pass of array operations, O(E) per order after
-the dense eigenvector.  The greedy upper bound on relative size scores a
-vertex from its own edge ends, O(deg v + p); the first pass scores every
-vertex, and later passes only those with a neighbour that moved since
-their last scoring.
+(`EdgeEnds`, built once per instance; the table runs its connectivity
+search once, on first read).  The heuristic fills its Laplacian from the
+table and gets every prefix cut of all its sweep orders from one pass of
+array operations, O(E) per order after the dense eigenvector.  The greedy
+upper bound on relative size scores a vertex from its own edge ends,
+O(deg v + p); the first pass scores every vertex, and later passes only
+those with a neighbour that moved since their last scoring.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class SkeletonGraph:
         return EdgeEnds.of(self.num_vertices, pairs[:, 0], pairs[:, 1])
 
     def is_connected(self) -> bool:
-        return self.edge_ends.reaches_all()
+        return self.edge_ends.reaches_all
 
 
 def _sweep_min(ends: EdgeEnds, orders) -> tuple[int, int] | None:
@@ -110,7 +110,7 @@ def cheeger_constant(
     if n < 2:
         raise ValueError("Cheeger constant needs at least 2 vertices")
     ends = graph.edge_ends
-    if not ends.reaches_all():
+    if not ends.reaches_all:
         raise ValueError("graph is not connected")
     if mode == "exact":
         if n > max_exact_vertices:

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .fplinalg import ENUMERATION_CAP, FpSubspace, subspace_support
+from .fplinalg import FpSubspace, subspace_support
 
 __all__ = [
     "chain_factor",
@@ -30,9 +30,6 @@ __all__ = [
     "ReductionResult",
     "reduce_to_dimension",
 ]
-
-SAMPLE_COUNT = 4096
-
 
 def chain_factor(p: int, v: int, w: int) -> Fraction:
     """Support decay guaranteed when reducing from dimension v to w >= 1."""
@@ -116,66 +113,31 @@ class HyperplaneResult:
     mode: str
 
 
-def best_hyperplane(
-    V: FpSubspace, cap: int = ENUMERATION_CAP, samples: int = SAMPLE_COUNT, seed: int = 0
-) -> HyperplaneResult:
-    """The minimum-support hyperplane of V (dim >= 2).
+def best_hyperplane(V: FpSubspace) -> HyperplaneResult:
+    """The minimum-support hyperplane of V (dim >= 2), read off the column classes.
 
-    When the hyperplane count fits under the cap every hyperplane is
-    considered and the averaging bound is guaranteed; otherwise `samples`
-    seeded random hyperplanes are tried and `certified` records whether the
-    winner met the bound.  Ties break to the lexicographically first
-    functional.
+    The hyperplane ker(f) keeps every support coordinate whose column is not
+    proportional to f, so the best hyperplane is the functional of the
+    largest column class, with support |supp(V)| minus that class's count.
+    Ties break to the lexicographically first functional, which is the
+    first largest key in `_column_classes`' ascending order.  This costs
+    one grouping of the O(v |supp(V)|) column entries, not a scan of the
+    (p^v - 1)/(p - 1) hyperplanes, so every dimension is searched exactly
+    and the averaging bound always holds: the result is always certified.
     """
     p, v = V.p, V.dim
     if v < 2:
         raise DimensionError("hyperplane reduction needs dimension at least 2")
-    support = subspace_support(V)
-    total = len(support)
-    count = (p**v - 1) // (p - 1)
+    total = len(subspace_support(V))
     classes = _column_classes(V)
-    bound_num = (p**v - p) * total
-    bound_den = p**v - 1
-
-    if count <= cap:
-        mode = "exact"
-        best_f = None
-        best_size = None
-        # equivalent to scanning all functionals: any functional missing
-        # every column class keeps the full support
-        max_count = max(classes.values())
-        for f in hyperplane_functionals(v, p):
-            if classes.get(tuple(f), 0) == max_count:
-                best_f = f
-                best_size = total - max_count
-                break
-        if best_f is None:
-            raise InvariantError("no hyperplane functional attains the largest column class")
-    else:
-        mode = "sampled"
-        rng = np.random.default_rng(seed)
-        best_f = None
-        best_size = None
-        for _ in range(samples):
-            f = rng.integers(0, p, size=v)
-            if not f.any():
-                continue
-            nz = int(np.flatnonzero(f)[0])
-            f = (f * pow(int(f[nz]), -1, p)) % p
-            size = total - classes.get(tuple(int(x) for x in f), 0)
-            if best_size is None or size < best_size:
-                best_f, best_size = f.astype(np.int64), size
-        if best_f is None:
-            best_f = next(hyperplane_functionals(v, p))
-            best_size = total - classes.get(tuple(best_f), 0)
-
-    certified = best_size * bound_den <= bound_num
-    if mode == "exact" and not certified:
-        raise InvariantError("averaging bound must hold in exact mode")
+    best_f = max(classes, key=classes.get)
+    best_size = total - classes[best_f]
+    if best_size * (p**v - 1) > (p**v - p) * total:
+        raise InvariantError("the largest column class misses the averaging bound")
     sub = hyperplane_subspace(V, best_f)
     if len(subspace_support(sub)) != best_size:
         raise InvariantError("hyperplane support differs from its column-class count")
-    return HyperplaneResult(subspace=sub, support_size=best_size, certified=certified, mode=mode)
+    return HyperplaneResult(subspace=sub, support_size=best_size, certified=True, mode="exact")
 
 
 @dataclass(frozen=True)
@@ -188,41 +150,34 @@ class ReductionResult:
     mode: str
 
 
-def reduce_to_dimension(
-    V: FpSubspace, w: int, cap: int = ENUMERATION_CAP, samples: int = SAMPLE_COUNT, seed: int = 0
-) -> ReductionResult:
+def reduce_to_dimension(V: FpSubspace, w: int) -> ReductionResult:
     """Iterate hyperplane reduction from dim v down to dim w (1 <= w < v).
 
-    The result subspace sits inside V; in exact mode its support is at most
-    the chain bound (and hence the uniform bound) times |supp(V)|.
+    The result subspace sits inside V, and its support is at most the chain
+    bound (and hence the uniform bound) times |supp(V)|; both are checked
+    on every call.
     """
     v = V.dim
     if not 1 <= w < v:
-        raise DimensionError(f"target dimension {w} not in [1, {v - 1}]")
-    start_support = len(subspace_support(V))
+        raise DimensionError(
+            f"target dimension {w} must be at least 1 and below the input dimension {v}"
+        )
     cur = V
-    certified = True
-    mode = "exact"
-    step_index = 0
     while cur.dim > w:
-        step = best_hyperplane(cur, cap=cap, samples=samples, seed=seed + step_index)
-        certified = certified and step.certified
-        if step.mode == "sampled":
-            mode = "sampled"
-        cur = step.subspace
-        step_index += 1
+        cur = best_hyperplane(cur).subspace
     if not V.contains_subspace(cur):
         raise InvariantError("reduced subspace is not inside the input subspace")
+    start_support = len(subspace_support(V))
     chain = chain_factor(V.p, v, w) * start_support
     uniform = uniform_factor(V.p, w) * start_support
     size = len(subspace_support(cur))
-    if mode == "exact" and size > chain:
-        raise InvariantError("chain bound must hold in exact mode")
+    if size > chain:
+        raise InvariantError("chain bound must hold for the reduced subspace")
     return ReductionResult(
         subspace=cur,
         support_size=size,
         chain_bound=chain,
         uniform_bound=uniform,
-        certified=certified,
-        mode=mode,
+        certified=True,
+        mode="exact",
     )

@@ -251,7 +251,7 @@ def _record(level, index, K, dp, family, **step_fields):
     )
 
 
-def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int, seed: int = 0) -> DescentReport:
+def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentReport:
     """Run the descent pipeline to the requested depth.
 
     Starts from the first u echelon classes of the presentation complex.
@@ -301,9 +301,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int, seed: int = 0
             p,
             cov.total.num_edges,
         )
-        reduction = reduce_to_dimension(span, u, seed=seed)
-        if not reduction.certified:
-            notes.append(f"level {level}: sampled reduction missed the averaging bound")
+        reduction = reduce_to_dimension(span, u)
         bound = chain_factor(p, fam.size, u)
         records.append(_record(*here, quotient_rank=n, bound_factor=bound, wedge_count=fam.size))
         old_support = records[-1].support_size

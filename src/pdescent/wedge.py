@@ -22,7 +22,6 @@ from .complexes import (
     EdgePath,
     class_coordinates,
     cocycle_from_coordinates,
-    combine_cochains,
     face_sums,
 )
 from .covers import CoveringMap, vertex_values
@@ -116,9 +115,8 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     reps = cov.deck_orbit_representatives()
     constraints = face_sums(cov.total, span_matrix)[:, reps].T % p
     combos = fplinalg.kernel_basis(constraints, p)
-    cocycle_basis = tuple(
-        combine_cochains(span_basis, combo, p) for combo in combos
-    )
+    # entries are below p <= 2**16, so the product is exact in int64
+    cocycle_basis = tuple(Cochain(cov.total, p, row) for row in combos @ span_matrix % p)
     for c in cocycle_basis:
         # one face per orbit suffices; verify the full condition anyway
         if not c.is_cocycle():

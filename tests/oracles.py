@@ -4,10 +4,11 @@ Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
 routines is meaningful.  The full-recount expansion routines, the
 tuple-label cover builder and path lift, the dense H^1 basis, the
-column-class loop, the greedy complement scan, the edge-loop heuristic
-Cheeger sweep and the every-vertex greedy descent are the package's
-earlier implementations, kept as references; the expansion routines and
-the column-class loop use numpy.
+column-class loop, the hyperplane functional scan, the greedy complement
+scan, the edge-loop heuristic Cheeger sweep and the every-vertex greedy
+descent are the package's earlier implementations, kept as references;
+the expansion routines, the column-class loop and the functional scan
+use numpy.
 Nothing in this module imports the package: complexes, graphs and
 cochains are read through their attributes only.
 """
@@ -505,6 +506,37 @@ def column_classes_by_loop(basis, p):
         key = tuple(int(x) for x in (col * inv) % p)
         classes[key] = classes.get(key, 0) + 1
     return classes
+
+
+def best_hyperplane_by_functional_scan(basis, p):
+    """The minimum-support hyperplane of span(basis) by scanning functionals.
+
+    The exact scan that `plotkin.best_hyperplane` replaced: every
+    functional f with first nonzero coefficient 1, in lexicographic order,
+    where ker(f) keeps every support coordinate whose column is not
+    proportional to f.  The first f of smallest support wins.  Returns
+    (support size, reduced echelon basis of ker(f) as row lists).
+    """
+    basis = np.asarray(basis, dtype=np.int64) % p
+    v = basis.shape[0]
+    classes = column_classes_by_loop(basis, p)
+    total = sum(classes.values())
+    best = None
+    for f in itertools.product(range(p), repeat=v):
+        if not any(f) or f[next(i for i, x in enumerate(f) if x)] != 1:
+            continue
+        size = total - classes.get(f, 0)
+        if best is None or size < best[1]:
+            best = (f, size)
+    f, size = best
+    lead = next(i for i, x in enumerate(f) if x)
+    kernel = [
+        [(int(a) - f[i] * int(b)) % p for a, b in zip(basis[i], basis[lead])]
+        for i in range(v)
+        if i != lead
+    ]
+    rows, rank = mod_rref(kernel, p)
+    return size, rows[:rank]
 
 
 def dense_cocycle_coordinates(K, p):

@@ -238,6 +238,14 @@ def test_reduce_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_reduce_out_of_range_names_the_input_dimension(tmp_path, capsys):
+    zero = write(tmp_path, "zero.txt", "p = 3\nrow = 0 0 0 0\nrow = 0 0 0 0\n")
+    assert main(["reduce", zero, "--u", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "pdescent: target dimension 1 must be at least 1 and below the input dimension 0\n"
+    )
+
+
 def test_cheeger_command(tmp_path, capsys):
     path = write(tmp_path, "f2.txt", F2)
     code, out = run(capsys, ["cheeger", path])
@@ -354,6 +362,8 @@ GOLDEN = [
     (["cheeger", "genus2_p3.txt", "--series", "rank:2", "--depth", "2", "--mode", "heuristic",
       "--seed", "3"],
      "cheeger_p3_rank2_depth2_heuristic_seed3.json"),
+    (["reduce", "matrix_p3_v8.txt", "--u", "2"], "reduce_p3_v8_u2.json"),
+    (["reduce", "matrix_p2_v12.txt", "--u", "3"], "reduce_p2_v12_u3.json"),
 ]
 
 

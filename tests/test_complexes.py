@@ -508,7 +508,7 @@ def test_edge_ends_table_and_reachability(case):
     reached = {0}
     for _ in range(n):
         reached |= {b for a, b in edges if a in reached} | {a for a, b in edges if b in reached}
-    assert ends.reaches_all() == (len(reached) == n)
+    assert ends.reaches_all == (len(reached) == n)
 
 
 def test_edge_ends_reject_out_of_range_ends():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdescent.errors import DimensionError
 from pdescent.fplinalg import FpSubspace, subspace_support
@@ -17,6 +19,7 @@ from pdescent.plotkin import (
 
 from oracles import (
     all_hyperplane_supports,
+    best_hyperplane_by_functional_scan,
     brute_min_hyperplane_support,
     column_classes_by_loop,
     mod_rank,
@@ -120,19 +123,80 @@ def test_best_hyperplane_is_true_minimum():
         assert result.subspace.dim == dim - 1
 
 
-def test_best_hyperplane_sampled_mode():
-    rng = np.random.default_rng(83)
-    rows = random_subspace_rows(rng, 2, 4, 9)
-    V = FpSubspace.from_rows(np.array(rows), 2, 9)
-    result = best_hyperplane(V, cap=2, samples=64, seed=5)
-    assert result.mode == "sampled"
-    assert result.subspace.dim == 3
-    # sampled search may miss the bound but must report it honestly
-    bound = Fraction(2**4 - 2, 2**4 - 1) * len(subspace_support(V))
-    assert result.certified == (result.support_size <= bound)
-    # determinism under a fixed seed
-    again = best_hyperplane(V, cap=2, samples=64, seed=5)
-    assert np.array_equal(again.subspace.basis, result.subspace.basis)
+def _lead_zero_worst_case(p, v, copies=40):
+    """The identity plus `copies` equal columns leading at coordinate 0.
+
+    One functional in (p^v - 1)/(p - 1) kills the copies, so the exact
+    minimum hyperplane support is v, and a random hyperplane almost surely
+    keeps all v + copies coordinates.
+    """
+    col = np.ones((v, 1), dtype=np.int64)
+    col[0] = p - 1
+    rows = np.hstack([np.eye(v, dtype=np.int64), np.repeat(col, copies, axis=1)])
+    return FpSubspace.from_rows(rows, p)
+
+
+@pytest.mark.parametrize("p, v", [(2, 22), (3, 14)])
+def test_best_hyperplane_over_cap_is_exact(p, v):
+    # over 2**20 hyperplanes: still the exact minimum, read off the classes
+    V = _lead_zero_worst_case(p, v)
+    assert (p**v - 1) // (p - 1) > 2**20
+    result = best_hyperplane(V)
+    assert result.mode == "exact" and result.certified
+    assert result.support_size == v == len(subspace_support(result.subspace))
+    assert result.subspace.dim == v - 1
+    assert not result.subspace.basis[:, v:].any()
+    assert V.contains_subspace(result.subspace)
+
+
+def test_reduce_over_cap_meets_the_chain_bound():
+    V = _lead_zero_worst_case(2, 22)
+    result = reduce_to_dimension(V, 1)
+    assert result.mode == "exact" and result.certified
+    assert result.subspace.dim == 1
+    assert result.support_size == len(subspace_support(result.subspace))
+    assert result.support_size <= result.chain_bound == chain_factor(2, 22, 1) * (22 + 40)
+    assert V.contains_subspace(result.subspace)
+
+
+@st.composite
+def classed_subspaces(draw):
+    """Subspaces whose columns repeat, scale one another, or vanish."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    v = draw(st.integers(2, 6))
+    ambient = draw(st.integers(v, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, p, size=(v, ambient))
+    rows[:, rng.integers(0, ambient, size=draw(st.integers(0, ambient // 2)))] = 0
+    src, dst = rng.integers(0, ambient, size=(2, draw(st.integers(0, ambient))))
+    rows[:, dst] = rows[:, src] * rng.integers(1, p, size=dst.size) % p
+    V = FpSubspace.from_rows(rows, p)
+    assume(V.dim >= 2)
+    return V
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(classed_subspaces())
+def test_best_hyperplane_matches_the_functional_scan(V):
+    size, rows = best_hyperplane_by_functional_scan(V.basis, V.p)
+    result = best_hyperplane(V)
+    assert result.support_size == size
+    assert result.subspace.basis.tolist() == rows
+
+
+def test_reduce_repeats_identically():
+    rng = np.random.default_rng(97)
+    for V in (
+        FpSubspace.from_rows(np.array(random_subspace_rows(rng, 2, 5, 10)), 2, 10),
+        FpSubspace.from_rows(np.array(random_subspace_rows(rng, 3, 4, 9)), 3, 9),
+        _lead_zero_worst_case(2, 22),
+    ):
+        a, b = best_hyperplane(V), best_hyperplane(V)
+        assert np.array_equal(a.subspace.basis, b.subspace.basis)
+        assert a.support_size == b.support_size
+        a, b = reduce_to_dimension(V, 2), reduce_to_dimension(V, 2)
+        assert np.array_equal(a.subspace.basis, b.subspace.basis)
+        assert a.support_size == b.support_size
 
 
 def test_reduce_to_dimension_contract():
@@ -144,7 +208,7 @@ def test_reduce_to_dimension_contract():
         w = int(rng.integers(1, v))
         rows = random_subspace_rows(rng, p, v, ambient)
         V = FpSubspace.from_rows(np.array(rows), p, ambient)
-        result = reduce_to_dimension(V, w, seed=3)
+        result = reduce_to_dimension(V, w)
         assert result.subspace.dim == w
         assert result.mode == "exact"
         assert result.certified
@@ -161,17 +225,6 @@ def test_reduce_rejects_bad_target():
         reduce_to_dimension(V, 0)
     with pytest.raises(DimensionError):
         reduce_to_dimension(V, 3)
-
-
-def test_reduce_seeded_sampling_deterministic():
-    rng = np.random.default_rng(97)
-    rows = random_subspace_rows(rng, 2, 5, 10)
-    V = FpSubspace.from_rows(np.array(rows), 2, 10)
-    a = reduce_to_dimension(V, 2, cap=4, samples=32, seed=11)
-    b = reduce_to_dimension(V, 2, cap=4, samples=32, seed=11)
-    assert a.mode == "sampled"
-    assert np.array_equal(a.subspace.basis, b.subspace.basis)
-    assert a.support_size == b.support_size
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65521])
