@@ -93,6 +93,9 @@ def parse_matrix_file(text: str) -> tuple[np.ndarray, int]:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             if not rows[-1]:
                 raise ParseError(f"line {lineno}: empty row")
+            for x in rows[-1]:
+                if not -(2**63) <= x < 2**63:
+                    raise ParseError(f"line {lineno}: entry {x} does not fit in a 64-bit integer")
             if len(rows[-1]) != len(rows[0]):
                 raise ParseError(f"line {lineno}: row length differs from first row")
         else:

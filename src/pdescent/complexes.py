@@ -178,7 +178,8 @@ class CellArrays:
     bfs_vertices holds every vertex but the basepoint in BFS order, reached
     from parent_vertex along parent_edge traversed in direction
     parent_sign; v sits at bfs_index[v] (-1 for the basepoint), and
-    layers[k] = (lo, hi) slices the vertices at tree distance k + 1.
+    layers[k] = (lo, hi) slices the vertices at tree distance k + 1.  The
+    tree is the one `EdgeEnds.tree_ends` builds from the basepoint.
     """
 
     init: np.ndarray
@@ -207,6 +208,8 @@ class EdgeEnds:
     The ends at vertex v are offsets[v]:offsets[v + 1].  End i belongs to
     vertex[i] and reaches other[i] along edge[i]; sign[i] is +1 at the
     edge's init end and -1 at its term end.  Loops have no ends here.
+    One breadth-first search, `tree_ends`, walks the table: it builds the
+    spanning tree of every complex and answers `reaches_all`.
     """
 
     offsets: np.ndarray
@@ -233,29 +236,42 @@ class EdgeEnds:
             value.flags.writeable = False
         return ends
 
+    def tree_ends(self, root: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+        """A breadth-first spanning tree from root, as the ends that build it.
+
+        picks[i] is the end that first reaches the i-th vertex found, so
+        other[picks] lists the vertices reached in discovery order, and
+        layers[k] = (lo, hi) slices those at tree distance k + 1.  Each
+        layer scans the ends of its frontier in frontier order, each vertex's
+        in edge-index order, and a vertex joins the tree through the first
+        end that reaches it: first frontier vertex, then lowest edge index.
+        """
+        n = len(self.offsets) - 1
+        reached = np.zeros(n, dtype=bool)
+        reached[root] = True
+        slot = np.empty(n, dtype=np.int64)
+        frontier, picks = np.array([root], dtype=np.int64), []
+        while frontier.size:  # one layer per pass; the last finds no vertex
+            start = self.offsets[frontier]
+            count = self.offsets[frontier + 1] - start
+            # the ends of each frontier vertex, laid out one vertex after another
+            index = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+            index = index[~reached[self.other[index]]]
+            found = self.other[index]
+            # keep the first end per new vertex: written back to front, it is
+            # written last; O(len(found)) and with no sort
+            slot[found[::-1]] = index[::-1]
+            picks.append(index[slot[found] == index])
+            frontier = self.other[picks[-1]]
+            reached[frontier] = True
+        bounds = np.cumsum([0, *map(len, picks)]).tolist()
+        return np.concatenate(picks), tuple(zip(bounds, bounds[1:-1]))
+
     @cached_property
     def reaches_all(self) -> bool:
         """True when a search from vertex 0 reaches every vertex (searched once)."""
         n = len(self.offsets) - 1
-        if n == 0:
-            return False
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
-        slot = np.empty(n, dtype=np.int64)
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:  # one BFS layer per pass
-            lo = self.offsets[frontier]
-            count = self.offsets[frontier + 1] - lo
-            # the ends of each frontier vertex, laid out one vertex after another
-            shift = np.repeat(lo - np.cumsum(count) + count, count)
-            found = self.other[shift + np.arange(len(shift))]
-            found = found[~reached[found]]
-            # keep one copy of each vertex (the last), in O(len(found)) and with no sort
-            index = np.arange(len(found))
-            slot[found] = index
-            frontier = found[slot[found] == index]
-            reached[frontier] = True
-        return bool(reached.all())
+        return n > 0 and len(self.tree_ends(0)[0]) == n - 1
 
 
 def _index_array(values, name: str) -> np.ndarray:
@@ -267,15 +283,18 @@ def _index_array(values, name: str) -> np.ndarray:
 
 
 def _cell_arrays(num_vertices, basepoint, *cells) -> CellArrays:
-    """Check the cells of a complex, all steps at once, and add a BFS spanning tree."""
+    """Check the cells of a complex, all steps at once, and add a BFS spanning tree.
+
+    The edge-end table that checks the endpoints also gives the tree, through
+    `EdgeEnds.tree_ends`; the complex keeps only the arrays, not the table.
+    """
     if not 0 <= basepoint < num_vertices:
         raise ValueError("basepoint out of range (a complex needs at least one vertex)")
     names = ("init", "term", "face_edges", "face_signs", "face_starts")
     init, term, face_edges, face_signs, face_starts = map(_index_array, cells, names)
     if init.shape != term.shape or face_edges.shape != face_signs.shape:
         raise ValueError("paired cell arrays differ in length")
-    if np.any((init < 0) | (init >= num_vertices) | (term < 0) | (term >= num_vertices)):
-        raise ValueError("edge endpoint out of range")
+    ends = EdgeEnds.of(num_vertices, init, term)  # checks the edge endpoints
     steps = len(face_edges)
     gaps = np.diff(face_starts, prepend=0, append=steps)
     if gaps[0] != 0 or np.any(gaps[1:] < 1):
@@ -293,39 +312,17 @@ def _cell_arrays(num_vertices, basepoint, *cells) -> CellArrays:
         j = int(np.searchsorted(face_starts, bad[0], side="right")) - 1
         k = int(bad[0] - face_starts[j])
         raise ValueError(f"face {j} is not a closed path of edge steps (fails at step {k})")
-    # adjacency lists in edge-index order reproduce a BFS that scans the
-    # edges in index order at each vertex; loops never join the tree
-    adjacent = [[] for _ in range(num_vertices)]
-    for e, (a, b) in enumerate(zip(init.tolist(), term.tolist())):
-        if a != b:
-            adjacent[a].append((e, b, 1))
-            adjacent[b].append((e, a, -1))
-    seen = [False] * num_vertices
-    seen[basepoint] = True
-    order, parents, layers = [], [], []
-    frontier = [basepoint]
-    while frontier:  # one BFS layer per pass
-        lo = len(order)
-        for v in frontier:
-            for e, w, d in adjacent[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-                    parents.append((v, e, d))
-        frontier = order[lo:]
-        if frontier:
-            layers.append((lo, len(order)))
+    picks, layers = ends.tree_ends(basepoint)
+    order, parent_edge = ends.other[picks], ends.edge[picks]
     if len(order) < num_vertices - 1:
-        raise ValueError(f"complex is not connected (vertex {seen.index(False)} unreachable)")
-    parents = np.array(parents, dtype=np.int64).reshape(-1, 3).T.copy()  # vertex, edge, sign
-    bfs_index = np.full(num_vertices, -1)
+        missed = np.setdiff1d(np.arange(num_vertices), np.append(order, basepoint))[0]
+        raise ValueError(f"complex is not connected (vertex {missed} unreachable)")
+    bfs_index = np.full(num_vertices, -1, dtype=np.int64)
     bfs_index[order] = np.arange(len(order))
-    is_tree = np.zeros(len(init), dtype=bool)
-    is_tree[parents[1]] = True
-    non_tree, order = np.flatnonzero(~is_tree), np.array(order, dtype=np.int64)
+    non_tree = np.delete(np.arange(len(init)), parent_edge)
     return CellArrays(
-        init, term, face_edges, face_signs, face_starts, non_tree, order, bfs_index, *parents,
-        layers=tuple(layers),
+        init, term, face_edges, face_signs, face_starts, non_tree, order, bfs_index,
+        ends.vertex[picks], parent_edge, ends.sign[picks], layers,
     )
 
 
@@ -335,8 +332,8 @@ class TwoComplex:
     The constructor takes edges as (init, term) pairs and faces as closed
     attaching paths of (edge, direction) steps; `from_arrays` takes the
     arrays.  Both run the same checks and build a BFS spanning tree from
-    the basepoint (edges explored in index order), giving deterministic
-    tree paths and fundamental loops.  `edges`, `faces`, `tree_edges` and
+    the basepoint (`EdgeEnds.tree_ends`), giving deterministic tree paths
+    and fundamental loops.  `edges`, `faces`, `tree_edges` and
     `non_tree_edges` are views of the arrays, built on first read.
     """
 

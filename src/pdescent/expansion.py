@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 MAX_EXACT_VERTICES = 24
+SWEEPS = 8
 RELSIZE_CAP = 2**20
 
 
@@ -93,18 +94,12 @@ def _sweep_min(ends: EdgeEnds, orders) -> tuple[int, int] | None:
     return int(cuts[i]), int(sizes[i])
 
 
-def cheeger_constant(
-    graph: SkeletonGraph,
-    mode: str = "exact",
-    max_exact_vertices: int = MAX_EXACT_VERTICES,
-    seed: int = 0,
-    sweeps: int = 8,
-) -> Fraction:
+def cheeger_constant(graph: SkeletonGraph, mode: str = "exact", seed: int = 0) -> Fraction:
     """Cheeger constant of a connected multigraph with at least 2 vertices.
 
-    Exact mode enumerates all cuts (|V| limited); heuristic mode sweeps the
-    algebraic-connectivity eigenvector plus seeded random directions and
-    returns an upper bound only.
+    Exact mode enumerates all cuts, on at most MAX_EXACT_VERTICES vertices;
+    heuristic mode sweeps the algebraic-connectivity eigenvector plus SWEEPS
+    random directions drawn from seed, and returns an upper bound only.
     """
     n = graph.num_vertices
     if n < 2:
@@ -113,9 +108,9 @@ def cheeger_constant(
     if not ends.reaches_all:
         raise ValueError("graph is not connected")
     if mode == "exact":
-        if n > max_exact_vertices:
+        if n > MAX_EXACT_VERTICES:
             raise EnumerationCapError(
-                f"exact mode limited to {max_exact_vertices} vertices, got {n}"
+                f"exact mode limited to {MAX_EXACT_VERTICES} vertices, got {n}"
             )
         plain = [(u, v) for u, v in graph.edges if u != v]
         best_cut, best_size = None, 1
@@ -146,7 +141,7 @@ def cheeger_constant(
         _, vecs = np.linalg.eigh(lap)
         orders = [np.argsort(vecs[:, 1], kind="stable")]
         rng = np.random.default_rng(seed)
-        for _ in range(sweeps):
+        for _ in range(SWEEPS):
             direction = rng.standard_normal(n)
             orders.append(np.argsort(direction, kind="stable"))
         return Fraction(*_sweep_min(ends, orders))
@@ -248,18 +243,17 @@ def _greedy_descent(K: TwoComplex, alpha: Cochain) -> tuple[Cochain, int]:
     return Cochain(K, p, reps), best
 
 
-def relative_size(
-    K: TwoComplex, alpha: Cochain, mode: str = "exact", cap: int = RELSIZE_CAP
-) -> Fraction:
+def relative_size(K: TwoComplex, alpha: Cochain, mode: str = "exact") -> Fraction:
     """min |supp(alpha + df)| / |E| over vertex potentials f.
 
-    Exact mode enumerates all potentials; upper mode runs a greedy
-    single-vertex descent and only upper-bounds the true value.
+    Exact mode enumerates all potentials, at most RELSIZE_CAP of them; upper
+    mode runs a greedy single-vertex descent and only upper-bounds the true
+    value.
     """
     if K.num_edges == 0:
         raise ValueError("relative size needs at least one edge")
     if mode == "exact":
-        _, size = minimum_support_representative(K, alpha, cap=cap)
+        _, size = minimum_support_representative(K, alpha)
         return Fraction(size, K.num_edges)
     if mode == "upper":
         _check_nontrivial(K, alpha)
@@ -283,19 +277,20 @@ class ExpansionReport:
 
 
 def expansion_bound_report(
-    cov: CoveringMap, alpha: Cochain, cheeger_mode: str = "exact", cap: int = RELSIZE_CAP
+    cov: CoveringMap, alpha: Cochain, cheeger_mode: str = "exact"
 ) -> ExpansionReport:
     """Check the expansion bound of a p-cover against a defining class.
 
     alpha must be a base cocycle with nontrivial class whose vertex values
-    are defined on the cover.  Uses exact relative size on the base and the
-    requested Cheeger mode on the total 1-skeleton; the reported Cheeger
-    value is the smaller of that and the zero class's cut ratio, which
-    leaves exact mode unchanged and tightens the heuristic upper bound.
+    are defined on the cover.  Uses exact relative size on the base (at
+    most RELSIZE_CAP potentials) and the requested Cheeger mode on the
+    total 1-skeleton; the reported Cheeger value is the smaller of that and
+    the zero class's cut ratio, which leaves exact mode unchanged and
+    tightens the heuristic upper bound.
     """
     p = alpha.p
     _check_nontrivial(cov.base, alpha)
-    rep, size = minimum_support_representative(cov.base, alpha, cap=cap)
+    rep, size = minimum_support_representative(cov.base, alpha)
     relsize = Fraction(size, cov.base.num_edges)
     # the cut argument needs the value table of the minimizing representative
     values = vertex_values(cov, rep)

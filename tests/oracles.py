@@ -73,13 +73,15 @@ def edge_scan_spanning_tree(num_vertices, edges, basepoint):
     Layer by layer from the basepoint; at each vertex the edges are taken
     in index order, and an edge joins the tree when it leads to an unseen
     vertex (forwards from its initial vertex, backwards from its terminal
-    one).  Returns (parent, tree_edges, non_tree_edges) where parent[v] is
-    (previous vertex, edge, direction), or None for the basepoint.
+    one).  Returns (parent, tree_edges, non_tree_edges, order, layers) where
+    parent[v] is (previous vertex, edge, direction), or None for the
+    basepoint; order lists the other vertices as they are found, and
+    layers[k] = (lo, hi) slices those at distance k + 1.
     """
     parent = [None] * num_vertices
     seen = [False] * num_vertices
     seen[basepoint] = True
-    tree = []
+    tree, order, layers = [], [], []
     queue = [basepoint]
     while queue:
         frontier = []
@@ -95,9 +97,13 @@ def edge_scan_spanning_tree(num_vertices, edges, basepoint):
                     parent[a] = (v, e, -1)
                     tree.append(e)
                     frontier.append(a)
+        if frontier:
+            layers.append((len(order), len(order) + len(frontier)))
+            order += frontier
         queue = frontier
     tree = set(tree)
-    return parent, tree, tuple(e for e in range(len(edges)) if e not in tree)
+    non_tree = tuple(e for e in range(len(edges)) if e not in tree)
+    return parent, tree, non_tree, order, tuple(layers)
 
 
 def tree_path_steps(parent, v):

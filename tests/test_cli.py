@@ -238,6 +238,22 @@ def test_reduce_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_reduce_rejects_entries_beyond_int64(tmp_path, capsys):
+    text = "p = 3\nrow = 1 0 {}\nrow = 0 1 {}\n"
+    big = write(tmp_path, "big.txt", text.format(1, 99999999999999999999))
+    assert main(["reduce", big, "--u", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "pdescent: line 3: entry 99999999999999999999 does not fit in a 64-bit integer\n"
+    )
+    low = write(tmp_path, "low.txt", text.format(-(2**63) - 1, 0))
+    assert main(["reduce", low, "--u", "1", "--p", "5"]) == 2
+    assert "line 2: entry -9223372036854775809 does not fit" in capsys.readouterr().err
+    # the int64 extremes themselves are read, and reduced mod p after --p
+    edge = write(tmp_path, "edge.txt", text.format(-(2**63), 2**63 - 1))
+    assert main(["reduce", edge, "--u", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == [[1, 0, 1]]
+
+
 def test_reduce_out_of_range_names_the_input_dimension(tmp_path, capsys):
     zero = write(tmp_path, "zero.txt", "p = 3\nrow = 0 0 0 0\nrow = 0 0 0 0\n")
     assert main(["reduce", zero, "--u", "1"]) == 2

@@ -146,6 +146,24 @@ def test_malformed_cells_are_rejected_by_both_entry_points(num_vertices, edges, 
         )
 
 
+@pytest.mark.parametrize(
+    "num_vertices, edges, basepoint, missed",
+    [
+        (6, [(2, 3), (4, 3), (3, 3)], 3, 0),  # 0, 1 and 5 isolated
+        (7, [(0, 1), (5, 6), (1, 1)], 1, 2),  # 2, 3, 4 isolated; 5-6 a second component
+        (5, [(4, 1), (1, 0), (0, 4)], 4, 2),  # 2 and 3 isolated, after a triangle
+    ],
+)
+def test_disconnected_complex_names_lowest_unreachable_vertex(
+    num_vertices, edges, basepoint, missed
+):
+    message = f"complex is not connected \\(vertex {missed} unreachable\\)"
+    with pytest.raises(ValueError, match=message):
+        TwoComplex(num_vertices, edges, basepoint=basepoint)
+    with pytest.raises(ValueError, match=message):
+        TwoComplex.from_arrays(num_vertices, *zip(*edges), [], [], [], basepoint=basepoint)
+
+
 def test_from_arrays_matches_constructor():
     edges = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (1, 3), (3, 3)]
     faces = [((0, 1),), ((1, 1), (2, 1)), ((3, 1), (7, 1), (6, 1), (4, 1))]
@@ -186,11 +204,41 @@ def test_spanning_tree_matches_edge_scan_bfs():
     faces = [((0, 1),), ((1, 1), (2, 1)), ((3, 1), (7, 1), (6, 1), (4, 1))]
     complexes += [TwoComplex(4, edges, faces, basepoint=b) for b in (0, 2)]
     for K in complexes:
-        parent, tree, non_tree = edge_scan_spanning_tree(K.num_vertices, K.edges, K.basepoint)
+        parent, tree, non_tree, *_ = edge_scan_spanning_tree(K.num_vertices, K.edges, K.basepoint)
         assert K.tree_edges == tree
         assert K.non_tree_edges == non_tree
         for v in range(K.num_vertices):
             assert K.tree_path(v) == EdgePath(K.basepoint, tree_path_steps(parent, v))
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A vertex count, edges laid over a random spanning path, and a basepoint.
+
+    Loops and parallel edges are allowed; edges are shuffled and flipped at
+    random, so the path's edges may come in any order and direction.
+    """
+    n = draw(st.integers(1, 10))
+    path = draw(st.permutations(range(n)))
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    edges = draw(st.permutations([*zip(path, path[1:]), *extra]))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [e[::-1] if f else e for e, f in zip(edges, flips)], draw(vertex)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(connected_multigraphs())
+def test_spanning_tree_arrays_match_edge_scan_bfs(case):
+    n, edges, basepoint = case
+    a = TwoComplex(n, edges, basepoint=basepoint).arrays
+    parent, _, non_tree, order, layers = edge_scan_spanning_tree(n, edges, basepoint)
+    assert a.bfs_vertices.tolist() == order
+    assert a.layers == layers
+    assert a.bfs_index.tolist() == [order.index(v) if v in order else -1 for v in range(n)]
+    parents = zip(a.parent_vertex.tolist(), a.parent_edge.tolist(), a.parent_sign.tolist())
+    assert list(parents) == [parent[v] for v in order]
+    assert tuple(a.non_tree.tolist()) == non_tree
 
 
 def test_edge_path_reverse_then():
