@@ -498,20 +498,8 @@ def boundary_matrices(K: TwoComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
     return d1 % p, d2 % p
 
 
-def _step_rows(count: int, rows, cols, signs) -> list[dict]:
-    """`count` sparse rows of {column: signed count}, built from steps.
-
-    Step i adds signs[i] at column cols[i] of row rows[i], so a column
-    that a row repeats gets the sum of its signs.
-    """
-    out = [{} for _ in range(count)]
-    for j, k, d in zip(rows.tolist(), cols.tolist(), signs.tolist()):
-        out[j][k] = out[j].get(k, 0) + d
-    return out
-
-
-def _face_rows(K: TwoComplex) -> list[dict]:
-    """The tree-contracted face rows: {non-tree index: signed count} per face.
+def _face_rows(K: TwoComplex, p: int):
+    """The tree-contracted face rows over the non-tree edges, as `fplinalg.sparse_rows`.
 
     A cochain vanishing on the spanning tree is its values on the non-tree
     edges, so each face constraint keeps only those steps (repeated edges
@@ -523,7 +511,7 @@ def _face_rows(K: TwoComplex) -> list[dict]:
     cols = index[a.face_edges]
     steps = np.flatnonzero(cols >= 0)
     faces = np.searchsorted(a.face_starts, steps, side="right") - 1
-    return _step_rows(K.num_faces, faces, cols[steps], a.face_signs[steps])
+    return fplinalg.sparse_rows(faces, cols[steps], a.face_signs[steps], K.num_faces, p)
 
 
 def h1_dimension(K: TwoComplex, p: int) -> int:
@@ -534,7 +522,7 @@ def h1_dimension(K: TwoComplex, p: int) -> int:
     """
     p = fplinalg.validate_prime(p)
     n = len(K.arrays.non_tree)
-    return n - fplinalg.sparse_kernel(_face_rows(K), n, p)[0]
+    return n - fplinalg.sparse_kernel(_face_rows(K, p), n, p)[0]
 
 
 class CocycleBasis(Sequence):
@@ -575,38 +563,36 @@ def h1_cocycle_basis(K: TwoComplex, p: int) -> CocycleBasis:
     built only when it is read.
     """
     p = fplinalg.validate_prime(p)
-    rows = _face_rows(K)
+    rows = _face_rows(K, p)
     rank, free, row = fplinalg.sparse_kernel(rows, len(K.arrays.non_tree), p)
-    # an elimination with another pivot rule must find the same rank
-    if rank != fplinalg.sparse_rank(_newest_first(rows), p):
+    # an elimination with another pivot rule, on other labels, must find the same rank
+    ptr, cols, vals = rows
+    label = _newest_first(cols)
+    faces = np.repeat(np.arange(K.num_faces), np.diff(ptr))
+    # re-sort each row by its new labels; they lie in (-len(cols), 0], so rows stay apart
+    order = np.argsort(faces * len(cols) + label, kind="stable")
+    if rank != fplinalg.sparse_rank((ptr, label[order], vals[order]), p):
         raise InvariantError("cocycle basis size differs from dim H_1(K; F_p)")
     return CocycleBasis(K, p, len(free), row)
 
 
-def _newest_first(rows) -> list[dict]:
-    """The rows with their columns relabelled 0, -1, -2, ... by first appearance.
+def _newest_first(cols) -> np.ndarray:
+    """Column labels 0, -1, -2, ... by first appearance in cols, which are >= 0.
 
-    `sparse_rank` pivots on a row's smallest label, which is then its
-    newest column, the one the fewest earlier rows share, so its pivot
-    rows stay short.  On the raw non-tree labels its pivot rows fill in:
-    2.2 million stored entries on a V=16384 cover of a descent tower,
-    against 41 thousand with these.
+    Over sparse rows laid out row after row, `sparse_rank` then pivots on
+    a row's newest column, the one the fewest earlier rows share, so its
+    pivot rows stay short.  On the raw non-tree labels its pivot rows fill
+    in: 2.2 million stored entries on a V=16384 cover of a descent tower,
+    against 41 thousand with these.  One pass, no sort: each column's
+    first position is the one written last when positions are written
+    back to front.
     """
-    label = {}
-    return [{label.setdefault(c, -len(label)): v for c, v in r.items()} for r in rows]
-
-
-def _newest_first_steps(cols) -> np.ndarray:
-    """The labels `_newest_first` gives, computed from step columns before rows are built.
-
-    One np.unique: on the lifted faces of the cyclic growth report this is
-    cheaper than relabelling their row dicts; the tree-contracted rows of
-    `h1_cocycle_basis` are built anyway, and relabelling those is cheaper.
-    """
-    _, first, inverse = np.unique(cols, return_index=True, return_inverse=True)
-    label = np.empty(len(first), dtype=np.int64)
-    label[np.argsort(first)] = -np.arange(len(first))
-    return label[inverse.reshape(-1)]
+    n = len(cols)
+    at = np.empty(int(cols.max()) + 1 if n else 0, dtype=np.int64)
+    at[cols[::-1]] = np.arange(n - 1, -1, -1)
+    first = at[cols] == np.arange(n)
+    at[cols[first]] = -np.arange(np.count_nonzero(first))
+    return at[cols]
 
 
 def coboundary(K: TwoComplex, potential, p: int) -> Cochain:

@@ -24,8 +24,7 @@ from .complexes import (
     Cochain,
     EdgePath,
     TwoComplex,
-    _newest_first_steps,
-    _step_rows,
+    _newest_first,
     class_coordinates,
     tree_potential,
 )
@@ -126,19 +125,19 @@ class CoveringMap:
         return [f * self.degree for f in range(self.base.num_faces)]
 
 
-def _lift_faces(K: TwoComplex, shifts, moduli, error=CocycleConditionError):
+def _lift_faces(K: TwoComplex, shifts, moduli):
     """Every face of K lifted from every deck rank, as CellArrays faces.
 
     The lift of face j from rank r is face j * degree + r.  Each lift must
     close, i.e. the shifts must sum to zero around every face mod moduli;
-    otherwise `error` names the first face whose lift does not.
+    otherwise CocycleConditionError names the first face whose lift does not.
     """
     ranks = np.arange(math.prod(moduli), dtype=np.int64)
     a = K.arrays
     faces, end = _lift(a.face_edges, a.face_signs, a.face_starts, shifts, moduli, ranks)
     bad = np.flatnonzero((end != ranks).any(axis=1))
     if len(bad):
-        raise error(f"face {bad[0]} attaching path does not close in the cover")
+        raise CocycleConditionError(f"face {bad[0]} attaching path does not close in the cover")
     return faces
 
 
@@ -252,18 +251,50 @@ def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
     return _build_shift_cover(K, w.reshape(-1, 1) % order, (order,))
 
 
-def _cyclic_face_rows(K: TwoComplex, w, order: int) -> list[dict]:
-    """The face rows of d2 of the Z/order cover of K, without building the cover.
+def _cyclic_face_steps(K: TwoComplex, w):
+    """The steps of the faces of K with their offsets over Z, once for every order.
 
-    w are weights that passed `_cyclic_weights`.  Row j * order + r is the
-    lift of face j from rank r, as {edge: signed count} over the cover's
-    edges, relabelled newest first for `fplinalg.sparse_rank`.  Such
-    weights sum to zero around every face, so a lift that does not close
-    is a bug.
+    w are weights that passed `_cyclic_weights`.  A step's offset is the
+    signed weight sum from its face's start up to it: before a forward
+    step, after a backward one.  The lift of a face from rank r then takes
+    the lift of the step's edge at rank (offset + r) mod n in the Z/n
+    cover.  Offsets are Python ints, so weights near 2**63 sum exactly.
+    Faces are padded to one length with copies of their last step of sign
+    0, which add nothing to any row.  Returns (edges, signs, offsets), each
+    |faces| x length.  Such weights sum to zero around every face, so a
+    face that does not close is a bug.
     """
-    edges, signs, starts = _lift_faces(K, w.reshape(-1, 1) % order, (order,), InvariantError)
-    faces = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(edges)))
-    return _step_rows(len(starts), faces, _newest_first_steps(edges), signs)
+    a = K.arrays
+    lengths = np.diff(a.face_starts, append=len(a.face_edges))
+    taken = np.concatenate([[0], np.cumsum(w.astype(object)[a.face_edges] * a.face_signs)])
+    opened, closed = taken[a.face_starts], taken[a.face_starts + lengths]
+    bad = np.flatnonzero(closed != opened)
+    if len(bad):
+        raise InvariantError(f"face {bad[0]} attaching path does not close in the cover")
+    leave = np.where(a.face_signs == 1, taken[:-1], taken[1:]) - np.repeat(opened, lengths)
+    # column k of face j is its step min(k, length - 1)
+    k = np.arange(lengths.max(initial=0))
+    at = a.face_starts[:, None] + np.minimum(k, lengths[:, None] - 1)
+    real = k < lengths[:, None]
+    return a.face_edges[at], np.where(real, a.face_signs[at], 0), leave[at]
+
+
+def _cyclic_face_rows(steps, order: int, p: int):
+    """The face rows of d2 of the Z/order cover, without building the cover.
+
+    steps are those of `_cyclic_face_steps`.  Row j * order + r is the
+    lift of face j from rank r, over the cover's edges (edge e at rank t
+    being e * order + t) relabelled newest first for `fplinalg.sparse_rank`,
+    as a (ptr, cols, vals) triple of `fplinalg.sparse_rows`.
+    """
+    edges, signs, offsets = steps
+    faces, length = edges.shape
+    ranks = np.arange(order)[:, None]
+    shift = (offsets % order).astype(np.int64)[:, None, :]
+    cols = (edges * order)[:, None, :] + (shift + ranks) % order  # faces x order x length
+    rows = np.repeat(np.arange(faces * order), length)
+    vals = np.repeat(signs, order, axis=0).ravel()
+    return fplinalg.sparse_rows(rows, _newest_first(cols.ravel()), vals, faces * order, p)
 
 
 def loop_evaluations(K: TwoComplex, weights) -> list[int]:

@@ -51,7 +51,10 @@ class SkeletonGraph:
 
     @classmethod
     def from_complex(cls, K: TwoComplex) -> "SkeletonGraph":
-        return cls(num_vertices=K.num_vertices, edges=tuple(K.edges))
+        """The 1-skeleton of K, sharing K's edge-end table instead of rebuilding it."""
+        graph = cls(num_vertices=K.num_vertices, edges=K.edges)
+        graph.__dict__["edge_ends"] = K.edge_ends  # where the cached property keeps it
+        return graph
 
     @cached_property
     def edge_ends(self) -> EdgeEnds:

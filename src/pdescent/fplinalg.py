@@ -6,9 +6,10 @@ are kept in reduced row echelon form so that equal subspaces have equal
 basis matrices, which downstream code relies on for reproducibility.
 Elimination touches only the rows a pivot can change, so its cost scales
 with the nonzeros of the pivot columns rather than with the matrix size.
-`sparse_kernel` and `sparse_rank` eliminate rows held as {column: value}
-dicts without building a matrix at all: the first gives the reduced
-echelon kernel basis one row at a time, the second the rank only.
+`sparse_kernel` and `sparse_rank` eliminate sparse rows, held as the
+(ptr, cols, vals) arrays that `sparse_rows` builds, without building a
+matrix at all: the first gives the reduced echelon kernel basis one row
+at a time, the second the rank only.
 
 At p = 2, `rref` and `rank` pack each row into one Python int, column 0
 the most significant bit, and eliminate by XOR (the word-per-row-chunk
@@ -33,6 +34,7 @@ __all__ = [
     "validate_prime",
     "rref",
     "rank",
+    "sparse_rows",
     "sparse_rank",
     "sparse_kernel",
     "kernel_basis",
@@ -182,63 +184,119 @@ def rank(m, p) -> int:
     return rref(m, p)[1]
 
 
-def _eliminate(rows, p, lead) -> tuple[dict, dict]:
-    """Sparse elimination of {column: value} rows, one stored row per pivot.
+def sparse_rows(row_of_step, cols, vals, nrows: int, p):
+    """Sparse rows over F_p from steps: (ptr, cols, vals) int64 arrays.
 
-    Values are Python ints, reduced mod p here, so the arithmetic is exact
-    for every p <= 2**16.  Each row is reduced against the stored row of
-    its lead column (`lead` is min or max over the row's columns) until it
-    vanishes or reaches a lead column without one, where it is stored.
-    Returns (pivots, scale): pivots[c] is the row stored for column c
-    without its lead entry, and scale[c] the inverse of that entry where it
-    is not 1, so the pivot row scaled to lead with 1 is
-    e_c + scale.get(c, 1) * pivots[c].  Rows with few nonzeros that
-    overlap in few columns stay short, so the cost follows the fill-in,
-    not |rows| x |columns|.  The input is not modified.
+    Step i adds vals[i] at column cols[i] of row row_of_step[i], for rows
+    0..nrows-1.  Entries are summed exactly per (row, column) and reduced
+    mod p, and those that vanish are dropped.  The entries of row i are
+    cols[ptr[i]:ptr[i + 1]], ascending, with their values in vals; a row
+    may be empty.  Columns may be any int64 labels, negative ones too.
+    One sort of the keys row * width + column, width being the column
+    span, orders every entry; a span too wide for int64 keys is rejected,
+    never wrapped.
     """
+    rows = np.asarray(row_of_step, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64) % p
+    if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+        raise ValueError("step arrays are not one-dimensional arrays of one length")
+    if not cols.size:
+        return np.zeros(nrows + 1, dtype=np.int64), cols, vals
+    if rows.min() < 0 or rows.max() >= nrows:
+        raise ValueError("step row out of range")
+    lo = int(cols.min())
+    width = int(cols.max()) - lo + 1
+    if nrows * width >= 2**63:
+        raise ValueError(f"{nrows} rows over a column span of {width} overflow int64 keys")
+    key = rows * width + (cols - lo)
+    # steps mostly arrive row by row, runs that a stable (merge) sort exploits
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    # each term is below p <= 2**16, so the int64 sums are exact
+    sums = np.add.reduceat(vals[order], first) % p
+    nonzero = sums != 0
+    keep = first[nonzero]
+    ptr = np.searchsorted(key[keep], np.arange(nrows + 1) * width)
+    return ptr, cols[order[keep]], sums[nonzero]
+
+
+def _eliminate(rows, p, last: bool) -> tuple[dict, dict]:
+    """Sparse elimination of `sparse_rows` rows, one stored row per pivot.
+
+    Values are Python ints, so the arithmetic is exact for every
+    p <= 2**16.  A row's lead is its first column, or its last when `last`
+    is set.  A row whose lead has no stored row is stored as it is, by its
+    slices of the column and value lists; only a row that meets a stored
+    pivot becomes a {column: value} dict, reduced against the stored row of
+    its lead column until it vanishes or reaches a lead column without one,
+    where it is stored.  Returns (pivots, scale): pivots[c] is a pair of
+    sequences (columns, values), the row stored for column c without its
+    lead entry, and scale[c] the inverse of that entry where it is not 1,
+    so the pivot row scaled to lead with 1 is e_c + scale.get(c, 1) * pivots[c].
+    Rows with few nonzeros that overlap in few columns stay short, so the
+    cost follows the fill-in, not |rows| x |columns|.  The input is not
+    modified.
+    """
+    ptr, cols, vals = (a.tolist() for a in rows)
+    lead = max if last else min
     pivots = {}
     scale = {}
-    for row in rows:
-        r = {c: x for c, v in row.items() if (x := v % p)}
-        while r:
-            c = lead(r)
-            pivot = pivots.get(c)
-            f = r.pop(c)
-            if pivot is None:
-                if f != 1:
-                    scale[c] = pow(f, -1, p)
-                pivots[c] = r
-                break
+    for lo, hi in zip(ptr, ptr[1:]):
+        if lo == hi:
+            continue
+        at = hi - 1 if last else lo
+        c, f = cols[at], vals[at]
+        r = None
+        while (pivot := pivots.get(c)) is not None:
+            if r is None:
+                r = dict(zip(cols[lo:hi], vals[lo:hi]))
+                del r[c]
             if c in scale:
                 f = f * scale[c] % p
-            for k, v in pivot.items():
+            for k, v in zip(*pivot):
                 x = (r.get(k, 0) - f * v) % p
                 if x:
                     r[k] = x
                 else:
                     del r[k]
+            if not r:
+                break
+            c = lead(r)
+            f = r.pop(c)
+        else:
+            if f != 1:
+                scale[c] = pow(f, -1, p)
+            if r is not None:
+                pivots[c] = (r.keys(), r.values())
+            elif last:
+                pivots[c] = (cols[lo:at], vals[lo:at])
+            else:
+                pivots[c] = (cols[lo + 1 : hi], vals[lo + 1 : hi])
     return pivots, scale
 
 
 def sparse_rank(rows, p) -> int:
-    """Rank over F_p of sparse rows, each a {column: value} dict.
+    """Rank over F_p of sparse rows, a (ptr, cols, vals) triple of `sparse_rows`.
 
-    Values are Python ints, reduced mod p here; the input is not modified.
     Pivots on each row's smallest column.  Rank does not depend on the
     pivot rule, so this checks `sparse_kernel`, which pivots on the largest.
     """
-    return len(_eliminate(rows, p, min)[0])
+    return len(_eliminate(rows, p, last=False)[0])
 
 
 def sparse_kernel(rows, ncols: int, p):
     """The reduced echelon kernel basis of sparse rows, one row on demand.
 
-    rows are {column: value} dicts over columns 0..ncols-1, with Python
-    int values reduced mod p here; the input is not modified.  Returns
-    (rank, free, row): free lists the kernel's leading columns in
-    increasing order, and row(i) is the i-th row of the reduced echelon
-    basis of {x : row . x = 0 for every row}, the row `kernel_basis` gives
-    for the same matrix.
+    rows are a (ptr, cols, vals) triple of `sparse_rows` over columns
+    0..ncols-1.  Returns (rank, free, row): free lists the kernel's leading
+    columns in increasing order, and row(i) is the i-th row of the reduced
+    echelon basis of {x : row . x = 0 for every row}, the row
+    `kernel_basis` gives for the same matrix.
 
     Each row pivots on its largest column.  The pivot columns T are then
     the trailing columns of the row space, and the leading columns of its
@@ -248,7 +306,7 @@ def sparse_kernel(rows, ncols: int, p):
     columns past free[i], found by forward substitution: pivot row t has
     its other entries left of t, so x[t] follows from values already set.
     """
-    pivots, scale = _eliminate(rows, p, max)
+    pivots, scale = _eliminate(rows, p, last=True)
     is_free = np.ones(ncols, dtype=bool)
     is_free[list(pivots)] = False
     free = np.flatnonzero(is_free)
@@ -259,7 +317,7 @@ def sparse_kernel(rows, ncols: int, p):
         x = [0] * ncols
         x[f] = 1
         for t in order[bisect.bisect_right(order, f) :]:
-            x[t] = -scale.get(t, 1) * sum(v * x[k] for k, v in pivots[t].items()) % p
+            x[t] = -scale.get(t, 1) * sum(v * x[k] for k, v in zip(*pivots[t])) % p
         return np.array(x, dtype=np.int64)
 
     return len(pivots), free, row

@@ -30,7 +30,13 @@ from .complexes import (
     h1_cocycle_basis,
     h1_dimension,
 )
-from .covers import CoveringMap, _cyclic_face_rows, _cyclic_weights, build_abelian_p_cover
+from .covers import (
+    CoveringMap,
+    _cyclic_face_rows,
+    _cyclic_face_steps,
+    _cyclic_weights,
+    build_abelian_p_cover,
+)
 from .errors import (
     InvariantError,
     MalformedTowerError,
@@ -414,10 +420,10 @@ def cyclic_growth_report(
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     K = build_presentation_complex(pres)
-    w = _cyclic_weights(K, weights)
+    steps = _cyclic_face_steps(K, _cyclic_weights(K, weights))
     entries = []
     for order in range(1, max_order + 1):
-        rank = fplinalg.sparse_rank(_cyclic_face_rows(K, w, order), p)
+        rank = fplinalg.sparse_rank(_cyclic_face_rows(steps, order, p), p)
         dp = order * (K.num_edges - K.num_vertices) + 1 - rank
         entries.append((order, dp, Fraction(dp, order)))
     dps = [dp for _, dp, _ in entries]

@@ -54,6 +54,21 @@ def mod_rank(rows, p):
     return mod_rref(rows, p)[1]
 
 
+def row_steps(rows):
+    """Step arrays (row_of_step, cols, vals, nrows) that spell sparse rows.
+
+    Each row is a {column: value} dict or a list of (column, value) pairs;
+    a pair list may repeat a column, and the steps keep every repeat.
+    """
+    steps = [
+        (i, c, v)
+        for i, row in enumerate(rows)
+        for c, v in (row.items() if isinstance(row, dict) else row)
+    ]
+    row_of_step, cols, vals = np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    return row_of_step, cols, vals, len(rows)
+
+
 def loop_boundary_matrices(K, p):
     """d1 (V x E) and d2 (E x F) over F_p as lists of lists, cell by cell."""
     d1 = [[0] * K.num_edges for _ in range(K.num_vertices)]

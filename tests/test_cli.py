@@ -409,7 +409,8 @@ def test_golden_reports_do_not_depend_on_asserts(tmp_path, argv, expected):
 
 def test_invariant_failure_exits_4_under_optimisation():
     # invariant checks are explicit raises, so they fire under `python -O`
-    # too; a broken independent rank makes the cocycle-basis cross-check fail
+    # too; an independent rank one too high, still read off the
+    # (ptr, cols, vals) rows, makes the cocycle-basis cross-check fail
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -417,7 +418,8 @@ def test_invariant_failure_exits_4_under_optimisation():
         "import sys\n"
         "if __debug__: sys.exit('asserts are enabled')\n"
         "from pdescent import cli, fplinalg\n"
-        "fplinalg.sparse_rank = lambda rows, p: -1\n"
+        "rank = fplinalg.sparse_rank\n"
+        "fplinalg.sparse_rank = lambda rows, p: rank(rows, p) + 1\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     argv = ["descend", str(DATA / "genus2_p2.txt"), "--series", "rank:2", "--depth", "1"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pdescent.complexes import (
     Cochain,
+    EdgeEnds,
     GroupPresentation,
     TwoComplex,
     build_presentation_complex,
@@ -93,6 +94,20 @@ def test_cheeger_rejects_disconnected_graphs():
         with pytest.raises(ValueError, match="graph is not connected"):
             cheeger_constant(SkeletonGraph(4, ((0, 1), (2, 3), (1, 1))), mode=mode)
     assert not SkeletonGraph(3, ((0, 1),)).is_connected()
+
+
+def test_graph_of_a_complex_shares_its_edge_end_table():
+    # loops, parallel edges and a cover's edges in their own order
+    K = TwoComplex(4, [(0, 1), (1, 1), (1, 0), (2, 3), (3, 0), (0, 1)])
+    pres, p = parse_presentation((DATA / "genus2_p3.txt").read_text())
+    base = build_presentation_complex(pres)
+    cover = build_abelian_p_cover(base, h1_cocycle_basis(base, p)[:2], p).total
+    for complex_ in (K, cover):
+        graph = SkeletonGraph.from_complex(complex_)
+        assert graph.edge_ends is complex_.edge_ends
+        want = EdgeEnds.of(graph.num_vertices, *zip(*graph.edges))
+        for name in ("offsets", "vertex", "other", "edge", "sign"):
+            assert np.array_equal(getattr(graph.edge_ends, name), getattr(want, name)), name
 
 
 def test_cheeger_caps_exact_enumeration():

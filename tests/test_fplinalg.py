@@ -13,6 +13,7 @@ from pdescent.fplinalg import (
     rref,
     sparse_kernel,
     sparse_rank,
+    sparse_rows,
     subspace_support,
     support_size_by_enumeration,
 )
@@ -25,6 +26,7 @@ from oracles import (
     mod_rank,
     mod_rref,
     random_subspace_rows,
+    row_steps,
 )
 
 
@@ -188,12 +190,11 @@ def test_in_rowspan_of_an_empty_basis():
 
 
 @st.composite
-def sparse_rows_mod_p(draw):
-    """(rows, dense, p): {column: value} rows and the matrix they spell.
+def sparse_steps_mod_p(draw):
+    """(rows, dense, p): sparse rows as (column, value) pair lists and the matrix they spell.
 
-    Entries are drawn as (column, value) pairs and summed per column, so a
-    row can hold a repeated column that cancels, a value that is a nonzero
-    multiple of p, or nothing at all.
+    A row can repeat a column, with values that cancel or not, hold a
+    value that is a nonzero multiple of p, or hold nothing at all.
     """
     p = draw(st.sampled_from((2, 3, 5, 65521)))
     cols = draw(st.integers(1, 16))
@@ -203,30 +204,46 @@ def sparse_rows_mod_p(draw):
         pairs = draw(st.lists(entry, max_size=6))
         for c, v in draw(st.lists(entry, max_size=2)):
             pairs += [(c, v), (c, -v)]  # a repeated column that cancels
-        row, line = {}, [0] * cols
+        line = [0] * cols
         for c, v in pairs:
-            row[c] = row.get(c, 0) + v
             line[c] += v
-        rows.append(row)
+        rows.append(pairs)
         dense.append(line)
     return rows, dense, p
 
 
+def _rows(rows, p):
+    """The sparse_rows triple of rows given as dicts or (column, value) pair lists."""
+    return sparse_rows(*row_steps(rows), p)
+
+
+def _frozen(arrays):
+    return [a.copy() for a in arrays]
+
+
+def _unchanged(arrays, before) -> bool:
+    return all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(sparse_rows_mod_p(), st.randoms(use_true_random=False))
+@given(sparse_steps_mod_p(), st.randoms(use_true_random=False))
 def test_sparse_rank_matches_textbook_elimination(case, rnd):
     rows, dense, p = case
-    before = [dict(r) for r in rows]
-    r = sparse_rank(rows, p)
-    assert rows == before
+    steps = row_steps(rows)
+    steps_before = _frozen(steps[:3])
+    triple = sparse_rows(*steps, p)
+    assert _unchanged(steps[:3], steps_before)
+    before = _frozen(triple)
+    r = sparse_rank(triple, p)
+    assert _unchanged(triple, before)
     assert r == mod_rank(dense, p)
     # rank is invariant under relabelling columns and reordering rows;
     # labels need not be contiguous or non-negative
     cols = len(dense[0]) if dense else 1
     relabel = dict(zip(range(cols), rnd.sample(range(-10 * cols, 10 * cols, 10), cols)))
-    moved = [{relabel[c]: v for c, v in row.items()} for row in rows]
+    moved = [[(relabel[c], v) for c, v in row] for row in rows]
     rnd.shuffle(moved)
-    assert sparse_rank(iter(moved), p) == r
+    assert sparse_rank(_rows(moved, p), p) == r
 
 
 def _dense_kernel(dense, ncols, p):
@@ -237,13 +254,14 @@ def _dense_kernel(dense, ncols, p):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(sparse_rows_mod_p(), st.randoms(use_true_random=False))
+@given(sparse_steps_mod_p(), st.randoms(use_true_random=False))
 def test_sparse_kernel_rows_are_the_dense_kernel_basis(case, rnd):
     rows, dense, p = case
     ncols = len(dense[0]) if dense else rnd.randint(0, 8)
-    before = [dict(r) for r in rows]
-    rank, free, row = sparse_kernel(rows, ncols, p)
-    assert rows == before
+    triple = _rows(rows, p)
+    before = _frozen(triple)
+    rank, free, row = sparse_kernel(triple, ncols, p)
+    assert _unchanged(triple, before)
     want = _dense_kernel(dense, ncols, p)
     assert rank == mod_rank(dense, p)
     assert len(free) == len(want) == ncols - rank
@@ -255,30 +273,67 @@ def test_sparse_kernel_rows_are_the_dense_kernel_basis(case, rnd):
         got = row(i)
         assert got.dtype == np.int64 and got.tolist() == want[i].tolist()
         assert row(i - len(want)).tolist() == want[i].tolist()
-    assert rows == before
+    assert _unchanged(triple, before)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sparse_steps_mod_p())
+def test_sparse_rows_spell_the_summed_matrix(case):
+    rows, dense, p = case
+    ptr, cols, vals = _rows(rows, p)
+    assert ptr.dtype == cols.dtype == vals.dtype == np.int64
+    assert len(ptr) == len(rows) + 1 and ptr[0] == 0 and ptr[-1] == len(cols) == len(vals)
+    for i, line in enumerate(dense):
+        got = cols[ptr[i] : ptr[i + 1]].tolist()
+        assert got == sorted(set(got))  # ascending, one entry per column
+        assert got == [c for c, x in enumerate(line) if x % p]
+        assert vals[ptr[i] : ptr[i + 1]].tolist() == [x % p for x in line if x % p]
+
+
+def test_sparse_rows_examples():
+    def spelled(rows, p):
+        ptr, cols, vals = _rows(rows, p)
+        return ptr.tolist(), cols.tolist(), vals.tolist()
+
+    assert spelled([], 3) == ([0], [], [])
+    # an empty row, a row that sums to zero, and entries that are 0 mod p
+    assert spelled([{}, [(4, 2), (4, -2)], {1: 6, 2: -9}], 3) == ([0, 0, 0, 0], [], [])
+    # columns ascend within each row, repeats add up, negative labels sort first
+    assert spelled([[(7, 1), (-3, 2), (7, 1)], [], {0: 65522}], 65521) == (
+        [0, 2, 2, 3], [-3, 7, 0], [2, 2, 1]
+    )
+    # steps of the same row need not be adjacent
+    assert sparse_rows([1, 0, 1], [5, 5, 2], [1, 1, 1], 2, 5)[0].tolist() == [0, 1, 3]
+    with pytest.raises(ValueError, match="overflow"):
+        sparse_rows([0, 1], [0, 2**62], [1, 1], 2, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        sparse_rows([0, 2], [0, 1], [1, 1], 2, 3)
+    with pytest.raises(ValueError, match="one length"):
+        sparse_rows([0], [0, 1], [1, 1], 1, 3)
 
 
 def test_sparse_kernel_examples():
-    rank, free, row = sparse_kernel([], 0, 5)
+    rank, free, row = sparse_kernel(_rows([], 5), 0, 5)
     assert (rank, free.tolist()) == (0, [])
-    rank, free, row = sparse_kernel([{}, {}], 3, 2)
+    rank, free, row = sparse_kernel(_rows([{}, {}], 2), 3, 2)
     assert (rank, free.tolist(), [row(i).tolist() for i in range(3)]) == (
         0, [0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     )
     # x0 + x1 + x2 = 0 and x1 - x2 = 0 at p = 3: the kernel is (1, 1, 1)
-    rank, free, row = sparse_kernel([{0: 1, 1: 1, 2: 1}, {1: 4, 2: -1}], 3, 3)
+    rank, free, row = sparse_kernel(_rows([{0: 1, 1: 1, 2: 1}, {1: 4, 2: -1}], 3), 3, 3)
     assert (rank, free.tolist(), row(0).tolist()) == (2, [0], [1, 1, 1])
     # entries that are multiples of p vanish, and a dependent row adds no rank
-    rank, free, row = sparse_kernel([{1: 65521}, {0: 2, 1: 0}, {0: -2}], 2, 65521)
+    rows = _rows([{1: 65521}, {0: 2, 1: 0}, {0: -2}], 65521)
+    rank, free, row = sparse_kernel(rows, 2, 65521)
     assert (rank, free.tolist(), row(0).tolist()) == (1, [1], [0, 1])
 
 
 def test_sparse_rank_examples():
-    assert sparse_rank([], 3) == 0
-    assert sparse_rank([{}, {0: 3, 1: -6}], 3) == 0
-    assert sparse_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2) == 2
-    assert sparse_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3) == 3
-    assert sparse_rank([{5: 65520}, {5: -1, 9: 65521}], 65521) == 1
+    assert sparse_rank(_rows([], 3), 3) == 0
+    assert sparse_rank(_rows([{}, {0: 3, 1: -6}], 3), 3) == 0
+    assert sparse_rank(_rows([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2), 2) == 2
+    assert sparse_rank(_rows([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3), 3) == 3
+    assert sparse_rank(_rows([{5: 65520}, {5: -1, 9: 65521}], 65521), 65521) == 1
 
 
 def test_kernel_basis_is_kernel_and_dimension_formula():

@@ -281,6 +281,23 @@ def test_cyclic_growth_lift_that_does_not_close_is_an_invariant_failure(monkeypa
         cyclic_growth_report(aab, [1, 0], 3, 4)
 
 
+@pytest.mark.parametrize(
+    "pres, weights",
+    [
+        (GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",)), [2**62, 1, -2**62, 3]),
+        # [a^2, b]: the offset of b's step, 2 * (2**62 + 1), lies past int64
+        (GroupPresentation(("a", "b"), ("aabAAB",)), [2**62 + 1, 1]),
+    ],
+)
+def test_cyclic_growth_with_huge_weights_matches_the_built_covers(pres, weights):
+    # a product of commutators closes under any weights; the step offsets
+    # are weight sums, exact only over the integers
+    report = cyclic_growth_report(pres, weights, 3, 24)
+    K = build_presentation_complex(pres)
+    want = [h1_dimension(build_cyclic_cover(K, weights, n).total, 3) for n in range(1, 25)]
+    assert [dp for _, dp, _ in report.entries] == want
+
+
 @st.composite
 def cyclic_cases(draw):
     """(presentation, weights): 1-3 relators on which the weights, gcd 1, sum to zero.
