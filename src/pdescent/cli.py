@@ -6,12 +6,13 @@ reduction on a bare matrix, `cheeger`/`relsize`/`cover` expose the
 expansion and covering machinery, and `echo` round-trips a presentation
 file through its canonical form.
 
-Only the heuristic Cheeger reads --seed (`cheeger --mode heuristic`);
-`descend` and `reduce` accept it and ignore it.  Identical invocations
-produce byte-identical structured output.  Exit codes: 0 on success,
-2 on precondition errors, 3 on budget or enumeration-cap exhaustion or
-when memory runs out, 4 when an internal invariant check fails (a bug,
-never bad input).
+Only the heuristic Cheeger reads --seed (`cheeger --mode heuristic`): it
+picks the start direction projected on the lambda_2 eigenspace and the
+random sweep directions; `descend` and `reduce` accept it and ignore it.
+Identical invocations produce byte-identical structured output.  Exit
+codes: 0 on success, 2 on precondition errors, 3 on budget or
+enumeration-cap exhaustion or when memory runs out, 4 when an internal
+invariant check fails (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -532,7 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--series", default="derived", help="derived | rank:k | file:PATH")
     sp.add_argument("--depth", type=int, default=None, help="cover iterations (default 1)")
     sp.add_argument("--budget", type=int, default=tower.DEFAULT_CELL_BUDGET)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--seed", type=int, default=0,
+        help="heuristic mode: picks the start direction and the random sweep directions",
+    )
     _add_io_flags(sp, modes=("exact", "heuristic"))
     sp.set_defaults(handler=_cmd_cheeger)
 

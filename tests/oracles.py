@@ -5,10 +5,11 @@ textbook row reduction) so that agreement with the package's vectorized
 routines is meaningful.  The full-recount expansion routines, the
 tuple-label cover builder and path lift, the dense H^1 basis, the
 column-class loop, the hyperplane functional scan, the greedy complement
-scan, the edge-loop heuristic Cheeger sweep and the every-vertex greedy
-descent are the package's earlier implementations, kept as references;
-the expansion routines, the column-class loop and the functional scan
-use numpy.
+scan and the every-vertex greedy descent are the package's earlier
+implementations, kept as references; the edge-loop heuristic Cheeger
+sweep reads its first order off a dense eigendecomposition where the
+package runs Lanczos.  The expansion routines, the column-class loop and
+the functional scan use numpy.
 Nothing in this module imports the package: complexes, graphs and
 cochains are read through their attributes only.
 """
@@ -351,12 +352,9 @@ def sweep_min_incremental(adj, order):
     return best
 
 
-def heuristic_cheeger_by_edge_loops(graph, seed=0, sweeps=8):
-    """Heuristic Cheeger upper bound: a Laplacian filled edge by edge, then
-    one incremental sweep per order (the Fiedler vector's, then `sweeps`
-    seeded random ones); returns the best cut ratio as a Fraction."""
+def laplacian_by_edge_loops(graph):
+    """The dense combinatorial Laplacian, filled edge by edge; loops are skipped."""
     n = graph.num_vertices
-    adj = adjacency_lists(graph)
     lap = np.zeros((n, n), dtype=float)
     for u, v in graph.edges:
         if u == v:
@@ -365,9 +363,30 @@ def heuristic_cheeger_by_edge_loops(graph, seed=0, sweeps=8):
         lap[v, v] += 1
         lap[u, v] -= 1
         lap[v, u] -= 1
-    _, vecs = np.linalg.eigh(lap)
-    orders = [np.argsort(vecs[:, 1], kind="stable").tolist()]
+    return lap
+
+
+def heuristic_cheeger_by_edge_loops(graph, seed=0, sweeps=8):
+    """Heuristic Cheeger upper bound from a Laplacian filled edge by edge.
+
+    The first order sorts the seeded start direction (the generator's first
+    standard normal draw) projected on the dense eigh's lambda_2 cluster,
+    the eigenvectors past the first whose eigenvalues lie within 1e-8 of
+    the second; `sweeps` random directions from the same generator follow,
+    and each order is swept incrementally.  Returns the best cut ratio as a
+    Fraction, or None when two entries of the unit projected vector lie
+    within 1e-9 of each other, where rounding can decide their order.
+    """
+    n = graph.num_vertices
+    adj = adjacency_lists(graph)
+    vals, vecs = np.linalg.eigh(laplacian_by_edge_loops(graph))
+    cluster = vecs[:, 1:][:, vals[1:] - vals[1] <= 1e-8]
     rng = np.random.default_rng(seed)
+    projected = cluster @ (cluster.T @ rng.standard_normal(n))
+    projected /= np.linalg.norm(projected)
+    if np.any(np.diff(np.sort(projected)) <= 1e-9):
+        return None
+    orders = [np.argsort(projected, kind="stable").tolist()]
     for _ in range(sweeps):
         direction = rng.standard_normal(n)
         orders.append(np.argsort(direction, kind="stable").tolist())

@@ -393,27 +393,47 @@ def test_reports_match_golden_fixtures(tmp_path, argv, expected):
     assert out.read_bytes() == (DATA / expected).read_bytes()
 
 
+def _subprocess_env(**extra):
+    """This environment with the package's source first on PYTHONPATH, plus extra."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 @pytest.mark.parametrize("argv, expected", GOLDEN)
 def test_golden_reports_do_not_depend_on_asserts(tmp_path, argv, expected):
     # `python -O` strips every assert from the package; the reports must
     # come out the same, so no assert may carry work a report needs
     out = tmp_path / "report"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _subprocess_env()
     cmd = [sys.executable, "-O", "-m", "pdescent.cli", argv[0], str(DATA / argv[1]), *argv[2:]]
     proc = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert out.read_bytes() == (DATA / expected).read_bytes()
 
 
+def test_heuristic_cheeger_report_does_not_depend_on_blas_threads():
+    # lambda_2 of this V=256 cover has multiplicity 4: a dense eigenvector
+    # picked from that eigenspace changed with the BLAS thread count, while
+    # the seeded start direction's projection on it must not
+    argv = ["cheeger", str(DATA / "genus2_p2.txt"), "--series", "rank:2", "--depth", "4",
+            "--mode", "heuristic"]
+    reports = []
+    for threads in ("1", "2", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdescent.cli", *argv],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_invariant_failure_exits_4_under_optimisation():
     # invariant checks are explicit raises, so they fire under `python -O`
     # too; an independent rank one too high, still read off the
     # (ptr, cols, vals) rows, makes the cocycle-basis cross-check fail
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _subprocess_env()
     code = (
         "import sys\n"
         "if __debug__: sys.exit('asserts are enabled')\n"
