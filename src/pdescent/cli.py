@@ -206,12 +206,10 @@ def _criteria_document(report: CriteriaReport) -> dict:
     return {
         "command": "criteria",
         "entries": [list(e) for e in report.entries],
-        "log_index_ratios_in_log_p_units": [_fmt(r) for r in report.log_index_ratios],
         "rank_ratios": [_fmt(r) for r in report.rank_ratios],
         "running_infimum": [_fmt(r) for r in report.running_infimum],
         "rank_ratio_min": _fmt(report.rank_ratio_min),
         "log_ratio_nondecreasing": report.log_ratio_nondecreasing,
-        "quotients_abelian": report.quotients_abelian,
         "disclaimer": report.disclaimer,
     }
 
@@ -233,15 +231,10 @@ def _document_table(doc: dict) -> str:
         rows = [[lvl[c] for c in _DESCENT_COLUMNS] for lvl in doc["levels"]]
         parts.append(_render_table(_DESCENT_COLUMNS, rows))
     elif command == "criteria":
-        headers = ("index", "quotient_rank", "log_ratio_log_p_units", "rank_ratio", "running_inf")
+        headers = ("index", "quotient_rank", "rank_ratio", "running_inf")
         rows = [
-            [e[0], e[1], lr, rr, ri]
-            for e, lr, rr, ri in zip(
-                doc["entries"],
-                doc["log_index_ratios_in_log_p_units"],
-                doc["rank_ratios"],
-                doc["running_infimum"],
-            )
+            [*e, rr, ri]
+            for e, rr, ri in zip(doc["entries"], doc["rank_ratios"], doc["running_infimum"])
         ]
         parts.append(_render_table(headers, rows))
     elif command == "cyclic":
@@ -258,23 +251,14 @@ def _document_table(doc: dict) -> str:
     return "\n".join([f"command: {doc['command']}"] + parts) + "\n"
 
 
-def emit_report(report, format: str = "json") -> str:
-    """Render a pipeline report deterministically.
+def emit_report(doc: dict, format: str = "json") -> str:
+    """Render a report document deterministically.
 
-    Accepts the tower report types or an already-built document dict;
-    format "json" gives the structured form, "table" a fixed-column text
-    table.
+    doc is a command's document dict; format "json" gives the structured
+    form, "table" a fixed-column text table.
     """
-    if isinstance(report, DescentReport):
-        doc = _descent_document(report)
-    elif isinstance(report, CriteriaReport):
-        doc = _criteria_document(report)
-    elif isinstance(report, GrowthReport):
-        doc = _growth_document(report)
-    elif isinstance(report, dict):
-        doc = report
-    else:
-        raise ValueError(f"cannot emit report of type {type(report).__name__}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"cannot emit report of type {type(doc).__name__}")
     if format == "json":
         return _json_text(doc)
     if format == "table":

@@ -34,7 +34,6 @@ __all__ = [
     "CocycleBasis",
     "build_presentation_complex",
     "presentation_loop",
-    "boundary_matrices",
     "h1_dimension",
     "h1_cocycle_basis",
     "coboundary",
@@ -482,20 +481,6 @@ def build_presentation_complex(pres: GroupPresentation) -> TwoComplex:
 def presentation_loop(K: TwoComplex, pres: GroupPresentation, word: str) -> EdgePath:
     """The based loop of a word in the presentation complex."""
     return EdgePath(start=K.basepoint, steps=tuple(pres.word_steps(word)))
-
-
-def boundary_matrices(K: TwoComplex, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cellular boundary maps (d1: C1 -> C0, d2: C2 -> C1) over F_p."""
-    a = K.arrays
-    edges = np.arange(K.num_edges)
-    d1 = np.zeros((K.num_vertices, K.num_edges), dtype=np.int64)
-    np.add.at(d1, (a.term, edges), 1)
-    np.add.at(d1, (a.init, edges), -1)
-    lengths = np.diff(np.append(a.face_starts, len(a.face_edges)))
-    faces = np.repeat(np.arange(K.num_faces), lengths)
-    d2 = np.zeros((K.num_edges, K.num_faces), dtype=np.int64)
-    np.add.at(d2, (a.face_edges, faces), a.face_signs)
-    return d1 % p, d2 % p
 
 
 def _face_rows(K: TwoComplex, p: int):

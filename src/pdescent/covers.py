@@ -77,13 +77,15 @@ def _lift(edges, signs, starts, shifts, moduli, ranks):
 
 
 class CoveringMap:
-    """A finite regular cover of a 2-complex, with projection bookkeeping.
+    """A finite regular cover of a 2-complex.
 
     deck_moduli gives the cyclic factors of the deck group.  Deck labels
     are integer mixed-radix ranks in [0, degree); deck_label(v) gives the
-    digits of v's rank, digit k ranging over Z/deck_moduli[k].  A lift of
-    base edge e adds shifts[e] to the digits of its start.  For covers
-    built from mod-p classes, `classes` retains the defining cocycles.
+    digits of v's rank, digit k ranging over Z/deck_moduli[k].  Cell t of
+    the total complex, of any dimension, projects to base cell t // degree.
+    A lift of base edge e adds shifts[e] to the digits of its start.  For
+    covers built from mod-p classes, `classes` retains the defining
+    cocycles.
     """
 
     def __init__(self, base, total, deck_moduli, shifts, classes=None):
@@ -93,15 +95,10 @@ class CoveringMap:
         self.degree = math.prod(self.deck_moduli)
         self.shifts = shifts  # (base edges) x len(deck_moduli)
         self.classes = None if classes is None else tuple(classes)
-        self.edge_projection = np.arange(total.num_edges, dtype=np.int64) // self.degree
-        self.face_projection = np.arange(total.num_faces, dtype=np.int64) // self.degree
 
     def deck_label(self, total_vertex: int) -> tuple[int, ...]:
         r = total_vertex % self.degree
         return tuple((r // _strides(self.deck_moduli) % self.deck_moduli).tolist())
-
-    def vertex_projection(self, total_vertex: int) -> int:
-        return total_vertex // self.degree
 
     def lift_vertex(self, v: int, label_rank: int = 0) -> int:
         return v * self.degree + label_rank
@@ -320,7 +317,7 @@ def vertex_values(cov: CoveringMap, c: Cochain) -> np.ndarray:
         raise CocycleConditionError("cochain is not a cocycle")
     p = c.p
     total = cov.total
-    pulled = c.values[cov.edge_projection]
+    pulled = np.repeat(c.values, cov.degree)
     values = tree_potential(total, pulled, p)
     # tree edges are consistent by construction; any failure names a loop
     a = total.arrays

@@ -44,7 +44,6 @@ __all__ = [
     "FpSubspace",
     "subspace_support",
     "support_size_by_enumeration",
-    "iter_element_blocks",
 ]
 
 MAX_PRIME = 2**16
@@ -429,9 +428,6 @@ class FpSubspace:
         # other lies inside self iff its rows add no rank to self's basis
         return rank(np.vstack([self.basis, other.basis]), self.p) == self.dim
 
-    def support(self) -> set[int]:
-        return subspace_support(self)
-
 
 def subspace_support(w: FpSubspace) -> set[int]:
     """Indices where some element of the subspace is nonzero.
@@ -442,26 +438,6 @@ def subspace_support(w: FpSubspace) -> set[int]:
     if w.dim == 0:
         return set()
     return {int(j) for j in np.flatnonzero((w.basis % w.p != 0).any(axis=0))}
-
-
-def iter_element_blocks(w: FpSubspace, block: int = 4096):
-    """Yield the p**dim elements of the subspace in coefficient-lex order, blockwise."""
-    p, d = w.p, w.dim
-    total = p**d
-    if d == 0:
-        yield np.zeros((1, w.ambient_dim), dtype=np.int64)
-        return
-    start = 0
-    while start < total:
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coeffs = np.zeros((stop - start, d), dtype=np.int64)
-        q = idx
-        for k in range(d - 1, -1, -1):
-            coeffs[:, k] = q % p
-            q = q // p
-        yield (coeffs @ w.basis) % p
-        start = stop
 
 
 def support_size_by_enumeration(w: FpSubspace, cap: int = ENUMERATION_CAP) -> Fraction:
@@ -477,7 +453,9 @@ def support_size_by_enumeration(w: FpSubspace, cap: int = ENUMERATION_CAP) -> Fr
         return Fraction(0)
     if p**d > cap:
         raise EnumerationCapError(f"enumeration of {p}**{d} elements exceeds cap {cap}")
-    total = 0
-    for elements in iter_element_blocks(w):
-        total += int((elements != 0).sum())
+    count, total = p**d, 0
+    places = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    for start in range(0, count, 4096):  # blockwise, so memory stays bounded
+        coeffs = np.arange(start, min(start + 4096, count), dtype=np.int64)[:, None] // places % p
+        total += int(((coeffs @ w.basis) % p != 0).sum())
     return Fraction(total, (p - 1) * p ** (d - 1))

@@ -343,16 +343,17 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
 class CriteriaReport:
     """Finite-prefix consistency check against the largeness criteria.
 
-    log_index_ratios are in units of log p (multiply by log p for the
-    literal values); running_infimum tracks the descent-rate statistic
-    min over the prefix of quotient_rank/index.
+    rank_ratios are quotient_rank/index per level.  In units of log p
+    (multiply by log p for the literal value) this is also the log-index
+    growth coefficient log[G_i : G_(i+1)] / [G : G_i], because the
+    elementary abelian quotient of rank n has order p^n.  running_infimum
+    tracks the descent-rate statistic, the minimum of rank_ratios over the
+    prefix.
     """
 
     entries: tuple[tuple[int, int], ...]
-    log_index_ratios: tuple[Fraction, ...]
     rank_ratios: tuple[Fraction, ...]
     running_infimum: tuple[Fraction, ...]
-    quotients_abelian: bool
     log_ratio_nondecreasing: bool
     rank_ratio_min: Fraction
     disclaimer: str = PREFIX_DISCLAIMER
@@ -361,9 +362,9 @@ class CriteriaReport:
 def largeness_criteria_report(records) -> CriteriaReport:
     """Diagnostic sequences from (index, quotient_rank) tower records.
 
-    Reports quotient_rank/index per level (both as the log-index growth
-    coefficient and the descent-rate statistic) and flags whether the
-    prefix is consistent with unbounded log-index growth.  Never a proof.
+    Reports quotient_rank/index per level and its running minimum, and
+    flags whether the prefix is consistent with unbounded log-index growth
+    (the ratios never decrease).  Never a proof.
     """
     entries = [(int(i), int(n)) for i, n in records]
     if not entries:
@@ -384,10 +385,8 @@ def largeness_criteria_report(records) -> CriteriaReport:
     nondecreasing = all(b >= a for a, b in zip(ratios, ratios[1:]))
     return CriteriaReport(
         entries=tuple(entries),
-        log_index_ratios=tuple(ratios),
         rank_ratios=tuple(ratios),
         running_infimum=tuple(running),
-        quotients_abelian=True,
         log_ratio_nondecreasing=nondecreasing,
         rank_ratio_min=running[-1],
     )

@@ -380,6 +380,19 @@ GOLDEN = [
      "cheeger_p3_rank2_depth2_heuristic_seed3.json"),
     (["reduce", "matrix_p3_v8.txt", "--u", "2"], "reduce_p3_v8_u2.json"),
     (["reduce", "matrix_p2_v12.txt", "--u", "3"], "reduce_p2_v12_u3.json"),
+    # odd p through the `scale` branch of the elimination, and a run that
+    # stops at level 1 with 2 wedge classes for u = 2
+    (["descend", "genus2_p3.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+     "descend_p3_rank2_u2_depth3.json"),
+    (["descend", "genus2_p5.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+     "descend_p5_rank2_u2_depth3.json"),
+    (["descend", "tworel_p3.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+     "descend_tworel_p3_rank2_u2_depth3.json"),
+    (["cover", "tworel_p3.txt", "--series", "rank:2", "--depth", "4", "--format", "table"],
+     "cover_tworel_p3_rank2_depth4.txt"),
+    (["criteria", "records_f2_p2_derived.txt"], "criteria_f2_p2_derived.json"),
+    (["criteria", "records_f2_p2_derived.txt", "--format", "table"],
+     "criteria_f2_p2_derived.txt"),
 ]
 
 

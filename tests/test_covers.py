@@ -101,7 +101,7 @@ def test_lift_path_projects_back():
             proj = [(int(e) // cov.degree, d) for e, d in lift.steps]
             assert proj == list(path.steps)
             # endpoint fiber matches the endpoint of the base path
-            assert cov.vertex_projection(cov.total.path_end(lift)) == K.path_end(path)
+            assert cov.total.path_end(lift) // cov.degree == K.path_end(path)
 
 
 def test_lift_of_defining_class_loop_shifts_label():
@@ -227,7 +227,7 @@ def test_deck_orbit_representatives():
     cov = full_derived_cover(K, p)
     reps = cov.deck_orbit_representatives()
     assert len(reps) == K.num_faces
-    assert len({int(cov.face_projection[r]) for r in reps}) == K.num_faces
+    assert len({r // cov.degree for r in reps}) == K.num_faces
 
 
 def test_tower_of_covers_composes():

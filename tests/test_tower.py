@@ -172,12 +172,10 @@ def test_family_bound_arithmetic_on_recorded_levels():
 def test_criteria_report_synthetic():
     report = largeness_criteria_report([(1, 2), (4, 5)])
     assert report.entries == ((1, 2), (4, 5))
-    assert report.log_index_ratios == (Fraction(2), Fraction(5, 4))
     assert report.rank_ratios == (Fraction(2), Fraction(5, 4))
     assert report.running_infimum == (Fraction(2), Fraction(5, 4))
     assert report.rank_ratio_min == Fraction(5, 4)
     assert report.log_ratio_nondecreasing is False
-    assert report.quotients_abelian is True
     assert "not a proof" in report.disclaimer
 
 
