@@ -162,19 +162,6 @@ def _scalar_lines(doc: dict, skip=()) -> list[str]:
     return out
 
 
-_DESCENT_COLUMNS = (
-    "level",
-    "index",
-    "quotient_rank",
-    "d_p",
-    "supp",
-    "edges",
-    "relsize_upper",
-    "bound_factor",
-    "wedge_count",
-)
-
-
 def _descent_document(report: DescentReport, lambda_estimate=None) -> dict:
     levels = [
         {
@@ -227,9 +214,11 @@ def _growth_document(report: GrowthReport) -> dict:
 def _document_table(doc: dict) -> str:
     command = doc.get("command")
     parts = []
-    if command == "descend":
-        rows = [[lvl[c] for c in _DESCENT_COLUMNS] for lvl in doc["levels"]]
-        parts.append(_render_table(_DESCENT_COLUMNS, rows))
+    if command in ("descend", "cover"):
+        # one column per key of the level dicts, in their order
+        headers = list(doc["levels"][0])
+        rows = [[lvl[c] for c in headers] for lvl in doc["levels"]]
+        parts.append(_render_table(headers, rows))
     elif command == "criteria":
         headers = ("index", "quotient_rank", "rank_ratio", "running_inf")
         rows = [
@@ -239,10 +228,6 @@ def _document_table(doc: dict) -> str:
         parts.append(_render_table(headers, rows))
     elif command == "cyclic":
         parts.append(_render_table(("order", "d_p", "ratio"), doc["entries"]))
-    elif command == "cover":
-        headers = ("level", "index", "vertices", "edges", "faces", "euler", "d_p")
-        rows = [[lvl[c] for c in headers] for lvl in doc["levels"]]
-        parts.append(_render_table(headers, rows))
     elif command == "reduce":
         parts.append(_render_table(("basis row",), [[" ".join(map(str, r))] for r in doc["basis"]]))
     parts.extend(_scalar_lines(doc, skip=("command",)))

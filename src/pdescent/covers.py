@@ -24,7 +24,6 @@ from .complexes import (
     Cochain,
     EdgePath,
     TwoComplex,
-    _newest_first,
     class_coordinates,
     tree_potential,
 )
@@ -281,8 +280,9 @@ def _cyclic_face_rows(steps, order: int, p: int):
 
     steps are those of `_cyclic_face_steps`.  Row j * order + r is the
     lift of face j from rank r, over the cover's edges (edge e at rank t
-    being e * order + t) relabelled newest first for `fplinalg.sparse_rank`,
-    as a (ptr, cols, vals) triple of `fplinalg.sparse_rows`.
+    being e * order + t) relabelled by `fplinalg.first_seen_labels`, so
+    that each row leads with its newest edge, as a (ptr, cols, vals)
+    triple of `fplinalg.sparse_rows`.
     """
     edges, signs, offsets = steps
     faces, length = edges.shape
@@ -291,7 +291,8 @@ def _cyclic_face_rows(steps, order: int, p: int):
     cols = (edges * order)[:, None, :] + (shift + ranks) % order  # faces x order x length
     rows = np.repeat(np.arange(faces * order), length)
     vals = np.repeat(signs, order, axis=0).ravel()
-    return fplinalg.sparse_rows(rows, _newest_first(cols.ravel()), vals, faces * order, p)
+    labels = fplinalg.first_seen_labels(cols.ravel())
+    return fplinalg.sparse_rows(rows, labels, vals, faces * order, p)
 
 
 def loop_evaluations(K: TwoComplex, weights) -> list[int]:

@@ -9,7 +9,9 @@ with the nonzeros of the pivot columns rather than with the matrix size.
 `sparse_kernel` and `sparse_rank` eliminate sparse rows, held as the
 (ptr, cols, vals) arrays that `sparse_rows` builds, without building a
 matrix at all: the first gives the reduced echelon kernel basis one row
-at a time, the second the rank only.
+at a time, the second the rank only.  Both lead each row with its largest
+column; `first_seen_labels` numbers columns so that a row's newest column
+is its largest.
 
 At p = 2, `rref` and `rank` pack each row into one Python int, column 0
 the most significant bit, and eliminate by XOR (the word-per-row-chunk
@@ -23,6 +25,7 @@ the int64 path.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +38,7 @@ __all__ = [
     "rref",
     "rank",
     "sparse_rows",
+    "first_seen_labels",
     "sparse_rank",
     "sparse_kernel",
     "kernel_basis",
@@ -51,7 +55,9 @@ ENUMERATION_CAP = 2**20
 
 
 def validate_prime(p) -> int:
-    """Check 2 <= p <= 2**16 and primality by trial division; return p as int."""
+    """Check that p is an integer (2.5 is rejected, not truncated), 2 <= p <= 2**16 and prime."""
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"modulus {p!r} is not an integer")
     p = int(p)
     if p < 2 or p > MAX_PRIME:
         raise ValueError(f"modulus {p} out of range [2, {MAX_PRIME}]")
@@ -63,8 +69,16 @@ def validate_prime(p) -> int:
     return p
 
 
+def _integers(values) -> np.ndarray:
+    """values as int64; a non-integer entry is rejected, not truncated (empty input passes)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"entries of dtype {a.dtype} are not integers")
+    return a.astype(np.int64, copy=False)
+
+
 def _as_matrix(m, p):
-    a = np.asarray(m, dtype=np.int64)
+    a = _integers(m)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
@@ -224,15 +238,36 @@ def sparse_rows(row_of_step, cols, vals, nrows: int, p):
     return ptr, cols[order[keep]], sums[nonzero]
 
 
-def _eliminate(rows, p, last: bool) -> tuple[dict, dict]:
+def first_seen_labels(cols) -> np.ndarray:
+    """Labels 0, 1, 2, ... of the distinct values of cols, by first appearance.
+
+    cols are nonnegative integers, and out[i] is the label of cols[i].
+    Over sparse rows laid out row after row, a row's newest column, the
+    one the fewest earlier rows share, then has the largest label, so the
+    sparse eliminations lead with it and their pivot rows stay short.  One
+    pass, no sort: each column's first position is the one written last
+    when positions are written back to front.
+    """
+    cols = _integers(cols)
+    n = len(cols)
+    if n and cols.min() < 0:
+        raise ValueError("column labels must be nonnegative")
+    at = np.empty(int(cols.max()) + 1 if n else 0, dtype=np.int64)
+    at[cols[::-1]] = np.arange(n - 1, -1, -1)
+    first = at[cols] == np.arange(n)
+    at[cols[first]] = np.arange(np.count_nonzero(first))
+    return at[cols]
+
+
+def _eliminate(rows, p) -> tuple[dict, dict]:
     """Sparse elimination of `sparse_rows` rows, one stored row per pivot.
 
     Values are Python ints, so the arithmetic is exact for every
-    p <= 2**16.  A row's lead is its first column, or its last when `last`
-    is set.  A row whose lead has no stored row is stored as it is, by its
-    slices of the column and value lists; only a row that meets a stored
-    pivot becomes a {column: value} dict, reduced against the stored row of
-    its lead column until it vanishes or reaches a lead column without one,
+    p <= 2**16.  A row's lead is its largest column, its last entry.  A
+    row whose lead has no stored row is stored as it is, by its slices of
+    the column and value lists; only a row that meets a stored pivot
+    becomes a {column: value} dict, reduced against the stored row of its
+    lead column until it vanishes or reaches a lead column without one,
     where it is stored.  Returns (pivots, scale): pivots[c] is a pair of
     sequences (columns, values), the row stored for column c without its
     lead entry, and scale[c] the inverse of that entry where it is not 1,
@@ -242,19 +277,16 @@ def _eliminate(rows, p, last: bool) -> tuple[dict, dict]:
     modified.
     """
     ptr, cols, vals = (a.tolist() for a in rows)
-    lead = max if last else min
     pivots = {}
     scale = {}
     for lo, hi in zip(ptr, ptr[1:]):
         if lo == hi:
             continue
-        at = hi - 1 if last else lo
-        c, f = cols[at], vals[at]
+        c, f = cols[hi - 1], vals[hi - 1]
         r = None
         while (pivot := pivots.get(c)) is not None:
             if r is None:
-                r = dict(zip(cols[lo:hi], vals[lo:hi]))
-                del r[c]
+                r = dict(zip(cols[lo : hi - 1], vals[lo : hi - 1]))
             if c in scale:
                 f = f * scale[c] % p
             for k, v in zip(*pivot):
@@ -265,27 +297,25 @@ def _eliminate(rows, p, last: bool) -> tuple[dict, dict]:
                     del r[k]
             if not r:
                 break
-            c = lead(r)
+            c = max(r)
             f = r.pop(c)
         else:
             if f != 1:
                 scale[c] = pow(f, -1, p)
-            if r is not None:
-                pivots[c] = (r.keys(), r.values())
-            elif last:
-                pivots[c] = (cols[lo:at], vals[lo:at])
+            if r is None:
+                pivots[c] = (cols[lo : hi - 1], vals[lo : hi - 1])
             else:
-                pivots[c] = (cols[lo + 1 : hi], vals[lo + 1 : hi])
+                pivots[c] = (r.keys(), r.values())
     return pivots, scale
 
 
 def sparse_rank(rows, p) -> int:
     """Rank over F_p of sparse rows, a (ptr, cols, vals) triple of `sparse_rows`.
 
-    Pivots on each row's smallest column.  Rank does not depend on the
-    pivot rule, so this checks `sparse_kernel`, which pivots on the largest.
+    The elimination of `sparse_kernel`, each row led by its largest
+    column, without the kernel's free-column table.
     """
-    return len(_eliminate(rows, p, last=False)[0])
+    return len(_eliminate(rows, p)[0])
 
 
 def sparse_kernel(rows, ncols: int, p):
@@ -305,7 +335,7 @@ def sparse_kernel(rows, ncols: int, p):
     columns past free[i], found by forward substitution: pivot row t has
     its other entries left of t, so x[t] follows from values already set.
     """
-    pivots, scale = _eliminate(rows, p, last=True)
+    pivots, scale = _eliminate(rows, p)
     is_free = np.ones(ncols, dtype=bool)
     is_free[list(pivots)] = False
     free = np.flatnonzero(is_free)
@@ -355,7 +385,7 @@ def solve(m, b, p):
     """A particular solution x of m @ x = b over F_p (free variables 0), or None."""
     a = _as_matrix(m, p)
     rows, cols = a.shape
-    rhs = np.asarray(b, dtype=np.int64).reshape(rows, 1) % p
+    rhs = _integers(b).reshape(rows, 1) % p
     e, r = rref(np.hstack([a, rhs]), p)
     pivots = _pivot_columns(e, r)
     if cols in pivots:
@@ -401,7 +431,7 @@ class FpSubspace:
     @classmethod
     def from_rows(cls, rows, p, ambient_dim=None):
         p = validate_prime(p)
-        a = np.asarray(rows, dtype=np.int64)
+        a = _integers(rows)
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.size == 0:

@@ -393,6 +393,9 @@ GOLDEN = [
     (["criteria", "records_f2_p2_derived.txt"], "criteria_f2_p2_derived.json"),
     (["criteria", "records_f2_p2_derived.txt", "--format", "table"],
      "criteria_f2_p2_derived.txt"),
+    (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "3",
+      "--format", "table"],
+     "descend_p2_rank2_u2_depth3.txt"),
 ]
 
 

@@ -1,10 +1,12 @@
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdescent import fplinalg
 from pdescent.complexes import (
     Cochain,
     EdgeEnds,
@@ -559,3 +561,27 @@ def test_edge_ends_table_and_reachability(case):
 def test_edge_ends_reject_out_of_range_ends():
     with pytest.raises(ValueError, match="edge endpoint out of range"):
         EdgeEnds.of(2, [0], [2])
+
+
+def test_non_integer_entries_are_rejected_not_truncated():
+    K = build_presentation_complex(parse_presentation(GENUS2)[0])  # one vertex, four edges
+    for bad in ([1.7, 2.2, 0.5, -0.9], [2.0, 0.0, 1.0, 1.0], [Fraction(1, 2)] * 4):
+        with pytest.raises(ValueError, match="integer"):
+            Cochain(K, 3, bad)
+        with pytest.raises(ValueError, match="integer"):
+            cocycle_from_coordinates(K, 3, bad)
+    with pytest.raises(ValueError, match="integer"):
+        coboundary(K, [0.5], 3)
+    with pytest.raises(ValueError, match="integer"):
+        fplinalg.rank([[0.5, 1.9]], 3)
+    with pytest.raises(ValueError, match="integer"):
+        fplinalg.FpSubspace.from_rows([[1.5, 2.7]], 3)
+    with pytest.raises(ValueError, match="integer"):
+        fplinalg.solve([[1, 0]], [0.5], 3)
+    # integer arrays of any width pass and are reduced; empty inputs stay valid
+    c = Cochain(K, 3, np.array([4, 5, -6, 7], dtype=np.int32))
+    assert c.values.dtype == np.int64 and c.values.tolist() == [1, 2, 0, 1]
+    assert coboundary(K, np.array([5], dtype=np.uint8), 3).values.tolist() == [0, 0, 0, 0]
+    assert fplinalg.rank(np.array([[1, 2]], dtype=np.int16), 3) == 1
+    assert fplinalg.in_rowspan([0, 3, 0], [], 3)
+    assert fplinalg.FpSubspace.from_rows([], 3, ambient_dim=2).dim == 0

@@ -9,6 +9,7 @@ from pdescent import fplinalg
 from pdescent.errors import EnumerationCapError
 from pdescent.fplinalg import (
     FpSubspace,
+    first_seen_labels,
     kernel_basis,
     rref,
     sparse_kernel,
@@ -17,6 +18,7 @@ from pdescent.fplinalg import (
     subspace_support,
     support_size_by_enumeration,
 )
+from pdescent.tower import SeriesSpec
 
 from oracles import (
     brute_support,
@@ -33,9 +35,13 @@ from oracles import (
 def test_validate_prime():
     for p in (2, 3, 5, 7, 65521):
         assert fplinalg.validate_prime(p) == p
-    for bad in (0, 1, -2, 4, 9, 65536):
+    assert fplinalg.validate_prime(np.int64(3)) == 3
+    # a non-integral p is rejected, not truncated to a prime
+    for bad in (0, 1, -2, 4, 9, 65536, 2.9, 2.5, 3.0, "3"):
         with pytest.raises(ValueError):
             fplinalg.validate_prime(bad)
+    with pytest.raises(ValueError):
+        SeriesSpec(kind="derived", p=2.5, depth=1)
 
 
 def test_rref_idempotent_and_rank_matches_oracle():
@@ -244,6 +250,31 @@ def test_sparse_rank_matches_textbook_elimination(case, rnd):
     moved = [[(relabel[c], v) for c, v in row] for row in rows]
     rnd.shuffle(moved)
     assert sparse_rank(_rows(moved, p), p) == r
+    # first-appearance labels, as in the cocycle-basis cross-check, change
+    # the pivots but not the rank that `sparse_kernel` finds on the raw rows
+    ptr, raw, vals = triple
+    row_of = np.repeat(np.arange(len(rows)), np.diff(ptr))
+    relabelled = sparse_rows(row_of, first_seen_labels(raw), vals, len(rows), p)
+    assert sparse_rank(relabelled, p) == sparse_kernel(triple, cols, p)[0] == r
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 40), max_size=30))
+def test_first_seen_labels_number_columns_by_first_appearance(cols):
+    labels = first_seen_labels(np.array(cols, dtype=np.int64))
+    distinct = list(dict.fromkeys(cols))  # in first-appearance order
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [distinct.index(c) for c in cols]
+    assert sorted(set(labels.tolist())) == list(range(len(distinct)))
+
+
+def test_first_seen_labels_examples():
+    assert first_seen_labels([]).tolist() == []
+    assert first_seen_labels([7, 3, 7, 0, 3, 9]).tolist() == [0, 1, 0, 2, 1, 3]
+    with pytest.raises(ValueError, match="nonnegative"):
+        first_seen_labels([2, -1])
+    with pytest.raises(ValueError, match="not integers"):
+        first_seen_labels([0.5, 1.0])
 
 
 def _dense_kernel(dense, ncols, p):
