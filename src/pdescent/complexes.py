@@ -576,7 +576,7 @@ def tree_potential(K: TwoComplex, values, p: int) -> np.ndarray:
     path from the basepoint to v, mod p; one vectorised step per BFS layer.
     """
     a = K.arrays
-    values = np.asarray(values, dtype=np.int64)
+    values = _index_array(values, "edge values")
     pot = np.zeros(K.num_vertices, dtype=np.int64)
     for lo, hi in a.layers:
         step = a.parent_sign[lo:hi] * values[a.parent_edge[lo:hi]]
@@ -590,7 +590,7 @@ def face_sums(K: TwoComplex, rows) -> np.ndarray:
     rows holds one value per edge along its last axis; out[..., j] sums
     d * rows[..., e] over the steps (e, d) of face j, without reduction.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = fplinalg._integers(rows)
     if K.num_faces == 0:
         return np.zeros(rows.shape[:-1] + (0,), dtype=np.int64)
     a = K.arrays

@@ -297,7 +297,7 @@ def _cyclic_face_rows(steps, order: int, p: int):
 
 def loop_evaluations(K: TwoComplex, weights) -> list[int]:
     """Integer evaluations of edge weights on the fundamental loops of K."""
-    w = np.asarray(weights, dtype=np.int64)
+    w = fplinalg._integers(weights)
     return [
         sum(d * int(w[e]) for e, d in K.fundamental_loop(e0).steps)
         for e0 in K.non_tree_edges

@@ -14,9 +14,12 @@ in O(k*E) time plus O(k^2*V) for reorthogonalisation, and hold a k x V
 basis (k ~ 40 at V = 256, ~300 at V = 16384 on the rank-2 towers).  Every
 prefix cut of all its sweep orders then comes from one pass of array
 operations, O(E) per order.  The greedy upper bound on relative size
-scores a vertex from its own edge ends, O(deg v + p); the first pass
-scores every vertex, and later passes only those with a neighbour that
-moved since their last scoring.
+scores a vertex in O(p) from a table of V*p hit counts, and a move updates
+the rows of the moved vertex's neighbours in O(deg v); the table is built
+only while V*p is at most the edge-end count plus V, and above that (large
+p) a scoring recounts from the vertex's edge ends in O(deg v + p).  The
+first pass scores every vertex, and later passes only those with a
+neighbour that moved since their last scoring.
 """
 
 from __future__ import annotations
@@ -279,33 +282,58 @@ def _greedy_descent(K: TwoComplex, alpha: Cochain) -> tuple[Cochain, int]:
     A vertex is rescored only when a neighbour has moved since its last
     scoring: otherwise its value still has the most hits, and rescoring
     would leave it where it is.
+
+    The hits of every vertex are kept in a table of V rows of p counts,
+    built by one bincount, so scoring a vertex is O(p).  When v moves from
+    old to new, the edge of each of its ends (w, offset) is zero at w for
+    f(w) = f(v) - offset, so that value shifts from old - offset to
+    new - offset: one decrement and one increment in w's row, O(deg v) per
+    move.  The table is built only while V*p is at most the edge-end count
+    plus V, so it is never larger than the edge-end table the graph
+    already holds; above that (large p) each scoring recounts v's hits from
+    its edge ends in O(deg v + p), holding p counts at a time.
     """
     p = alpha.p
+    n = K.num_vertices
     ends = K.edge_ends
     bounds = ends.offsets.tolist()
     other = ends.other.tolist()
     # the end's edge has residue zero when f(v) = f(other) + offset
-    offset = (ends.sign * alpha.values[ends.edge] % p).tolist()
-    f = [0] * K.num_vertices
+    offsets = ends.sign * alpha.values[ends.edge] % p
+    offset = offsets.tolist()
+    table = n * p <= len(other) + n
+    if table:
+        # all f = 0: the zero value of each end is its offset
+        hits = np.bincount(ends.vertex * p + offsets, minlength=n * p).reshape(n, p).tolist()
+    f = [0] * n
     best = int(np.count_nonzero(alpha.values))
-    stale = [True] * K.num_vertices
+    stale = [True] * n
     stale[K.basepoint] = False
     improved = True
     while improved:
         improved = False
-        for v in range(K.num_vertices):
+        for v in range(n):
             if not stale[v]:
                 continue
             stale[v] = False
             lo, hi = bounds[v], bounds[v + 1]
-            hits = [0] * p
-            for w, o in zip(other[lo:hi], offset[lo:hi]):
-                hits[(f[w] + o) % p] += 1
-            top = max(hits)
-            if top > hits[f[v]]:
-                best -= top - hits[f[v]]
-                f[v] = hits.index(top)
+            if table:
+                row = hits[v]
+            else:
+                row = [0] * p
+                for w, o in zip(other[lo:hi], offset[lo:hi]):
+                    row[(f[w] + o) % p] += 1
+            old = f[v]
+            top = max(row)
+            if top > row[old]:
+                best -= top - row[old]
+                f[v] = new = row.index(top)
                 improved = True
+                if table:
+                    for w, o in zip(other[lo:hi], offset[lo:hi]):
+                        counts = hits[w]
+                        counts[(old - o) % p] -= 1
+                        counts[(new - o) % p] += 1
                 for w in other[lo:hi]:
                     stale[w] = True
                 stale[K.basepoint] = False

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .fplinalg import FpSubspace, subspace_support
+from .fplinalg import FpSubspace, _integers, subspace_support
 
 __all__ = [
     "chain_factor",
@@ -56,7 +56,7 @@ def hyperplane_functionals(v: int, p: int):
 
 def hyperplane_subspace(V: FpSubspace, f) -> FpSubspace:
     """The hyperplane of V cut out by a nonzero functional on its basis coordinates."""
-    f = np.asarray(f, dtype=np.int64) % V.p
+    f = _integers(f) % V.p
     if f.shape != (V.dim,) or not f.any():
         raise DimensionError(f"need a nonzero functional with {V.dim} coefficients")
     lead = int(np.flatnonzero(f)[0])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdescent import fplinalg
+from pdescent import fplinalg, plotkin
 from pdescent.complexes import (
     Cochain,
     EdgeEnds,
@@ -26,7 +26,7 @@ from pdescent.complexes import (
     presentation_loop,
     tree_potential,
 )
-from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
+from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, loop_evaluations
 from pdescent.errors import CocycleConditionError, ParseError
 
 from oracles import (
@@ -578,10 +578,25 @@ def test_non_integer_entries_are_rejected_not_truncated():
         fplinalg.FpSubspace.from_rows([[1.5, 2.7]], 3)
     with pytest.raises(ValueError, match="integer"):
         fplinalg.solve([[1, 0]], [0.5], 3)
+    # these cast with truncation before: [1.5, 2.7, 0, 0] evaluated as [1, 2, 0, 0]
+    for bad in ([1.5, 2.7, 0, 0], [[1.5, 2.7, 0.2, 0.9]] * 2):
+        with pytest.raises(ValueError, match="integer"):
+            face_sums(K, bad)
+    with pytest.raises(ValueError, match="integer"):
+        loop_evaluations(K, [1.5, 2.7, 0, 0])
+    with pytest.raises(ValueError, match="integer"):
+        tree_potential(K, [1.5, 2.7, 0, 0], 3)
+    V = fplinalg.FpSubspace.from_rows(np.eye(2, dtype=np.int64), 3, 2)
+    with pytest.raises(ValueError, match="integer"):
+        plotkin.hyperplane_subspace(V, [1.5, 1.2])
     # integer arrays of any width pass and are reduced; empty inputs stay valid
     c = Cochain(K, 3, np.array([4, 5, -6, 7], dtype=np.int32))
     assert c.values.dtype == np.int64 and c.values.tolist() == [1, 2, 0, 1]
     assert coboundary(K, np.array([5], dtype=np.uint8), 3).values.tolist() == [0, 0, 0, 0]
     assert fplinalg.rank(np.array([[1, 2]], dtype=np.int16), 3) == 1
+    narrow = np.array([1, 2, 0, 0], dtype=np.int8)
+    assert face_sums(K, narrow).tolist() == [0] and loop_evaluations(K, narrow) == [1, 2, 0, 0]
+    assert tree_potential(K, narrow, 3).tolist() == [0]
+    assert plotkin.hyperplane_subspace(V, np.array([2, 1], dtype=np.uint8)).dim == 1
     assert fplinalg.in_rowspan([0, 3, 0], [], 3)
     assert fplinalg.FpSubspace.from_rows([], 3, ambient_dim=2).dim == 0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from pdescent.complexes import (
 from pdescent.covers import build_abelian_p_cover, vertex_values
 from pdescent.errors import EnumerationCapError, TrivialClassError
 from pdescent.expansion import (
+    SWEEPS,
     SkeletonGraph,
     _greedy_descent,
     _sweep_min,
@@ -143,8 +148,10 @@ def test_cheeger_caps_exact_enumeration():
 @st.composite
 def multigraph_cases(draw):
     """A connected multigraph with loops and parallel edges, a cochain on
-    it and a vertex order."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+    it and a vertex order.  The greedy keeps a table of V*p hit counts
+    only while V*p is at most the edge-end count plus V: small p fall on
+    both sides of that rule, p = 13 above it, where the greedy recounts."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
     n = draw(st.integers(1, 10))
     vertex = st.integers(0, n - 1)
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # spanning tree
@@ -159,17 +166,30 @@ def multigraph_cases(draw):
     return K, Cochain(K, p, np.array(values, dtype=np.int64)), draw(st.permutations(range(n)))
 
 
-def _same_as_edge_loop_versions(K, alpha, seeds):
+def _same_as_edge_loop_versions(K, alpha, seeds, exact=None):
     """Heuristic Cheeger and the upper relative size agree with the
-    versions that loop over edges and rescore every vertex in every pass."""
-    if K.num_vertices >= 2:
+    versions that loop over edges and rescore every vertex in every pass.
+
+    The edge-loop Cheeger gives None where two projected entries lie within
+    1e-9 of each other, since rounding then decides their order in either
+    version.  Given the exact Cheeger constant, such a heuristic value is
+    still bounded: at least exact, at most the best sweep of the SWEEPS
+    random orders, which are the generator's draws after the start vector.
+    """
+    n = K.num_vertices
+    if n >= 2:
         graph = SkeletonGraph.from_complex(K)
         for seed in seeds:
+            got = cheeger_constant(graph, mode="heuristic", seed=seed)
             want = heuristic_cheeger_by_edge_loops(graph, seed=seed)
-            # skipped only where two projected entries lie within 1e-9 of
-            # each other: rounding then decides their order in either version
             if want is not None:
-                assert cheeger_constant(graph, mode="heuristic", seed=seed) == want
+                assert got == want
+            elif exact is not None:
+                rng = np.random.default_rng(seed)
+                rng.standard_normal(n)  # the start vector
+                orders = [np.argsort(rng.standard_normal(n), kind="stable") for _ in range(SWEEPS)]
+                sweeps = [Fraction(*sweep_min_full_recount(graph, o)) for o in orders]
+                assert exact <= got <= min(sweeps)
     rep, size = _greedy_descent(K, alpha)
     ref_values, ref_size = greedy_descent_every_vertex(K, alpha)
     assert size == ref_size
@@ -184,14 +204,42 @@ def test_incremental_sweep_and_greedy_match_full_recount(case, seeds):
     K, alpha, order = case
     graph = SkeletonGraph.from_complex(K)
     assert _sweep_min(graph.edge_ends, [order]) == sweep_min_full_recount(graph, order)
+    exact = None
     if K.num_vertices >= 2:
         # exact mode reads its edges off the edge-end table
-        assert cheeger_constant(graph) == brute_cheeger(K.num_vertices, K.edges)
+        exact = brute_cheeger(K.num_vertices, K.edges)
+        assert cheeger_constant(graph) == exact
     rep, size = _greedy_descent(K, alpha)
     ref_values, ref_size = greedy_descent_full_recount(K, alpha)
     assert size == ref_size == len(rep.support())
     assert np.array_equal(rep.values, ref_values)
-    _same_as_edge_loop_versions(K, alpha, seeds)
+    _same_as_edge_loop_versions(K, alpha, seeds, exact)
+
+
+def test_greedy_at_a_large_prime_keeps_no_hit_table():
+    # at p = 65521 a table of V*p hit counts would outgrow the edge-end
+    # table, so each scoring recounts from the vertex's ends: the peak
+    # holds a couple of p-count rows whatever V is
+    p = 65521
+    peaks = []
+    for n in (16, 64):
+        rng = np.random.default_rng(n)
+        chords = rng.integers(0, n, size=(n, 2)).tolist()
+        K = TwoComplex(n, [(i, (i + 1) % n) for i in range(n)] + [tuple(e) for e in chords])
+        alpha = Cochain(K, p, rng.integers(0, p, size=K.num_edges))
+        assert K.edge_ends.offsets[-1] + n < n * p  # built before the measured call
+        tracemalloc.start()
+        try:
+            rep, size = _greedy_descent(K, alpha)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if n == 16:
+            ref_values, ref_size = greedy_descent_every_vertex(K, alpha)
+            assert size == ref_size < np.count_nonzero(alpha.values)
+            assert np.array_equal(rep.values, ref_values)
+    assert max(peaks) < 3 * 8 * p
+    assert peaks[1] - peaks[0] < 8 * p  # a table would grow by 48 rows
 
 
 @st.composite
@@ -405,13 +453,17 @@ def test_expansion_bound_holds_on_the_depth3_p2_cover():
         assert r.cheeger == Fraction(r.zero_cut, r.fiber_counts[0]) == r.bound == Fraction(1, 2)
 
 
-@pytest.mark.parametrize(
-    "path, depth, expected",
-    [
-        ("genus2_p2.txt", 3, "expansion_p2_rank2_depth3.json"),
-        ("genus2_p3.txt", 2, "expansion_p3_rank2_depth2.json"),
-    ],
-)
+EXPANSION_FIXTURES = [
+    ("genus2_p2.txt", 3, "expansion_p2_rank2_depth3.json"),
+    ("genus2_p3.txt", 2, "expansion_p3_rank2_depth2.json"),
+]
+RELSIZE_FIXTURES = [
+    ("genus2_p2.txt", 4, "relsize_p2_rank2_depth4.json"),
+    ("genus2_p5.txt", 2, "relsize_p5_rank2_depth2.json"),
+]
+
+
+@pytest.mark.parametrize("path, depth, expected", EXPANSION_FIXTURES)
 def test_expansion_diagnostics_match_golden_fixtures(path, depth, expected):
     # the fixtures were written by the full-recount sweeps and greedy
     # descent; the incremental versions must reproduce them byte for byte
@@ -419,16 +471,35 @@ def test_expansion_diagnostics_match_golden_fixtures(path, depth, expected):
     assert text.encode() == (DATA / expected).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "path, depth, expected",
-    [
-        ("genus2_p2.txt", 4, "relsize_p2_rank2_depth4.json"),
-        ("genus2_p5.txt", 2, "relsize_p5_rank2_depth2.json"),
-    ],
-)
+@pytest.mark.parametrize("path, depth, expected", RELSIZE_FIXTURES)
 def test_upper_relative_sizes_match_golden_fixtures(path, depth, expected):
     # recorded by the greedy descent that rescored every vertex in every
     # pass; no heuristic Cheeger value is in them, so they do not depend
     # on the eigenvector the BLAS returns
     doc = expansion_fixture_document(path, depth, with_reports=False)
     assert (json.dumps(doc, indent=2) + "\n").encode() == (DATA / expected).read_bytes()
+
+
+def test_golden_fixtures_do_not_depend_on_asserts(tmp_path):
+    # `python -O` strips every assert; the four documents, written again
+    # by a subprocess with asserts stripped, must match byte for byte
+    cases = [(*c, True) for c in EXPANSION_FIXTURES] + [(*c, False) for c in RELSIZE_FIXTURES]
+    code = (
+        "import json, sys\n"
+        "if __debug__: sys.exit('asserts are enabled')\n"
+        "from test_expansion import expansion_fixture_document\n"
+        "for path, depth, expected, with_reports in json.loads(sys.argv[1]):\n"
+        "    doc = expansion_fixture_document(path, depth, with_reports)\n"
+        "    with open(f'{sys.argv[2]}/{expected}', 'wb') as fh:\n"
+        "        fh.write((json.dumps(doc, indent=2) + '\\n').encode())\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, json.dumps(cases), str(tmp_path)],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    for _, _, expected, _ in cases:
+        assert (tmp_path / expected).read_bytes() == (DATA / expected).read_bytes(), expected
