@@ -17,13 +17,14 @@ operations, O(E) per order.  The greedy upper bound on relative size
 scores a vertex in O(p) from a table of V*p hit counts, and a move updates
 the rows of the moved vertex's neighbours in O(deg v); the table is built
 only while V*p is at most the edge-end count plus V, and above that (large
-p) a scoring recounts from the vertex's edge ends in O(deg v + p).  The
+p) a scoring counts the values the vertex's edge ends hit, in O(deg v).  The
 first pass scores every vertex, and later passes only those with a
 neighbour that moved since their last scoring.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,12 +108,17 @@ def _sweep_min(ends: EdgeEnds, orders) -> tuple[int, int] | None:
     sizes = np.tile(np.arange(1, n // 2 + 1), m)
     if not sizes.size:
         return None
+    i = _first_min_ratio(cuts, sizes)
+    return int(cuts[i]), int(sizes[i])
+
+
+def _first_min_ratio(cuts: np.ndarray, sizes: np.ndarray) -> int:
+    """The first index of the least cuts/sizes ratio (sizes > 0), compared exactly."""
     # the float argmin is a guess; step to a strictly smaller ratio until none is left
     i = int(np.argmin(cuts / sizes))
     while (smaller := cuts * sizes[i] < cuts[i] * sizes).any():
         i = int(np.argmax(smaller))
-    i = int(np.argmax(cuts * sizes[i] == cuts[i] * sizes))
-    return int(cuts[i]), int(sizes[i])
+    return int(np.argmax(cuts * sizes[i] == cuts[i] * sizes))
 
 
 def _lambda2_projection(ends: EdgeEnds, start: np.ndarray) -> np.ndarray:
@@ -173,7 +179,9 @@ def _lambda2_projection(ends: EdgeEnds, start: np.ndarray) -> np.ndarray:
 def cheeger_constant(graph: SkeletonGraph, mode: str = "exact", seed: int = 0) -> Fraction:
     """Cheeger constant of a connected multigraph with at least 2 vertices.
 
-    Exact mode enumerates all cuts, on at most MAX_EXACT_VERTICES vertices.
+    Exact mode enumerates all cuts, on at most MAX_EXACT_VERTICES vertices,
+    in blocks of 2^16 vertex masks, taking each block's least ratio with
+    `_first_min_ratio`.
     Heuristic mode returns an upper bound only: it sweeps the projection of
     a start direction on the lambda_2 eigenspace (`_lambda2_projection`),
     then SWEEPS random directions.  The start direction is the first
@@ -193,7 +201,7 @@ def cheeger_constant(graph: SkeletonGraph, mode: str = "exact", seed: int = 0) -
             )
         once = ends.sign > 0  # each non-loop edge once; cut counts do not depend on the order
         plain = list(zip(ends.vertex[once].tolist(), ends.other[once].tolist()))
-        best_cut, best_size = None, 1
+        best = None
         chunk = 1 << 16
         half = n // 2
         for start in range(1, 1 << n, chunk):
@@ -209,10 +217,11 @@ def cheeger_constant(graph: SkeletonGraph, mode: str = "exact", seed: int = 0) -
             cuts = np.zeros(len(sizes), dtype=np.int64)
             for u, v in plain:
                 cuts += bits[:, u] != bits[:, v]
-            for c, s in zip(cuts, sizes):
-                if best_cut is None or int(c) * best_size < best_cut * int(s):
-                    best_cut, best_size = int(c), int(s)
-        return Fraction(best_cut, best_size)
+            i = _first_min_ratio(cuts, sizes)
+            h = Fraction(int(cuts[i]), int(sizes[i]))
+            if best is None or h < best:
+                best = h
+        return best
     if mode == "heuristic":
         rng = np.random.default_rng(seed)
         start = rng.standard_normal(n)
@@ -248,16 +257,14 @@ def minimum_support_representative(
             f"exact relative size needs {p}**{len(free)} potentials, over cap {cap}"
         )
     init, term = K.arrays.init, K.arrays.term
+    places = p ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
     best_size, best_f = None, None
     chunk = 1 << 12
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         idx = np.arange(start, stop, dtype=np.int64)
         pots = np.zeros((stop - start, K.num_vertices), dtype=np.int64)
-        q = idx
-        for k in range(len(free) - 1, -1, -1):
-            pots[:, free[k]] = q % p
-            q = q // p
+        pots[:, free] = idx[:, None] // places % p
         reps = (alpha.values[None, :] + pots[:, term] - pots[:, init]) % p
         sizes = (reps != 0).sum(axis=1)
         j = int(np.argmin(sizes))
@@ -290,8 +297,9 @@ def _greedy_descent(K: TwoComplex, alpha: Cochain) -> tuple[Cochain, int]:
     new - offset: one decrement and one increment in w's row, O(deg v) per
     move.  The table is built only while V*p is at most the edge-end count
     plus V, so it is never larger than the edge-end table the graph
-    already holds; above that (large p) each scoring recounts v's hits from
-    its edge ends in O(deg v + p), holding p counts at a time.
+    already holds; above that (large p) each scoring counts only the
+    values v's edge ends hit, in O(deg v), since any other value has no
+    hits and never beats the current one.
     """
     p = alpha.p
     n = K.num_vertices
@@ -317,17 +325,17 @@ def _greedy_descent(K: TwoComplex, alpha: Cochain) -> tuple[Cochain, int]:
                 continue
             stale[v] = False
             lo, hi = bounds[v], bounds[v + 1]
+            old = f[v]
             if table:
                 row = hits[v]
+                top = max(row)
             else:
-                row = [0] * p
-                for w, o in zip(other[lo:hi], offset[lo:hi]):
-                    row[(f[w] + o) % p] += 1
-            old = f[v]
-            top = max(row)
-            if top > row[old]:
-                best -= top - row[old]
-                f[v] = new = row.index(top)
+                row = Counter((f[w] + o) % p for w, o in zip(other[lo:hi], offset[lo:hi]))
+                top = max(row.values(), default=0)
+            here = row[old]
+            if top > here:
+                best -= top - here
+                f[v] = new = row.index(top) if table else min(k for k in row if row[k] == top)
                 improved = True
                 if table:
                     for w, o in zip(other[lo:hi], offset[lo:hi]):

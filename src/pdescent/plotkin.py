@@ -11,6 +11,7 @@ bound on the minimum distance of a linear code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .fplinalg import FpSubspace, _integers, subspace_support
+from .fplinalg import FpSubspace, _integers, kernel_basis, subspace_support
 
 __all__ = [
     "chain_factor",
@@ -55,22 +56,15 @@ def hyperplane_functionals(v: int, p: int):
 
 
 def hyperplane_subspace(V: FpSubspace, f) -> FpSubspace:
-    """The hyperplane of V cut out by a nonzero functional on its basis coordinates."""
+    """The hyperplane of V cut out by a nonzero functional on its basis coordinates.
+
+    Its basis is the rows of `kernel_basis(f)`, a basis of ker(f), mapped
+    through V's basis.
+    """
     f = _integers(f) % V.p
     if f.shape != (V.dim,) or not f.any():
         raise DimensionError(f"need a nonzero functional with {V.dim} coefficients")
-    lead = int(np.flatnonzero(f)[0])
-    f = f * pow(int(f[lead]), -1, V.p) % V.p
-    rows = []
-    for i in range(V.dim):
-        if i == lead:
-            continue
-        row = np.zeros(V.dim, dtype=np.int64)
-        row[i] = 1
-        row[lead] = (-f[i]) % V.p
-        rows.append(row)
-    coeffs = np.array(rows, dtype=np.int64)
-    return FpSubspace.from_rows((coeffs @ V.basis) % V.p, V.p, V.ambient_dim)
+    return FpSubspace.from_rows(kernel_basis(f, V.p) @ V.basis % V.p, V.p, V.ambient_dim)
 
 
 def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
@@ -80,14 +74,11 @@ def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
     basis column is proportional to f, so grouping columns by projective
     class makes every hyperplane support a dictionary lookup.  Each column
     is scaled to lead with 1 (one inverse per distinct leading value) and
-    read as one integer key, base p with the first coordinate most
-    significant (at p = 2 the packed column itself).  Equal keys are
-    counted with one 1-D `np.unique`, whose ascending key order is the
-    lexicographic order of the scaled columns.  A key is below p**dim, so
-    it is exact in int64 while p**dim < 2**63; beyond that the scaled
-    columns are grouped as rows of a matrix, with the same result.
+    the scaled columns are counted as tuples of Python ints, exact for any
+    p and dimension.  Classes come in ascending lexicographic order of
+    their tuples.
     """
-    p, v = V.p, V.dim
+    p = V.p
     basis = V.basis % p
     cols = basis[:, basis.any(axis=0)]
     if cols.shape[1] == 0:
@@ -96,13 +87,7 @@ def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
     values, which = np.unique(lead, return_inverse=True)
     inverses = np.array([pow(int(x), -1, p) for x in values], dtype=np.int64)
     scaled = cols * inverses[which] % p
-    if p**v >= 2**63:
-        keys, counts = np.unique(scaled.T, axis=0, return_counts=True)
-        return {tuple(key.tolist()): int(n) for key, n in zip(keys, counts)}
-    powers = p ** np.arange(v - 1, -1, -1, dtype=np.int64)
-    keys, counts = np.unique(powers @ scaled, return_counts=True)
-    digits = keys[:, None] // powers % p
-    return {tuple(key): n for key, n in zip(digits.tolist(), counts.tolist())}
+    return dict(sorted(Counter(map(tuple, scaled.T.tolist())).items()))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Everything here is deliberately naive pure Python (itertools enumeration,
 textbook row reduction) so that agreement with the package's vectorized
 routines is meaningful.  The full-recount expansion routines, the
 tuple-label cover builder and path lift, the dense H^1 basis, the
-column-class loop, the hyperplane functional scan, the greedy complement
+column-class loop, the hyperplane functional scan and hand-built
+hyperplane rows, the greedy complement
 scan and the every-vertex greedy descent are the package's earlier
 implementations, kept as references; the edge-loop heuristic Cheeger
 sweep reads its first order off a dense eigendecomposition where the
@@ -249,15 +250,19 @@ def brute_cheeger(num_vertices, edges):
 
 
 def brute_relative_size(num_vertices, edges, alpha, p):
-    """min |supp(alpha + df)| over all p**V vertex potentials f."""
+    """min |supp(alpha + df)| over all p**V vertex potentials f, and the first f.
+
+    Returns (size, f) for the lexicographically first minimising f.  Adding
+    a constant to f leaves df alone, so that f has f[0] = 0.
+    """
     best = None
     for f in itertools.product(range(p), repeat=num_vertices):
         size = 0
         for e, (u, v) in enumerate(edges):
             if (alpha[e] + f[v] - f[u]) % p != 0:
                 size += 1
-        if best is None or size < best:
-            best = size
+        if best is None or size < best[0]:
+            best = size, f
     return best
 
 
@@ -569,14 +574,28 @@ def best_hyperplane_by_functional_scan(basis, p):
         if best is None or size < best[1]:
             best = (f, size)
     f, size = best
+    return size, hyperplane_by_rows(basis, f, p)
+
+
+def hyperplane_by_rows(basis, f, p):
+    """Reduced echelon basis of the hyperplane of span(basis) cut out by f.
+
+    The construction that `plotkin.hyperplane_subspace` replaced: scale f
+    to lead with 1, then map each of the rows e_i - f_i e_lead (i not the
+    lead), a basis of ker(f), through the basis.  Returns row lists.
+    """
+    basis = np.asarray(basis, dtype=np.int64) % p
+    f = [int(x) % p for x in f]
     lead = next(i for i, x in enumerate(f) if x)
+    inv = pow(f[lead], -1, p)
+    f = [x * inv % p for x in f]
     kernel = [
         [(int(a) - f[i] * int(b)) % p for a, b in zip(basis[i], basis[lead])]
-        for i in range(v)
+        for i in range(len(f))
         if i != lead
     ]
     rows, rank = mod_rref(kernel, p)
-    return size, rows[:rank]
+    return rows[:rank]
 
 
 def dense_cocycle_coordinates(K, p):

@@ -26,6 +26,7 @@ from pdescent.errors import EnumerationCapError, TrivialClassError
 from pdescent.expansion import (
     SWEEPS,
     SkeletonGraph,
+    _first_min_ratio,
     _greedy_descent,
     _sweep_min,
     cheeger_constant,
@@ -62,6 +63,19 @@ def test_cheeger_known_graphs():
     assert cheeger_constant(SkeletonGraph.from_complex(complete_complex(4))) == 2
     # a single edge: the only cut has ratio 1
     assert cheeger_constant(SkeletonGraph.from_complex(TwoComplex(2, [(0, 1)]))) == 1
+    # K_9 on 0..8 and K_8 on 9..16 joined by one bridge: only the K_8 side
+    # cuts 1 edge, and its mask 0x1fe00 lies past the first block of 2^16 masks
+    edges = complete_complex(9).edges + tuple((u + 9, v + 9) for u, v in complete_complex(8).edges)
+    bridged = SkeletonGraph.from_complex(TwoComplex(17, edges + ((8, 9),)))
+    assert cheeger_constant(bridged) == Fraction(1, 8)
+
+
+def test_first_min_ratio_compares_exactly():
+    # 2**53 + 1 and 2**53 are one float, so the float argmin alone picks index 0
+    cuts = np.array([2**53 + 1, 2**53, 2**53], dtype=np.int64)
+    assert _first_min_ratio(cuts, np.ones(3, dtype=np.int64)) == 1
+    # equal ratios: the first one wins
+    assert _first_min_ratio(np.array([3, 1, 2, 1]), np.array([3, 2, 4, 2])) == 1
 
 
 def test_cheeger_matches_brute_force():
@@ -218,8 +232,8 @@ def test_incremental_sweep_and_greedy_match_full_recount(case, seeds):
 
 def test_greedy_at_a_large_prime_keeps_no_hit_table():
     # at p = 65521 a table of V*p hit counts would outgrow the edge-end
-    # table, so each scoring recounts from the vertex's ends: the peak
-    # holds a couple of p-count rows whatever V is
+    # table, so each scoring counts only the values its vertex's ends hit:
+    # the peak holds not even one row of p counts, whatever V is
     p = 65521
     peaks = []
     for n in (16, 64):
@@ -238,8 +252,7 @@ def test_greedy_at_a_large_prime_keeps_no_hit_table():
             ref_values, ref_size = greedy_descent_every_vertex(K, alpha)
             assert size == ref_size < np.count_nonzero(alpha.values)
             assert np.array_equal(rep.values, ref_values)
-    assert max(peaks) < 3 * 8 * p
-    assert peaks[1] - peaks[0] < 8 * p  # a table would grow by 48 rows
+    assert max(peaks) < 8 * p  # one list of p counts holds 8*p bytes of pointers
 
 
 @st.composite
@@ -278,21 +291,28 @@ def test_expansion_diagnostics_match_edge_loop_versions_on_abelian_covers(case):
 
 def test_relative_size_exact_matches_brute_force():
     rng = np.random.default_rng(107)
+    cases = []
     for _ in range(15):
         p = int(rng.choice([2, 3]))
         n = int(rng.integers(2, 5))
         edges = [(i, (i + 1) % n) for i in range(n)]
         edges.append((0, int(rng.integers(0, n))))
+        cases.append((p, edges, rng.integers(0, p, size=len(edges))))
+    # the triangle with every edge at 1 over F_2 has three minimisers,
+    # and the first in the enumeration is not the first with vertex 2
+    # most significant
+    cases.append((2, [(0, 1), (1, 2), (2, 0)], [1, 1, 1]))
+    for p, edges, values in cases:
+        n = len({v for e in edges for v in e})
         K = TwoComplex(n, edges)
-        alpha = Cochain(K, p, rng.integers(0, p, size=len(edges)))
+        alpha = Cochain(K, p, values)
         if alpha.has_trivial_class():
             continue
-        got = relative_size(K, alpha, mode="exact")
-        expect = Fraction(
-            brute_relative_size(n, edges, [int(x) for x in alpha.values], p),
-            len(edges),
-        )
-        assert got == expect
+        size, f = brute_relative_size(n, edges, [int(x) for x in alpha.values], p)
+        assert relative_size(K, alpha, mode="exact") == Fraction(size, len(edges))
+        # the first minimiser in the enumeration, with vertex 1 most significant
+        rep, _ = minimum_support_representative(K, alpha)
+        assert rep.values.tolist() == [(a + f[v] - f[u]) % p for a, (u, v) in zip(alpha.values, edges)]
 
 
 def test_relative_size_upper_bounds_exact():

@@ -22,6 +22,7 @@ from oracles import (
     best_hyperplane_by_functional_scan,
     brute_min_hyperplane_support,
     column_classes_by_loop,
+    hyperplane_by_rows,
     mod_rank,
     random_subspace_rows,
 )
@@ -62,16 +63,22 @@ def test_hyperplane_functionals_enumeration():
 
 def test_hyperplane_subspace_is_codim_one():
     rng = np.random.default_rng(71)
-    for _ in range(25):
-        p = int(rng.choice([2, 3]))
-        dim = int(rng.integers(2, 5))
-        ambient = int(rng.integers(dim, 8))
-        rows = random_subspace_rows(rng, p, dim, ambient)
-        V = FpSubspace.from_rows(np.array(rows), p, ambient)
-        for f in list(hyperplane_functionals(V.dim, p))[:5]:
-            W = hyperplane_subspace(V, f)
-            assert W.dim == dim - 1
-            assert all(V.contains(row) for row in W.basis)
+    for p in (2, 3, 5, 65521):
+        for _ in range(25):
+            dim = int(rng.integers(2, 5))
+            ambient = int(rng.integers(dim, 8))
+            rows = random_subspace_rows(rng, p, dim, ambient)
+            V = FpSubspace.from_rows(np.array(rows), p, ambient)
+            for _ in range(3):
+                f = rng.integers(0, p, size=dim)
+                lead = int(rng.integers(0, dim))
+                f[:lead] = 0
+                # a leading entry other than 1 wherever p allows one
+                f[lead] = rng.integers(2, p) if p > 2 else 1
+                W = hyperplane_subspace(V, f)
+                assert W.dim == dim - 1
+                assert all(V.contains(row) for row in W.basis)
+                assert W.basis.tolist() == hyperplane_by_rows(V.basis, f, p)
 
 
 def test_hyperplane_subspace_checks_the_functional():
@@ -241,8 +248,8 @@ def test_column_classes_match_the_column_loop(p):
         V = FpSubspace.from_rows(rows, p)
         assert _column_classes(V) == column_classes_by_loop(V.basis, p)
     assert _column_classes(FpSubspace.from_rows(np.zeros((2, 6), dtype=np.int64), p)) == {}
-    # the last dimension whose integer keys fit int64, and the first that
-    # falls back to grouping the scaled columns as rows
+    # dimensions on both sides of p**dim = 2**63, where a base-p key of a
+    # column would stop fitting in int64
     top = next(d for d in range(1, 70) if p**d >= 2**63)
     for dim in (top - 1, top):
         rows = rng.integers(0, p, size=(dim, dim + 30))
