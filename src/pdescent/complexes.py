@@ -469,7 +469,7 @@ class Cochain:
 
     def has_trivial_class(self) -> bool:
         """True when the cocycle evaluates to zero on every fundamental loop."""
-        return not np.any(class_coordinates(self))
+        return not np.any(class_coordinates(self.complex, self.values, self.p))
 
 
 def build_presentation_complex(pres: GroupPresentation) -> TwoComplex:
@@ -570,18 +570,21 @@ def coboundary(K: TwoComplex, potential, p: int) -> Cochain:
 
 
 def tree_potential(K: TwoComplex, values, p: int) -> np.ndarray:
-    """Integrals of a 1-cochain along the spanning tree, one per vertex.
+    """Integrals of edge-value rows along the spanning tree, one per vertex.
 
-    pot[v] is the evaluation of `values` (one residue per edge) on the tree
-    path from the basepoint to v, mod p; one vectorised step per BFS layer.
+    values holds one residue per edge along its last axis, one row or a
+    stack; pot[..., v] evaluates each row on the tree path from the
+    basepoint to v, mod p, with one vectorised step per BFS layer.
     """
     a = K.arrays
-    values = _index_array(values, "edge values")
-    pot = np.zeros(K.num_vertices, dtype=np.int64)
+    # edge-major, so each layer gathers and scatters along the first axis
+    values = np.ascontiguousarray(fplinalg._integers(values).T)
+    pot = np.zeros((K.num_vertices,) + values.shape[1:], dtype=np.int64)
+    sign = a.parent_sign.reshape((-1,) + (1,) * (values.ndim - 1))
     for lo, hi in a.layers:
-        step = a.parent_sign[lo:hi] * values[a.parent_edge[lo:hi]]
+        step = sign[lo:hi] * values[a.parent_edge[lo:hi]]
         pot[a.bfs_vertices[lo:hi]] = (pot[a.parent_vertex[lo:hi]] + step) % p
-    return pot
+    return pot.T
 
 
 def face_sums(K: TwoComplex, rows) -> np.ndarray:
@@ -597,17 +600,20 @@ def face_sums(K: TwoComplex, rows) -> np.ndarray:
     return np.add.reduceat(rows[..., a.face_edges] * a.face_signs, a.face_starts, axis=-1)
 
 
-def class_coordinates(c: Cochain) -> np.ndarray:
-    """Evaluations on the fundamental loops, one per non-tree edge.
+def class_coordinates(K: TwoComplex, rows, p: int) -> np.ndarray:
+    """Evaluations of edge-value rows on the fundamental loops, one per non-tree edge.
 
-    Coboundaries evaluate to zero on closed loops, so these coordinates
-    depend only on the cohomology class; for a tree-vanishing cocycle they
-    are just its non-tree values.  The loop through e evaluates to
+    rows holds one value per edge along its last axis, one row or a stack,
+    as in `face_sums`.  Coboundaries vanish on closed loops, so a cocycle's
+    coordinates depend only on its class; for a tree-vanishing cocycle they
+    are its non-tree values.  The loop through e evaluates to
     pot[init e] + c(e) - pot[term e] for the tree potential pot of c.
     """
-    a = c.complex.arrays
-    pot = tree_potential(c.complex, c.values, c.p)
-    return ((pot[a.init] + c.values - pot[a.term]) % c.p)[a.non_tree]
+    a = K.arrays
+    rows = fplinalg._integers(rows)
+    pot = tree_potential(K, rows, p).T  # vertex-major, as tree_potential builds it
+    values = rows.T
+    return np.ascontiguousarray(((pot[a.init] + values - pot[a.term]) % p)[a.non_tree].T)
 
 
 def cocycle_from_coordinates(K: TwoComplex, p: int, coords) -> Cochain:

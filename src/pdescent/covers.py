@@ -178,16 +178,15 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
             raise ValueError("class modulus does not match p")
         if not c.is_cocycle():
             raise CocycleConditionError("defining class is not a cocycle")
-    coords = np.array([class_coordinates(c) for c in classes], dtype=np.int64)
+    shifts = np.stack([c.values for c in classes], axis=1)  # E x n
+    coords = class_coordinates(K, shifts.T, p)
     if fplinalg.rank(coords, p) < len(classes):
         combo = fplinalg.kernel_basis(coords.T, p)[0]
         raise DisconnectedCoverError(
             "classes are dependent in cohomology; the cover would be disconnected",
             certificate=combo,
         )
-    n = len(classes)
-    shifts = np.stack([c.values for c in classes], axis=1) % p  # E x n
-    return _build_shift_cover(K, shifts, (p,) * n, classes=classes)
+    return _build_shift_cover(K, shifts, (p,) * len(classes), classes=classes)
 
 
 def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:

@@ -149,14 +149,7 @@ def descent_parameters(
     return lam, u
 
 
-def _family_support(family) -> set[int]:
-    support: set[int] = set()
-    for c in family:
-        support |= c.support()
-    return support
-
-
-def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain]:
+def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> list[Cochain]:
     """The next level's covering classes from its echelon H^1 basis, per the series kind."""
     if spec.kind == "derived":
         if not basis:
@@ -176,10 +169,11 @@ def _series_classes(basis, spec: SeriesSpec, level: int, family) -> list[Cochain
     # complement (and with it the wedge family) stays as large as possible;
     # reading a basis entry builds its cocycle, so stop once enough are chosen;
     # an entry vanishes on the spanning tree, so its non-tree values are its coordinates
-    rows = [class_coordinates(c) for c in family]
+    values = np.array([c.values for c in family], dtype=np.int64)
+    rows = list(class_coordinates(K, values.reshape(len(family), K.num_edges), spec.p))
     picks: list[int] = []
     for i, c in enumerate(basis):
-        row = c.values[c.complex.arrays.non_tree]
+        row = c.values[K.arrays.non_tree]
         stacked = np.array(rows + [row], dtype=np.int64)
         if fplinalg.rank(stacked, spec.p) == len(stacked):
             picks.append(i)
@@ -220,7 +214,7 @@ def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) ->
     The rank series avoids the span of `family`.  The cover is not built
     when its p**n * K.num_cells cells would exceed the cell budget.
     """
-    classes = tuple(_series_classes(basis, spec, level, family))
+    classes = tuple(_series_classes(K, basis, spec, level, family))
     projected = spec.p ** len(classes) * K.num_cells
     if projected > spec.cell_budget:
         note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
@@ -244,15 +238,14 @@ def iter_covers(K: TwoComplex, spec: SeriesSpec) -> Iterator[TowerLevel]:
         K = step.cover.total
 
 
-def _record(level, index, K, dp, family, **step_fields):
-    support = _family_support(family)
+def _record(level, index, K, dp, support, **step_fields):
     return TowerRecord(
         level=level,
         index=index,
         dp=dp,
-        support_size=len(support),
+        support_size=support,
         edge_count=K.num_edges,
-        relsize_upper=Fraction(len(support), K.num_edges),
+        relsize_upper=Fraction(support, K.num_edges),
         **step_fields,
     )
 
@@ -274,6 +267,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
     if len(basis) < u:
         raise ValueError(f"H^1 of the presentation complex has rank {len(basis)} < u = {u}")
     family: Sequence[Cochain] = basis[:u]
+    support = int(np.any([c.values for c in family], axis=0).sum())
     records: list[TowerRecord] = []
     notes: list[str] = []
     index = 1
@@ -283,7 +277,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
         if level > 1:
             basis = h1_cocycle_basis(K, p)
         step = tower_level(K, basis, spec, level, index, family)
-        here = (level, index, K, len(basis), family)
+        here = (level, index, K, len(basis), support)
         n = len(step.classes)
         cov = step.cover
         if cov is None:
@@ -299,26 +293,22 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
             )
             records.append(_record(*here, quotient_rank=n, wedge_count=fam.size))
             index *= cov.degree
-            dp = h1_dimension(cov.total, p)
-            records.append(_record(level + 1, index, cov.total, dp, fam.cocycle_basis))
+            last = (level + 1, index, cov.total, h1_dimension(cov.total, p))
+            records.append(_record(*last, int(np.any(fam.cocycle_basis, axis=0).sum())))
             break
-        span = fplinalg.FpSubspace.from_rows(
-            np.array([c.values for c in fam.cocycle_basis], dtype=np.int64),
-            p,
-            cov.total.num_edges,
-        )
+        span = fplinalg.FpSubspace.from_rows(fam.cocycle_basis, p, cov.total.num_edges)
         reduction = reduce_to_dimension(span, u)
         bound = chain_factor(p, fam.size, u)
         records.append(_record(*here, quotient_rank=n, bound_factor=bound, wedge_count=fam.size))
-        old_support = records[-1].support_size
+        # the new family's support stays inside the preimage of the old one
+        if reduction.support_size > cov.degree * support:
+            raise InvariantError(f"level {level}: reduced family left its support's preimage")
+        support = reduction.support_size
         index *= cov.degree
         K = cov.total
         family = [Cochain(K, p, row) for row in reduction.subspace.basis]
-        # the new family's support stays inside the preimage of the old one
-        if len(_family_support(family)) > cov.degree * old_support:
-            raise InvariantError(f"level {level}: reduced family left its support's preimage")
     else:
-        records.append(_record(spec.depth + 1, index, K, h1_dimension(K, p), family))
+        records.append(_record(spec.depth + 1, index, K, h1_dimension(K, p), support))
 
     if verdict == "decay-certified":
         factor = uniform_factor(p, u)

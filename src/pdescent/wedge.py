@@ -48,17 +48,19 @@ def wedge_cochain(cov: CoveringMap, c1: Cochain, c2: Cochain) -> Cochain:
 class WedgeFamily:
     """Wedge cochains of a family U against a complement C of span(U) in the covering span.
 
-    span_basis lists the |U|*|C| wedges in (U-major, C-minor) order;
-    cocycle_basis is an echelon basis (in wedge-index coordinates) of the
-    combinations that are cocycles on the total complex.  Its classes are
-    independent in H^1 of the total complex.
+    span_basis holds the |U|*|C| wedges as rows of a read-only int64 matrix
+    over the total complex's edges, row i*|C| + j being U_i ∧ C_j (U-major,
+    C-minor order).  cocycle_basis, a read-only matrix of the same width,
+    is an echelon basis (in wedge-index coordinates) of the combinations
+    that are cocycles on the total complex.  Its classes are independent
+    in H^1 of the total complex.
     """
 
     cover: CoveringMap
     base_family: tuple[Cochain, ...]
     complement: tuple[Cochain, ...]
-    span_basis: tuple[Cochain, ...]
-    cocycle_basis: tuple[Cochain, ...]
+    span_basis: np.ndarray
+    cocycle_basis: np.ndarray
 
     @property
     def size(self) -> int:
@@ -70,7 +72,7 @@ def _check_base_cocycles(cov, family, p):
         if c.complex is not cov.base:
             raise ValueError("family member does not live on the base of the cover")
         if c.p != p:
-            raise ValueError("family member has mismatched modulus")
+            raise ValueError(f"family member has modulus {c.p}, the cover's classes {p}")
         if not c.is_cocycle():
             raise CocycleConditionError("family member is not a cocycle")
 
@@ -81,50 +83,49 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     The complement C is the greedy complement of span(U) in the covering
     span (`fplinalg.extend_to_complement`), so |C| >= n - |U| when the deck
     group has rank n.  The returned cocycle basis has dimension at least
-    |U|*|C| - r, where r is the number of deck orbits of faces.
+    |U|*|C| - r, where r is the number of deck orbits of faces.  Each
+    complement class gets one vertex value table, shared by its |U| wedges.
     """
     if cov.classes is None:
         raise UnsupportedCoverError("wedge families need an elementary abelian p-cover")
     family = tuple(family)
     if not family:
         raise ValueError("family must be nonempty")
-    p = family[0].p
+    p = cov.classes[0].p
     _check_base_cocycles(cov, family, p)
 
-    u_coords = np.array([class_coordinates(c) for c in family], dtype=np.int64)
+    u_rows = np.array([c.values for c in family])
+    u_coords = class_coordinates(cov.base, u_rows, p)
     if fplinalg.rank(u_coords, p) < len(family):
         raise ValueError("family classes are dependent in cohomology")
-    cover_coords = np.array([class_coordinates(c) for c in cov.classes], dtype=np.int64)
+    cover_coords = class_coordinates(cov.base, np.array([c.values for c in cov.classes]), p)
 
     comp_rows = fplinalg.extend_to_complement(u_coords, cover_coords, p)
-    complement = tuple(
-        cocycle_from_coordinates(cov.base, p, row) for row in comp_rows
-    )
+    complement = tuple(cocycle_from_coordinates(cov.base, p, row) for row in comp_rows)
 
-    span_basis = tuple(
-        wedge_cochain(cov, c1, c2) for c1 in family for c2 in complement
-    )
-    if not span_basis:
-        return WedgeFamily(cov, family, complement, (), ())
+    total = cov.total
+    tables = np.array([vertex_values(cov, c) for c in complement], dtype=np.int64)
+    tables = tables.reshape(len(complement), total.num_vertices)[:, total.arrays.init]
+    pulled = np.repeat(u_rows, cov.degree, axis=1)
+    span_basis = (pulled[:, None, :] * tables % p).reshape(-1, total.num_edges)
+    span_basis.flags.writeable = False
 
     # wedges of independent inputs are independent as cochains
-    span_matrix = np.array([w.values for w in span_basis], dtype=np.int64)
-    if fplinalg.rank(span_matrix, p) != len(span_basis):
+    if fplinalg.rank(span_basis, p) != len(span_basis):
         raise InvariantError("wedge cochains of independent inputs are dependent")
 
     reps = cov.deck_orbit_representatives()
-    constraints = face_sums(cov.total, span_matrix)[:, reps].T % p
+    constraints = face_sums(total, span_basis)[:, reps].T % p
     combos = fplinalg.kernel_basis(constraints, p)
     # entries are below p <= 2**16, so the product is exact in int64
-    cocycle_basis = tuple(Cochain(cov.total, p, row) for row in combos @ span_matrix % p)
-    for c in cocycle_basis:
-        # one face per orbit suffices; verify the full condition anyway
-        if not c.is_cocycle():
-            raise InvariantError("orbit representative constraints missed a face")
-    if cocycle_basis:
-        coords = np.array([class_coordinates(c) for c in cocycle_basis], dtype=np.int64)
-        if fplinalg.rank(coords, p) != len(cocycle_basis):
-            raise InvariantError("wedge cocycle classes are dependent in the cover")
+    cocycle_basis = combos @ span_basis % p
+    cocycle_basis.flags.writeable = False
+    # one face per orbit suffices; verify the full condition anyway
+    if np.any(face_sums(total, cocycle_basis) % p):
+        raise InvariantError("orbit representative constraints missed a face")
+    coords = class_coordinates(total, cocycle_basis, p)
+    if fplinalg.rank(coords, p) != len(coords):
+        raise InvariantError("wedge cocycle classes are dependent in the cover")
     return WedgeFamily(cov, family, complement, span_basis, cocycle_basis)
 
 
@@ -135,7 +136,8 @@ def dual_loops(K, cochains, p) -> list[EdgePath]:
     concatenating each loop the prescribed number of times.
     """
     cochains = list(cochains)
-    coords = np.array([class_coordinates(c) for c in cochains], dtype=np.int64)
+    rows = np.array([c.values for c in cochains], dtype=np.int64)
+    coords = class_coordinates(K, rows.reshape(len(cochains), K.num_edges), p)
     loops = K.fundamental_loops()
     out = []
     for i in range(len(cochains)):
@@ -177,8 +179,7 @@ def commutator_certificate(fam: WedgeFamily) -> np.ndarray:
     for i in range(u):
         for j in range(len(fam.complement)):
             comm = commutator_path(cov.base, duals[u + j], duals[i])
-            lifted = cov.lift_path(comm, 0)
-            for row, w in enumerate(fam.span_basis):
-                mat[row, col] = w.evaluate(lifted)
+            steps = np.array(cov.lift_path(comm, 0).steps, dtype=np.int64).reshape(-1, 2)
+            mat[:, col] = fam.span_basis[:, steps[:, 0]] @ steps[:, 1] % p
             col += 1
     return mat

@@ -19,6 +19,7 @@ from pdescent.complexes import (
     build_presentation_complex,
     class_coordinates,
     combine_cochains,
+    face_sums,
     h1_cocycle_basis,
     h1_dimension,
     parse_presentation,
@@ -172,14 +173,13 @@ def test_criterion_06_lifted_cocycle_family_contract():
     for u in (1, 2):
         fam = build_wedge_family(cov, basis[:u])
         assert fam.size >= (n - u) * u - r
-        for c in fam.cocycle_basis:
-            assert c.is_cocycle()
-        coords = np.array([class_coordinates(c) for c in fam.cocycle_basis])
+        assert not np.any(face_sums(cov.total, fam.cocycle_basis) % p)
+        coords = class_coordinates(cov.total, fam.cocycle_basis, p)
         assert fplinalg.rank(coords, p) == fam.size  # independent classes upstairs
         supp_u = set().union(*(c.support() for c in basis[:u]))
         preimage = {e for e in range(cov.total.num_edges) if e // cov.degree in supp_u}
-        for c in fam.cocycle_basis:
-            assert c.support() <= preimage
+        for row in fam.cocycle_basis:
+            assert set(np.flatnonzero(row).tolist()) <= preimage
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -396,6 +396,8 @@ GOLDEN = [
     (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "3",
       "--format", "table"],
      "descend_p2_rank2_u2_depth3.txt"),
+    # Z/2: the covering span is the family's own class, so the wedge span is empty
+    (["descend", "z2_p2.txt", "--u", "1", "--depth", "2"], "descend_z2_p2_u1_depth2.json"),
 ]
 
 

@@ -341,7 +341,7 @@ def test_h1_cocycle_basis_properties():
             assert c.is_cocycle()
             # normalized: zero on tree edges
             assert all(c.values[e] == 0 for e in K.tree_edges)
-            coord_rows.append(class_coordinates(c).tolist())
+            coord_rows.append(class_coordinates(K, c.values, p).tolist())
         if coord_rows:
             assert mod_rank(coord_rows, p) == len(basis)
 
@@ -387,13 +387,13 @@ def test_cocycle_basis_is_a_lazy_immutable_sequence():
     # read out of order: the rows do not depend on what was read before
     late = basis[7]
     assert basis[-13] is late and basis[7] is late
-    assert class_coordinates(late).tolist() == want[7]
+    assert class_coordinates(K, late.values, 3).tolist() == want[7]
     window = basis[5:9]
     assert isinstance(window, tuple) and window[2] is late
     assert [c.values.tolist() for c in basis[::-7]] == [
         basis[i].values.tolist() for i in (19, 12, 5)
     ]
-    assert [class_coordinates(c).tolist() for c in basis] == want
+    assert class_coordinates(K, np.array([c.values for c in basis]), 3).tolist() == want
     assert all(a is b for a, b in zip(basis, list(basis)))
     for bad in (20, -21):
         with pytest.raises(IndexError):
@@ -410,7 +410,7 @@ def test_class_coordinates_are_loop_evaluations():
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     for c in h1_cocycle_basis(K, p):
-        coords = class_coordinates(c)
+        coords = class_coordinates(K, c.values, p)
         for j, loop in enumerate(K.fundamental_loops()):
             assert c.evaluate(loop) == coords[j]
 
@@ -452,7 +452,7 @@ def test_tree_potential_checks_match_path_walks(c):
     pot = tree_potential(K, c.values, p)
     assert pot.tolist() == [walk(K.tree_path(v)) for v in range(K.num_vertices)]
     loops = [walk(loop) for loop in K.fundamental_loops()]
-    assert class_coordinates(c).tolist() == loops
+    assert class_coordinates(K, c.values, p).tolist() == loops
     assert c.has_trivial_class() == (not any(loops))
     assert c.is_cocycle() == all(walk(K.boundary_path(j)) == 0 for j in range(K.num_faces))
     # integer face sums of a stack of rows, signs and all, before any reduction
@@ -460,6 +460,13 @@ def test_tree_potential_checks_match_path_walks(c):
     expect = [[sum(d * int(row[e]) for e, d in f) for f in K.faces] for row in rows]
     assert face_sums(K, rows).tolist() == expect
     assert face_sums(K, rows[0]).tolist() == expect[0]
+    # a stack of 0, 1 or 3 unreduced rows gives the row-by-row potentials and coordinates
+    for stack in (rows[:0], rows[:1], rows):
+        pots, coords = tree_potential(K, stack, p), class_coordinates(K, stack, p)
+        assert pots.shape == (len(stack), K.num_vertices)
+        assert coords.shape == (len(stack), len(K.non_tree_edges))
+        assert pots.tolist() == [tree_potential(K, row, p).tolist() for row in stack]
+        assert coords.tolist() == [class_coordinates(K, row, p).tolist() for row in stack]
 
 
 def test_cocycle_from_coordinates_round_trip():
@@ -476,7 +483,7 @@ def test_cocycle_from_coordinates_round_trip():
             continue
         ok += 1
         assert c.is_cocycle()
-        assert np.array_equal(class_coordinates(c), coords % p)
+        assert np.array_equal(class_coordinates(K, c.values, p), coords % p)
     assert ok > 0
 
 

@@ -69,7 +69,7 @@ def test_cover_rejects_dependent_classes():
     with pytest.raises(DisconnectedCoverError) as info:
         build_abelian_p_cover(K, dependent, 2)
     cert = np.asarray(info.value.certificate)
-    coords = np.array([class_coordinates(c) for c in dependent])
+    coords = class_coordinates(K, np.array([c.values for c in dependent]), 2)
     # the certificate is a left-kernel vector of the coordinate matrix
     assert cert.any()
     assert np.all((cert @ coords) % 2 == 0)

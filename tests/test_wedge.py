@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdescent import wedge
 from pdescent.complexes import (
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
+    combine_cochains,
+    face_sums,
     h1_cocycle_basis,
     parse_presentation,
     presentation_loop,
 )
-from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
-from pdescent.errors import UnsupportedCoverError
+from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, vertex_values
+from pdescent.errors import InvariantError, UnsupportedCoverError
 from pdescent.wedge import (
     build_wedge_family,
     commutator_certificate,
@@ -22,6 +27,8 @@ from pdescent.wedge import (
 from oracles import mod_rank
 
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
+TORUS = "p = 2\ngens = a b\nrel = abAB\n"
+ROSE3 = "p = 2\ngens = a b c\n"
 
 
 def wedge_complex(n):
@@ -85,22 +92,31 @@ def test_wedge_support_containment():
             assert w.support() <= lifted
 
 
-def test_family_size_lower_bound_genus2():
+def test_family_size_lower_bound_genus2(monkeypatch):
     # (n - u) u - r with n = 4 covering classes, r = 1 deck face orbit
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis, p)
+    tables = []
+
+    def counted(cov, c):
+        tables.append(c)
+        return vertex_values(cov, c)
+
+    monkeypatch.setattr(wedge, "vertex_values", counted)
     for u in (1, 2):
+        tables.clear()
         fam = build_wedge_family(cov, basis[:u])
         n = len(basis)
         r = cov.base.num_faces
         assert len(fam.span_basis) == u * len(fam.complement)
+        # one vertex value table per complement class, shared by the |U| wedges with it
+        assert tables == list(fam.complement)
         assert fam.size >= (n - u) * u - r
-        for c in fam.cocycle_basis:
-            assert c.is_cocycle()
+        assert not np.any(face_sums(cov.total, fam.cocycle_basis) % p)
         # classes independent in H^1 of the total complex
-        coords = [class_coordinates(c).tolist() for c in fam.cocycle_basis]
+        coords = class_coordinates(cov.total, fam.cocycle_basis, p).tolist()
         assert mod_rank(coords, p) == fam.size
 
 
@@ -118,8 +134,8 @@ def test_family_supports_stay_in_preimage():
         for e in range(cov.total.num_edges)
         if e // cov.degree in base_support
     }
-    for c in fam.cocycle_basis:
-        assert c.support() <= allowed
+    for row in fam.cocycle_basis:
+        assert set(np.flatnonzero(row).tolist()) <= allowed
 
 
 def test_certificate_is_identity():
@@ -170,3 +186,59 @@ def test_wedge_family_rejects_dependent_family():
     cov = build_abelian_p_cover(K, basis, p)
     with pytest.raises(ValueError):
         build_wedge_family(cov, [basis[0], basis[0]])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((GENUS2, TORUS, ROSE3)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_span_basis_rows_are_the_pairwise_wedges(p, text, twice, seed):
+    # row i*|C| + j of the matrix is wedge_cochain(U_i, C_j), on random abelian
+    # covers of a presentation complex or of one of its covers (many vertices)
+    rng = np.random.default_rng(seed)
+    K = build_presentation_complex(parse_presentation(text)[0])
+    if twice:
+        K = build_abelian_p_cover(K, h1_cocycle_basis(K, p)[:2], p).total
+    basis = h1_cocycle_basis(K, p)
+    n = len(basis)
+    picks = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    cov = build_abelian_p_cover(K, [basis[int(i)] for i in picks], p)
+    u = int(rng.integers(1, min(n, 3) + 1))
+    coeffs = rng.integers(0, p, size=(u, n))
+    while mod_rank(coeffs.tolist(), p) < u:
+        coeffs = rng.integers(0, p, size=(u, n))
+    family = [combine_cochains(basis, row, p) for row in coeffs]
+    fam = build_wedge_family(cov, family)
+    width = len(fam.complement)
+    assert fam.span_basis.shape == (u * width, cov.total.num_edges)
+    for i, c1 in enumerate(family):
+        for j, c2 in enumerate(fam.complement):
+            assert np.array_equal(fam.span_basis[i * width + j], wedge_cochain(cov, c1, c2).values)
+    assert fam.cocycle_basis.shape == (fam.size, cov.total.num_edges)
+    assert not fam.span_basis.flags.writeable and not fam.cocycle_basis.flags.writeable
+
+
+def test_wedge_family_checks_every_face_of_the_cover(monkeypatch):
+    # without the one-face-per-orbit constraints the wedges themselves come
+    # back, and the check of the whole stack on every face must reject them
+    pres, p = parse_presentation(GENUS2)
+    K = build_presentation_complex(pres)
+    basis = h1_cocycle_basis(K, p)
+    cov = build_abelian_p_cover(K, basis, p)
+    assert build_wedge_family(cov, basis[:1]).size == 2  # of 3 wedges
+    monkeypatch.setattr(cov, "deck_orbit_representatives", lambda: [])
+    with pytest.raises(InvariantError, match="missed a face"):
+        build_wedge_family(cov, basis[:1])
+
+
+def test_wedge_family_rejects_a_family_of_another_modulus():
+    pres, _ = parse_presentation(GENUS2)
+    K = build_presentation_complex(pres)
+    b2, b3 = h1_cocycle_basis(K, 2), h1_cocycle_basis(K, 3)
+    cov = build_abelian_p_cover(K, b2[:2], 2)
+    for family in ([b3[0], b3[1]], [b2[2], b3[3]]):
+        with pytest.raises(ValueError, match="modulus 3, the cover's classes 2"):
+            build_wedge_family(cov, family)
