@@ -83,17 +83,17 @@ class CoveringMap:
     digits of v's rank, digit k ranging over Z/deck_moduli[k].  Cell t of
     the total complex, of any dimension, projects to base cell t // degree.
     A lift of base edge e adds shifts[e] to the digits of its start.  For
-    covers built from mod-p classes, `classes` retains the defining
-    cocycles.
+    covers built from mod-p classes, p is their modulus and the columns of
+    shifts are the defining cocycles; p is None for cyclic covers.
     """
 
-    def __init__(self, base, total, deck_moduli, shifts, classes=None):
+    def __init__(self, base, total, deck_moduli, shifts, p=None):
         self.base: TwoComplex = base
         self.total: TwoComplex = total
         self.deck_moduli = tuple(int(m) for m in deck_moduli)
         self.degree = math.prod(self.deck_moduli)
         self.shifts = shifts  # (base edges) x len(deck_moduli)
-        self.classes = None if classes is None else tuple(classes)
+        self.p = p
 
     def deck_label(self, total_vertex: int) -> tuple[int, ...]:
         r = total_vertex % self.degree
@@ -137,8 +137,11 @@ def _lift_faces(K: TwoComplex, shifts, moduli):
     return faces
 
 
-def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringMap:
-    """The cover whose edge e lifts shift deck digits by shifts[e] (E x n, mod moduli)."""
+def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
+    """The cover whose edge e lifts shift deck digits by shifts[e] (E x n, mod moduli).
+
+    With p, the shifts are n mod-p classes, which must be independent in H^1.
+    """
     moduli = tuple(int(m) for m in moduli)
     degree = math.prod(moduli)
     strides = _strides(moduli)
@@ -148,6 +151,13 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringM
     init = (a.init[:, None] * degree + ranks).ravel()
     term = (a.term[:, None] * degree + (digits + shifts[:, None, :]) % moduli @ strides).ravel()
     faces = _lift_faces(K, shifts, moduli)
+    if p is not None:
+        coords = class_coordinates(K, shifts.T, p)
+        if fplinalg.rank(coords, p) < len(moduli):
+            raise DisconnectedCoverError(
+                "classes are dependent in cohomology; the cover would be disconnected",
+                certificate=fplinalg.kernel_basis(coords.T, p)[0],
+            )
     try:
         total = TwoComplex.from_arrays(
             K.num_vertices * degree, init, term, *faces, basepoint=K.basepoint * degree
@@ -157,13 +167,14 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, classes=None) -> CoveringM
     # a degree-n cover multiplies every cell count, hence chi, by n
     if total.euler_characteristic != degree * K.euler_characteristic:
         raise InvariantError("cover Euler characteristic is not degree times the base's")
-    return CoveringMap(K, total, moduli, shifts, classes=classes)
+    return CoveringMap(K, total, moduli, shifts, p)
 
 
 def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
     """The connected (Z/p)^n cover defined by n independent cocycle classes.
 
-    Raises CocycleConditionError if some class is not a cocycle, and
+    Raises CocycleConditionError, naming the face, if some class does not
+    sum to 0 mod p around a face (a face lift would not close), and then
     DisconnectedCoverError (with a dependency certificate) if the classes
     are linearly dependent in H^1.
     """
@@ -176,17 +187,8 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
             raise ValueError("class does not live on the given complex")
         if c.p != p:
             raise ValueError("class modulus does not match p")
-        if not c.is_cocycle():
-            raise CocycleConditionError("defining class is not a cocycle")
     shifts = np.stack([c.values for c in classes], axis=1)  # E x n
-    coords = class_coordinates(K, shifts.T, p)
-    if fplinalg.rank(coords, p) < len(classes):
-        combo = fplinalg.kernel_basis(coords.T, p)[0]
-        raise DisconnectedCoverError(
-            "classes are dependent in cohomology; the cover would be disconnected",
-            certificate=combo,
-        )
-    return _build_shift_cover(K, shifts, (p,) * len(classes), classes=classes)
+    return _build_shift_cover(K, shifts, (p,) * len(classes), p)
 
 
 def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:
@@ -303,31 +305,31 @@ def loop_evaluations(K: TwoComplex, weights) -> list[int]:
     ]
 
 
-def vertex_values(cov: CoveringMap, c: Cochain) -> np.ndarray:
-    """Values of a pulled-back base cocycle integrated from the basepoint lift.
+def vertex_values(cov: CoveringMap, rows, p: int) -> np.ndarray:
+    """Values of pulled-back base cocycles integrated from the basepoint lift.
 
-    Well defined exactly when the class of c vanishes on loops of the total
-    complex; otherwise UndefinedVertexValueError reports a witness loop.
-    Each residue class then contains |V(total)|/p vertices when the class is
-    nontrivial on the deck group.
+    rows holds one value per base edge along its last axis, one row or a
+    stack, as in `tree_potential`.  A row's table is well defined exactly
+    when it is a cocycle whose class vanishes on loops of the total complex;
+    otherwise UndefinedVertexValueError names the first such row and a
+    witness loop.  Each residue class then contains |V(total)|/p vertices
+    when the class is nontrivial on the deck group.
     """
-    if c.complex is not cov.base:
-        raise ValueError("cochain does not live on the base of this cover")
-    if not c.is_cocycle():
-        raise CocycleConditionError("cochain is not a cocycle")
-    p = c.p
+    rows = fplinalg._integers(rows)
+    if rows.shape[-1:] != (cov.base.num_edges,):
+        raise ValueError("rows do not live on the base of this cover")
     total = cov.total
-    pulled = np.repeat(c.values, cov.degree)
+    pulled = np.repeat(rows, cov.degree, axis=-1)
     values = tree_potential(total, pulled, p)
     # tree edges are consistent by construction; any failure names a loop
     a = total.arrays
-    mismatch = (values[a.init] + pulled - values[a.term]) % p
+    mismatch = (values[..., a.init] + pulled - values[..., a.term]) % p
     bad = np.flatnonzero(mismatch)
     if len(bad):
-        e = int(bad[0])
+        row, e = divmod(int(bad[0]), total.num_edges)
         raise UndefinedVertexValueError(
-            "class does not vanish on loops of the total complex; "
-            f"witness loop through edge {e} evaluates to {int(mismatch[e])}",
+            f"class {row} does not vanish on loops of the total complex; "
+            f"witness loop through edge {e} evaluates to {int(mismatch.flat[bad[0]])}",
             witness_loop=total.fundamental_loop(e),
         )
     return values

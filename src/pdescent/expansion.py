@@ -400,7 +400,7 @@ def expansion_bound_report(
     rep, size = minimum_support_representative(cov.base, alpha)
     relsize = Fraction(size, cov.base.num_edges)
     # the cut argument needs the value table of the minimizing representative
-    values = vertex_values(cov, rep)
+    values = vertex_values(cov, rep.values, p)
     counts = tuple(int(x) for x in np.bincount(values, minlength=p))
     graph = SkeletonGraph.from_complex(cov.total)
     bound = Fraction(cov.base.num_edges * p, cov.base.num_vertices) * relsize

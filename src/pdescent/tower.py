@@ -169,8 +169,7 @@ def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> list[Coch
     # complement (and with it the wedge family) stays as large as possible;
     # reading a basis entry builds its cocycle, so stop once enough are chosen;
     # an entry vanishes on the spanning tree, so its non-tree values are its coordinates
-    values = np.array([c.values for c in family], dtype=np.int64)
-    rows = list(class_coordinates(K, values.reshape(len(family), K.num_edges), spec.p))
+    rows = list(class_coordinates(K, np.reshape(family, (len(family), K.num_edges)), spec.p))
     picks: list[int] = []
     for i, c in enumerate(basis):
         row = c.values[K.arrays.non_tree]
@@ -211,7 +210,8 @@ class TowerLevel:
 def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) -> TowerLevel:
     """Pick the covering classes of K from `basis`, its h1_cocycle_basis, and build their cover.
 
-    The rank series avoids the span of `family`.  The cover is not built
+    The rank series avoids the span of `family`, a matrix of edge-value
+    rows on K (empty for a bare tower).  The cover is not built
     when its p**n * K.num_cells cells would exceed the cell budget.
     """
     classes = tuple(_series_classes(K, basis, spec, level, family))
@@ -266,8 +266,8 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
     basis = h1_cocycle_basis(K, p)
     if len(basis) < u:
         raise ValueError(f"H^1 of the presentation complex has rank {len(basis)} < u = {u}")
-    family: Sequence[Cochain] = basis[:u]
-    support = int(np.any([c.values for c in family], axis=0).sum())
+    family = np.array([c.values for c in basis[:u]])
+    support = int(np.any(family, axis=0).sum())
     records: list[TowerRecord] = []
     notes: list[str] = []
     index = 1
@@ -306,7 +306,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
         support = reduction.support_size
         index *= cov.degree
         K = cov.total
-        family = [Cochain(K, p, row) for row in reduction.subspace.basis]
+        family = reduction.subspace.basis
     else:
         records.append(_record(spec.depth + 1, index, K, h1_dimension(K, p), support))
 

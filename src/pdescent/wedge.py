@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .complexes import (
-    Cochain,
-    EdgePath,
-    class_coordinates,
-    cocycle_from_coordinates,
-    face_sums,
-)
+from .complexes import Cochain, EdgePath, class_coordinates, face_sums
 from .covers import CoveringMap, vertex_values
 from .errors import CocycleConditionError, InvariantError, UnsupportedCoverError
 
@@ -40,7 +34,7 @@ __all__ = [
 def wedge_cochain(cov: CoveringMap, c1: Cochain, c2: Cochain) -> Cochain:
     """The cochain e -> c1(q(e)) * val_{c2}(init(e)) on the total complex."""
     pulled = cov.pullback(c1)
-    vals = vertex_values(cov, c2)
+    vals = vertex_values(cov, c2.values, c2.p)
     return Cochain(cov.total, c1.p, (pulled.values * vals[cov.total.arrays.init]) % c1.p)
 
 
@@ -48,17 +42,19 @@ def wedge_cochain(cov: CoveringMap, c1: Cochain, c2: Cochain) -> Cochain:
 class WedgeFamily:
     """Wedge cochains of a family U against a complement C of span(U) in the covering span.
 
-    span_basis holds the |U|*|C| wedges as rows of a read-only int64 matrix
-    over the total complex's edges, row i*|C| + j being U_i ∧ C_j (U-major,
-    C-minor order).  cocycle_basis, a read-only matrix of the same width,
-    is an echelon basis (in wedge-index coordinates) of the combinations
-    that are cocycles on the total complex.  Its classes are independent
-    in H^1 of the total complex.
+    base_family (U) and complement (C) are read-only int64 matrices over
+    the base edges, one cocycle per row; C's rows vanish on the base's
+    spanning tree.  span_basis holds the |U|*|C| wedges as rows of a
+    read-only int64 matrix over the total complex's edges, row i*|C| + j
+    being U_i ∧ C_j (U-major, C-minor order).  cocycle_basis, a read-only
+    matrix of the same width, is an echelon basis (in wedge-index
+    coordinates) of the combinations that are cocycles on the total
+    complex.  Its classes are independent in H^1 of the total complex.
     """
 
     cover: CoveringMap
-    base_family: tuple[Cochain, ...]
-    complement: tuple[Cochain, ...]
+    base_family: np.ndarray
+    complement: np.ndarray
     span_basis: np.ndarray
     cocycle_basis: np.ndarray
 
@@ -67,48 +63,44 @@ class WedgeFamily:
         return len(self.cocycle_basis)
 
 
-def _check_base_cocycles(cov, family, p):
-    for c in family:
-        if c.complex is not cov.base:
-            raise ValueError("family member does not live on the base of the cover")
-        if c.p != p:
-            raise ValueError(f"family member has modulus {c.p}, the cover's classes {p}")
-        if not c.is_cocycle():
-            raise CocycleConditionError("family member is not a cocycle")
-
-
 def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     """Construct the wedge family of independent cocycles U over a p-cover.
 
-    The complement C is the greedy complement of span(U) in the covering
-    span (`fplinalg.extend_to_complement`), so |C| >= n - |U| when the deck
-    group has rank n.  The returned cocycle basis has dimension at least
-    |U|*|C| - r, where r is the number of deck orbits of faces.  Each
-    complement class gets one vertex value table, shared by its |U| wedges.
+    family is U, a u x |E| integer matrix of residues mod the cover's p,
+    one cocycle on cov.base per row; one stack of face sums checks them
+    all.  The complement C is the greedy complement of span(U) in the
+    covering span (`fplinalg.extend_to_complement`), so |C| >= n - |U|
+    when the deck group has rank n.  The returned cocycle basis has
+    dimension at least |U|*|C| - r, where r is the number of deck orbits
+    of faces.  One `vertex_values` call gives every complement class its
+    table, shared by its |U| wedges.
     """
-    if cov.classes is None:
+    p = cov.p
+    if p is None:
         raise UnsupportedCoverError("wedge families need an elementary abelian p-cover")
-    family = tuple(family)
-    if not family:
+    base, total = cov.base, cov.total
+    U = np.array(fplinalg._integers(family))
+    if U.ndim != 2 or U.shape[1] != base.num_edges:
+        raise ValueError("family must be a matrix with one column per base edge")
+    if not len(U):
         raise ValueError("family must be nonempty")
-    p = cov.classes[0].p
-    _check_base_cocycles(cov, family, p)
+    if U.min() < 0 or U.max() >= p:
+        raise ValueError(f"family entries are not residues mod the cover's p = {p}")
+    if np.any(face_sums(base, U) % p):
+        raise CocycleConditionError("family member is not a cocycle")
 
-    u_rows = np.array([c.values for c in family])
-    u_coords = class_coordinates(cov.base, u_rows, p)
-    if fplinalg.rank(u_coords, p) < len(family):
+    coords = class_coordinates(base, np.vstack([U, cov.shifts.T]), p)
+    u_coords = coords[: len(U)]
+    if fplinalg.rank(u_coords, p) < len(U):
         raise ValueError("family classes are dependent in cohomology")
-    cover_coords = class_coordinates(cov.base, np.array([c.values for c in cov.classes]), p)
+    # greedy complement rows, as tree-vanishing cocycles
+    comp_coords = fplinalg.extend_to_complement(u_coords, coords[len(U) :], p)
+    C = np.zeros((len(comp_coords), base.num_edges), dtype=np.int64)
+    C[:, base.arrays.non_tree] = comp_coords
 
-    comp_rows = fplinalg.extend_to_complement(u_coords, cover_coords, p)
-    complement = tuple(cocycle_from_coordinates(cov.base, p, row) for row in comp_rows)
-
-    total = cov.total
-    tables = np.array([vertex_values(cov, c) for c in complement], dtype=np.int64)
-    tables = tables.reshape(len(complement), total.num_vertices)[:, total.arrays.init]
-    pulled = np.repeat(u_rows, cov.degree, axis=1)
+    tables = vertex_values(cov, C, p)[:, total.arrays.init]
+    pulled = np.repeat(U, cov.degree, axis=1)
     span_basis = (pulled[:, None, :] * tables % p).reshape(-1, total.num_edges)
-    span_basis.flags.writeable = False
 
     # wedges of independent inputs are independent as cochains
     if fplinalg.rank(span_basis, p) != len(span_basis):
@@ -119,29 +111,30 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     combos = fplinalg.kernel_basis(constraints, p)
     # entries are below p <= 2**16, so the product is exact in int64
     cocycle_basis = combos @ span_basis % p
-    cocycle_basis.flags.writeable = False
     # one face per orbit suffices; verify the full condition anyway
     if np.any(face_sums(total, cocycle_basis) % p):
         raise InvariantError("orbit representative constraints missed a face")
     coords = class_coordinates(total, cocycle_basis, p)
     if fplinalg.rank(coords, p) != len(coords):
         raise InvariantError("wedge cocycle classes are dependent in the cover")
-    return WedgeFamily(cov, family, complement, span_basis, cocycle_basis)
+    for m in (U, C, span_basis, cocycle_basis):
+        m.flags.writeable = False
+    return WedgeFamily(cov, U, C, span_basis, cocycle_basis)
 
 
-def dual_loops(K, cochains, p) -> list[EdgePath]:
+def dual_loops(K, rows, p) -> list[EdgePath]:
     """Based loops l_i with c_j(l_i) = delta_ij for independent cocycles c_j.
 
+    rows holds the cocycles c_j as a matrix, one row of edge values each.
     Built by solving for coefficient vectors over the fundamental loops and
     concatenating each loop the prescribed number of times.
     """
-    cochains = list(cochains)
-    rows = np.array([c.values for c in cochains], dtype=np.int64)
-    coords = class_coordinates(K, rows.reshape(len(cochains), K.num_edges), p)
+    rows = fplinalg._integers(rows)
+    coords = class_coordinates(K, rows.reshape(len(rows), K.num_edges), p)
     loops = K.fundamental_loops()
     out = []
-    for i in range(len(cochains)):
-        target = np.zeros(len(cochains), dtype=np.int64)
+    for i in range(len(rows)):
+        target = np.zeros(len(rows), dtype=np.int64)
         target[i] = 1
         y = fplinalg.solve(coords, target, p)
         if y is None:
@@ -170,9 +163,8 @@ def commutator_certificate(fam: WedgeFamily) -> np.ndarray:
     that the wedges are independent modulo coboundaries.
     """
     cov = fam.cover
-    p = fam.base_family[0].p
-    combined = list(fam.base_family) + list(fam.complement)
-    duals = dual_loops(cov.base, combined, p)
+    p = cov.p
+    duals = dual_loops(cov.base, np.vstack([fam.base_family, fam.complement]), p)
     u = len(fam.base_family)
     mat = np.zeros((len(fam.span_basis), len(fam.span_basis)), dtype=np.int64)
     col = 0

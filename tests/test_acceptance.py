@@ -15,6 +15,7 @@ import numpy as np
 from pdescent import fplinalg
 from pdescent.cli import main
 from pdescent.complexes import (
+    Cochain,
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
@@ -146,7 +147,7 @@ def test_criterion_05_commutator_wedge_identity():
         K = build_presentation_complex(pres)
         cov = logged_cover(K, h1_cocycle_basis(K, p), p)
         assert cov.degree == p ** len(gens)
-        c1, c2 = cov.classes[0], cov.classes[1]
+        c1, c2 = (Cochain(K, p, c) for c in cov.shifts.T[:2])
         w = wedge_cochain(cov, c1, c2)
         for _ in range(100):
             g = presentation_loop(
@@ -171,7 +172,7 @@ def test_criterion_06_lifted_cocycle_family_contract():
     assert (p, n, r) == (2, 4, 1)
     cov = logged_cover(K, basis, p)
     for u in (1, 2):
-        fam = build_wedge_family(cov, basis[:u])
+        fam = build_wedge_family(cov, np.array([c.values for c in basis[:u]]))
         assert fam.size >= (n - u) * u - r
         assert not np.any(face_sums(cov.total, fam.cocycle_basis) % p)
         coords = class_coordinates(cov.total, fam.cocycle_basis, p)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdescent.complexes import (
+    Cochain,
     EdgePath,
     GroupPresentation,
     build_presentation_complex,
@@ -76,14 +77,19 @@ def test_cover_rejects_dependent_classes():
 
 
 def test_cover_rejects_non_cocycles():
-    pres, p = parse_presentation(TORUS)
-    K = build_presentation_complex(pres)
-    from pdescent.complexes import Cochain
-
-    not_cocycle = Cochain(K, p, np.array([1, 0]))
-    if not not_cocycle.is_cocycle():
-        with pytest.raises(CocycleConditionError):
-            build_abelian_p_cover(K, [not_cocycle], p)
+    # the faces of <a, b | aab, abAB, ab> sum a class to 2a + b, 0 and a + b;
+    # the first face a class misses mod p is named, also when the classes
+    # are dependent, so the face check must come before the dependency check
+    K = build_presentation_complex(
+        GroupPresentation(generators=("a", "b"), relators=("aab", "abAB", "ab"))
+    )
+    for p in (2, 3, 5):
+        for values, face in (([1, 0], 2 if p == 2 else 0), ([0, 1], 0), ([1, p - 1], 0)):
+            c = Cochain(K, p, np.array(values))
+            assert not c.is_cocycle()
+            for classes in ([c], [c, c]):
+                with pytest.raises(CocycleConditionError, match=f"^face {face} attaching path"):
+                    build_abelian_p_cover(K, classes, p)
 
 
 def test_lift_path_projects_back():
@@ -197,7 +203,7 @@ def test_vertex_values_difference_property():
     classes = h1_cocycle_basis(K, p)[:2]
     cov = build_abelian_p_cover(K, classes, p)
     for c in classes:
-        vals = vertex_values(cov, c)
+        vals = vertex_values(cov, c.values, p)
         pull = cov.pullback(c)
         # defining property: values jump by the pulled-back cochain along edges
         for e, (u, v) in enumerate(cov.total.edges):
@@ -213,7 +219,7 @@ def test_vertex_values_undefined_off_covering_span():
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis[:2], p)
     with pytest.raises(UndefinedVertexValueError) as info:
-        vertex_values(cov, basis[2])
+        vertex_values(cov, basis[2].values, p)
     loop = info.value.witness_loop
     # the witness is a genuine loop of the total complex where the pullback
     # of the class fails to vanish
@@ -251,17 +257,36 @@ def test_tower_of_covers_composes():
 )
 def test_vertex_values_match_tree_path_walks(text, p, k, seed):
     # random combinations of the base classes: those in the covering span
-    # have vertex values, the others must name the first failing edge
+    # have vertex values, the others must name the first failing edge; a
+    # stack of them gives the one-row tables row by row, or fails at its
+    # first row outside the span, with that row's witness
     K = build_presentation_complex(parse_presentation(text)[0])
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis[:k], p)
-    c = combine_cochains(basis, np.random.default_rng(seed).integers(0, p, size=len(basis)), p)
-    expect, bad = vertex_values_by_tree_paths(cov.total, cov.pullback(c).values, p)
-    if bad is None:
-        assert vertex_values(cov, c).tolist() == expect
-    else:
+    rng = np.random.default_rng(seed)
+    stack = [
+        combine_cochains(basis, rng.integers(0, p, size=len(basis)), p)
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    tables, first_bad = [], None
+    for i, c in enumerate(stack):
+        expect, bad = vertex_values_by_tree_paths(cov.total, cov.pullback(c).values, p)
+        tables.append(expect)
+        if bad is None:
+            assert vertex_values(cov, c.values, p).tolist() == expect
+            continue
         with pytest.raises(UndefinedVertexValueError, match=f"through edge {bad} ") as info:
-            vertex_values(cov, c)
+            vertex_values(cov, c.values, p)
+        assert info.value.witness_loop == cov.total.fundamental_loop(bad)
+        if first_bad is None:
+            first_bad = (i, bad)
+    rows = np.array([c.values for c in stack])
+    if first_bad is None:
+        assert vertex_values(cov, rows, p).tolist() == tables
+    else:
+        i, bad = first_bad
+        with pytest.raises(UndefinedVertexValueError, match=f"^class {i} .* through edge {bad} ") as info:
+            vertex_values(cov, rows, p)
         assert info.value.witness_loop == cov.total.fundamental_loop(bad)
 
 

@@ -411,7 +411,7 @@ def test_vertex_value_classes_split_fibers():
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis, p)
-    vals = vertex_values(cov, basis[1])
+    vals = vertex_values(cov, basis[1].values, p)
     assert sorted(np.bincount(vals, minlength=p)) == [cov.total.num_vertices // p] * p
 
 

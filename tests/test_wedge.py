@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pdescent import wedge
 from pdescent.complexes import (
+    Cochain,
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
@@ -15,7 +16,7 @@ from pdescent.complexes import (
     presentation_loop,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, vertex_values
-from pdescent.errors import InvariantError, UnsupportedCoverError
+from pdescent.errors import CocycleConditionError, InvariantError, UnsupportedCoverError
 from pdescent.wedge import (
     build_wedge_family,
     commutator_certificate,
@@ -37,13 +38,18 @@ def wedge_complex(n):
     )
 
 
+def rows(cochains):
+    """A family of cochains as the matrix that the wedge functions take."""
+    return np.array([c.values for c in cochains])
+
+
 def random_word(rng, gens, length):
     letters = list(gens) + [g.upper() for g in gens]
     return "".join(letters[int(i)] for i in rng.integers(0, len(letters), size=length))
 
 
 def check_commutator_identity(K, pres, p, cov, pairs, rng):
-    c1, c2 = cov.classes[0], cov.classes[1]
+    c1, c2 = (Cochain(K, p, c) for c in cov.shifts.T[:2])
     w = wedge_cochain(cov, c1, c2)
     for _ in range(pairs):
         g = presentation_loop(K, pres, random_word(rng, pres.generators, int(rng.integers(1, 6))))
@@ -100,19 +106,19 @@ def test_family_size_lower_bound_genus2(monkeypatch):
     cov = build_abelian_p_cover(K, basis, p)
     tables = []
 
-    def counted(cov, c):
-        tables.append(c)
-        return vertex_values(cov, c)
+    def counted(cov, stack, p):
+        tables.append(stack)
+        return vertex_values(cov, stack, p)
 
     monkeypatch.setattr(wedge, "vertex_values", counted)
     for u in (1, 2):
         tables.clear()
-        fam = build_wedge_family(cov, basis[:u])
+        fam = build_wedge_family(cov, rows(basis[:u]))
         n = len(basis)
         r = cov.base.num_faces
         assert len(fam.span_basis) == u * len(fam.complement)
-        # one vertex value table per complement class, shared by the |U| wedges with it
-        assert tables == list(fam.complement)
+        # one call gives a table per complement class, shared by the |U| wedges with it
+        assert len(tables) == 1 and np.array_equal(tables[0], fam.complement)
         assert fam.size >= (n - u) * u - r
         assert not np.any(face_sums(cov.total, fam.cocycle_basis) % p)
         # classes independent in H^1 of the total complex
@@ -125,10 +131,8 @@ def test_family_supports_stay_in_preimage():
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis, p)
-    fam = build_wedge_family(cov, basis[:2])
-    base_support = set()
-    for c in fam.base_family:
-        base_support |= c.support()
+    fam = build_wedge_family(cov, rows(basis[:2]))
+    base_support = set(np.flatnonzero(np.any(fam.base_family, axis=0)).tolist())
     allowed = {
         e
         for e in range(cov.total.num_edges)
@@ -144,7 +148,7 @@ def test_certificate_is_identity():
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis, p)
     for u in (1, 2):
-        fam = build_wedge_family(cov, basis[:u])
+        fam = build_wedge_family(cov, rows(basis[:u]))
         cert = commutator_certificate(fam)
         assert np.array_equal(cert % p, np.eye(len(fam.span_basis), dtype=np.int64))
 
@@ -154,7 +158,7 @@ def test_certificate_identity_on_free_cover():
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, 2)
     cov = build_abelian_p_cover(K, basis, 2)
-    fam = build_wedge_family(cov, basis[:1])
+    fam = build_wedge_family(cov, rows(basis[:1]))
     cert = commutator_certificate(fam)
     assert np.array_equal(cert % 2, np.eye(len(fam.span_basis), dtype=np.int64))
 
@@ -163,7 +167,7 @@ def test_dual_loops_evaluate_to_identity():
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
-    loops = dual_loops(K, basis, p)
+    loops = dual_loops(K, rows(basis), p)
     for i, loop in enumerate(loops):
         assert K.path_end(loop) == loop.start == K.basepoint
         for j, c in enumerate(basis):
@@ -176,7 +180,7 @@ def test_wedge_family_needs_class_cover():
     basis = h1_cocycle_basis(K, p)
     cyc = build_cyclic_cover(K, [1, 0, 0, 0], 3)
     with pytest.raises(UnsupportedCoverError):
-        build_wedge_family(cyc, basis[:1])
+        build_wedge_family(cyc, rows(basis[:1]))
 
 
 def test_wedge_family_rejects_dependent_family():
@@ -185,7 +189,7 @@ def test_wedge_family_rejects_dependent_family():
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis, p)
     with pytest.raises(ValueError):
-        build_wedge_family(cov, [basis[0], basis[0]])
+        build_wedge_family(cov, rows([basis[0], basis[0]]))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -211,14 +215,16 @@ def test_span_basis_rows_are_the_pairwise_wedges(p, text, twice, seed):
     while mod_rank(coeffs.tolist(), p) < u:
         coeffs = rng.integers(0, p, size=(u, n))
     family = [combine_cochains(basis, row, p) for row in coeffs]
-    fam = build_wedge_family(cov, family)
+    fam = build_wedge_family(cov, rows(family))
     width = len(fam.complement)
     assert fam.span_basis.shape == (u * width, cov.total.num_edges)
     for i, c1 in enumerate(family):
         for j, c2 in enumerate(fam.complement):
-            assert np.array_equal(fam.span_basis[i * width + j], wedge_cochain(cov, c1, c2).values)
+            w = wedge_cochain(cov, c1, Cochain(K, p, c2))
+            assert np.array_equal(fam.span_basis[i * width + j], w.values)
     assert fam.cocycle_basis.shape == (fam.size, cov.total.num_edges)
-    assert not fam.span_basis.flags.writeable and not fam.cocycle_basis.flags.writeable
+    for m in (fam.base_family, fam.complement, fam.span_basis, fam.cocycle_basis):
+        assert not m.flags.writeable
 
 
 def test_wedge_family_checks_every_face_of_the_cover(monkeypatch):
@@ -228,17 +234,27 @@ def test_wedge_family_checks_every_face_of_the_cover(monkeypatch):
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis, p)
-    assert build_wedge_family(cov, basis[:1]).size == 2  # of 3 wedges
+    assert build_wedge_family(cov, rows(basis[:1])).size == 2  # of 3 wedges
     monkeypatch.setattr(cov, "deck_orbit_representatives", lambda: [])
     with pytest.raises(InvariantError, match="missed a face"):
-        build_wedge_family(cov, basis[:1])
+        build_wedge_family(cov, rows(basis[:1]))
 
 
 def test_wedge_family_rejects_a_family_of_another_modulus():
+    # a family matrix carries no modulus: entries that are not residues mod
+    # the cover's p (here twice a mod-3 class) are rejected
     pres, _ = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     b2, b3 = h1_cocycle_basis(K, 2), h1_cocycle_basis(K, 3)
     cov = build_abelian_p_cover(K, b2[:2], 2)
-    for family in ([b3[0], b3[1]], [b2[2], b3[3]]):
-        with pytest.raises(ValueError, match="modulus 3, the cover's classes 2"):
+    for family in ([2 * b3[0].values % 3, b3[1].values], [b2[2].values, 2 * b3[3].values % 3]):
+        with pytest.raises(ValueError, match="not residues mod the cover's p = 2"):
             build_wedge_family(cov, family)
+
+
+def test_wedge_family_rejects_a_row_that_is_not_a_cocycle():
+    # on <a, b | aab> mod 2 the face row is b, so (0, 1) is not a cocycle
+    K = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=("aab",)))
+    cov = build_abelian_p_cover(K, h1_cocycle_basis(K, 2)[:1], 2)
+    with pytest.raises(CocycleConditionError, match="not a cocycle"):
+        build_wedge_family(cov, [[1, 0], [0, 1]])
