@@ -17,12 +17,10 @@ from .complexes import (
     class_coordinates,
     cocycle_from_coordinates,
     coboundary,
-    combine_cochains,
     format_presentation,
     h1_cocycle_basis,
     h1_dimension,
     parse_presentation,
-    presentation_loop,
     tree_potential,
 )
 from .covers import (
@@ -40,7 +38,6 @@ from .errors import (
     MalformedTowerError,
     NotRapidlyDescendingError,
     ParseError,
-    QuasiAdditivityError,
     TrivialClassError,
     UndefinedVertexValueError,
     UnsupportedCoverError,
@@ -53,13 +50,12 @@ from .expansion import (
     minimum_support_representative,
     relative_size,
 )
-from .fplinalg import FpSubspace, subspace_support, support_size_by_enumeration
+from .fplinalg import FpSubspace, subspace_support
 from .plotkin import (
     HyperplaneResult,
     ReductionResult,
     best_hyperplane,
     chain_factor,
-    hyperplane_functionals,
     hyperplane_subspace,
     reduce_to_dimension,
     uniform_factor,
@@ -73,7 +69,6 @@ from .tower import (
     cyclic_growth_report,
     descent_parameters,
     largeness_criteria_report,
-    quasi_additive_limit,
     run_descent,
 )
 from .wedge import (
@@ -97,12 +92,10 @@ __all__ = [
     "class_coordinates",
     "cocycle_from_coordinates",
     "coboundary",
-    "combine_cochains",
     "format_presentation",
     "h1_cocycle_basis",
     "h1_dimension",
     "parse_presentation",
-    "presentation_loop",
     "tree_potential",
     "CoveringMap",
     "build_abelian_p_cover",
@@ -116,7 +109,6 @@ __all__ = [
     "MalformedTowerError",
     "NotRapidlyDescendingError",
     "ParseError",
-    "QuasiAdditivityError",
     "TrivialClassError",
     "UndefinedVertexValueError",
     "UnsupportedCoverError",
@@ -128,12 +120,10 @@ __all__ = [
     "relative_size",
     "FpSubspace",
     "subspace_support",
-    "support_size_by_enumeration",
     "HyperplaneResult",
     "ReductionResult",
     "best_hyperplane",
     "chain_factor",
-    "hyperplane_functionals",
     "hyperplane_subspace",
     "reduce_to_dimension",
     "uniform_factor",
@@ -145,7 +135,6 @@ __all__ = [
     "cyclic_growth_report",
     "descent_parameters",
     "largeness_criteria_report",
-    "quasi_additive_limit",
     "run_descent",
     "WedgeFamily",
     "build_wedge_family",

@@ -33,7 +33,6 @@ __all__ = [
     "Cochain",
     "CocycleBasis",
     "build_presentation_complex",
-    "presentation_loop",
     "h1_dimension",
     "h1_cocycle_basis",
     "coboundary",
@@ -41,7 +40,6 @@ __all__ = [
     "face_sums",
     "class_coordinates",
     "cocycle_from_coordinates",
-    "combine_cochains",
 ]
 
 
@@ -332,8 +330,9 @@ class TwoComplex:
     attaching paths of (edge, direction) steps; `from_arrays` takes the
     arrays.  Both run the same checks and build a BFS spanning tree from
     the basepoint (`EdgeEnds.tree_ends`), giving deterministic tree paths
-    and fundamental loops.  `edges`, `faces`, `tree_edges` and
-    `non_tree_edges` are views of the arrays, built on first read.
+    and fundamental loops.  `edges` and `non_tree_edges` are tuple views
+    of the arrays, and `edge_ends` is the edge-end table again, each built
+    on first read.
     """
 
     def __init__(self, num_vertices, edges, faces=(), basepoint=0):
@@ -387,18 +386,6 @@ class TwoComplex:
         return EdgeEnds.of(self.num_vertices, self.arrays.init, self.arrays.term)
 
     @cached_property
-    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The (edge, direction) steps of each face's attaching path."""
-        a = self.arrays
-        steps = list(zip(a.face_edges.tolist(), a.face_signs.tolist()))
-        bounds = [*a.face_starts.tolist(), len(steps)]
-        return tuple(tuple(steps[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def tree_edges(self) -> frozenset[int]:
-        return frozenset(self.arrays.parent_edge.tolist())
-
-    @cached_property
     def non_tree_edges(self) -> tuple[int, ...]:
         return tuple(self.arrays.non_tree.tolist())
 
@@ -435,29 +422,23 @@ class TwoComplex:
     def fundamental_loops(self) -> list[EdgePath]:
         return [self.fundamental_loop(e) for e in self.non_tree_edges]
 
-    def boundary_path(self, j: int) -> EdgePath:
-        f = self.faces[j]
-        return EdgePath(start=self.step_endpoints(f[0])[0], steps=f)
-
 
 @dataclass(eq=False)
 class Cochain:
-    """A 1-cochain with values in F_p, one residue per oriented edge."""
+    """A 1-cochain with values in F_p, one residue per oriented edge; p must be prime."""
 
     complex: TwoComplex
     p: int
     values: np.ndarray
 
     def __post_init__(self):
+        self.p = fplinalg.validate_prime(self.p)
         vals = _index_array(self.values, "cochain")
         vals %= self.p
         if vals.shape != (self.complex.num_edges,):
             raise ValueError("cochain length does not match edge count")
         vals.flags.writeable = False
         self.values = vals
-
-    def support(self) -> set[int]:
-        return {int(j) for j in np.flatnonzero(self.values)}
 
     def evaluate(self, path: EdgePath) -> int:
         self.complex.path_end(path)  # raises unless the steps connect
@@ -477,11 +458,6 @@ def build_presentation_complex(pres: GroupPresentation) -> TwoComplex:
     edges = [(0, 0)] * pres.rank
     faces = [tuple(pres.word_steps(w)) for w in pres.relators]
     return TwoComplex(num_vertices=1, edges=edges, faces=faces, basepoint=0)
-
-
-def presentation_loop(K: TwoComplex, pres: GroupPresentation, word: str) -> EdgePath:
-    """The based loop of a word in the presentation complex."""
-    return EdgePath(start=K.basepoint, steps=tuple(pres.word_steps(word)))
 
 
 def _face_rows(K: TwoComplex, p: int):
@@ -561,6 +537,7 @@ def h1_cocycle_basis(K: TwoComplex, p: int) -> CocycleBasis:
 
 def coboundary(K: TwoComplex, potential, p: int) -> Cochain:
     """df for a vertex potential f: (df)(e) = f(term) - f(init)."""
+    p = fplinalg.validate_prime(p)
     f = _index_array(potential, "potential")
     f %= p
     if f.shape != (K.num_vertices,):
@@ -628,17 +605,3 @@ def cocycle_from_coordinates(K: TwoComplex, p: int, coords) -> Cochain:
     if not c.is_cocycle():
         raise CocycleConditionError("coordinates do not satisfy the face constraints")
     return c
-
-
-def combine_cochains(cochains, coeffs, p: int) -> Cochain:
-    """The linear combination sum(coeffs[i] * cochains[i]) over F_p."""
-    cochains = list(cochains)
-    if not cochains:
-        raise ValueError("need at least one cochain")
-    K = cochains[0].complex
-    values = np.zeros(K.num_edges, dtype=np.int64)
-    for a, c in zip(coeffs, cochains, strict=True):
-        if c.complex is not K:
-            raise ValueError("cochains live on different complexes")
-        values = (values + int(a) * c.values) % p
-    return Cochain(K, p, values)

@@ -64,17 +64,6 @@ class MalformedTowerError(ValueError):
     """Tower records are empty, unordered, or otherwise inconsistent."""
 
 
-class QuasiAdditivityError(ValueError):
-    """Sampled values violate the claimed quasi-additivity constant.
-
-    `witness` is a pair (i, j) with |f(i+j) - f(i) - f(j)| > k.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class InvariantError(Exception):
     """A mathematical invariant that the package guarantees has failed.
 

@@ -7,7 +7,7 @@ whose deck group sees a class alpha, the cut between vertex-value classes
 bounds the cover's Cheeger constant by (|E| / (|V|/p)) * relsize(alpha).
 
 Costs: both diagnostics read the edge-end table of the graph or complex
-(`EdgeEnds`, built once per instance; the table runs its connectivity
+(`EdgeEnds`, built once per complex; the table runs its connectivity
 search once, on first read).  The heuristic applies the Laplacian from the
 table, never as a dense matrix: k Lanczos steps find its first sweep order
 in O(k*E) time plus O(k^2*V) for reorthogonalisation, and hold a k x V
@@ -27,13 +27,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .complexes import Cochain, EdgeEnds, TwoComplex, coboundary
 from .covers import CoveringMap, vertex_values
-from .errors import EnumerationCapError, TrivialClassError
+from .errors import CocycleConditionError, EnumerationCapError, TrivialClassError
 
 __all__ = [
     "SkeletonGraph",
@@ -50,39 +49,21 @@ TOL = 1e-12
 RELSIZE_CAP = 2**20
 
 
+@dataclass(frozen=True, eq=False)
 class SkeletonGraph:
-    """An undirected multigraph (loops allowed) given by an edge list.
+    """An undirected multigraph (loops allowed): its vertex count and edge-end table.
 
-    `from_complex` gives the 1-skeleton of a complex without an edge list:
-    it shares the complex's edge-end table, and `edges` reads the
-    complex's edge tuples only when it is read.
+    `from_complex` gives the 1-skeleton of a complex, sharing the
+    complex's table; `edge_ends.reaches_all` says whether it is connected.
     """
 
-    def __init__(self, num_vertices: int, edges):
-        self.num_vertices = num_vertices
-        self.edges = tuple(edges)  # shadows the cached property below
+    num_vertices: int
+    edge_ends: EdgeEnds
 
     @classmethod
     def from_complex(cls, K: TwoComplex) -> "SkeletonGraph":
         """The 1-skeleton of K, sharing K's edge-end table instead of rebuilding it."""
-        graph = cls.__new__(cls)
-        graph.num_vertices, graph._complex = K.num_vertices, K
-        graph.__dict__["edge_ends"] = K.edge_ends  # where the cached property keeps it
-        return graph
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """(u, v) of each edge; set by the constructor, or read from the complex."""
-        return self._complex.edges
-
-    @cached_property
-    def edge_ends(self) -> EdgeEnds:
-        """The non-loop edge ends, sorted by (vertex, edge index)."""
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        return EdgeEnds.of(self.num_vertices, pairs[:, 0], pairs[:, 1])
-
-    def is_connected(self) -> bool:
-        return self.edge_ends.reaches_all
+        return cls(K.num_vertices, K.edge_ends)
 
 
 def _sweep_min(ends: EdgeEnds, orders) -> tuple[int, int] | None:
@@ -235,7 +216,7 @@ def _check_nontrivial(K: TwoComplex, alpha: Cochain):
     if alpha.complex is not K:
         raise ValueError("cochain does not live on K")
     if not alpha.is_cocycle():
-        raise ValueError("relative size needs a cocycle")
+        raise CocycleConditionError("relative size needs a cocycle")
     if alpha.has_trivial_class():
         raise TrivialClassError("class is a coboundary; relative size would be 0")
 

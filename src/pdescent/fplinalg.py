@@ -27,11 +27,10 @@ from __future__ import annotations
 import bisect
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, EnumerationCapError
+from .errors import DimensionError
 
 __all__ = [
     "validate_prime",
@@ -43,15 +42,12 @@ __all__ = [
     "sparse_kernel",
     "kernel_basis",
     "solve",
-    "in_rowspan",
     "extend_to_complement",
     "FpSubspace",
     "subspace_support",
-    "support_size_by_enumeration",
 ]
 
 MAX_PRIME = 2**16
-ENUMERATION_CAP = 2**20
 
 
 def validate_prime(p) -> int:
@@ -395,16 +391,6 @@ def solve(m, b, p):
     return x
 
 
-def in_rowspan(vec, basis, p) -> bool:
-    basis = _as_matrix(basis, p)
-    v = _as_matrix(vec, p)
-    # an empty list arrives as shape (1, 0): no rows of the vector's length
-    if basis.size == 0:
-        return not v.any()
-    stacked = np.vstack([basis, v])
-    return rank(stacked, p) == rank(basis, p)
-
-
 def extend_to_complement(inner, outer, p) -> np.ndarray:
     """Greedy complement of span(inner) in span(outer).
 
@@ -451,9 +437,6 @@ class FpSubspace:
     def dim(self) -> int:
         return int(self.basis.shape[0])
 
-    def contains(self, vec) -> bool:
-        return in_rowspan(vec, self.basis, self.p)
-
     def contains_subspace(self, other: "FpSubspace") -> bool:
         # other lies inside self iff its rows add no rank to self's basis
         return rank(np.vstack([self.basis, other.basis]), self.p) == self.dim
@@ -468,24 +451,3 @@ def subspace_support(w: FpSubspace) -> set[int]:
     if w.dim == 0:
         return set()
     return {int(j) for j in np.flatnonzero((w.basis % w.p != 0).any(axis=0))}
-
-
-def support_size_by_enumeration(w: FpSubspace, cap: int = ENUMERATION_CAP) -> Fraction:
-    """Support size recovered by summing member supports over the whole subspace.
-
-    Returns (sum over elements of |supp|) / ((p-1) p^(dim-1)), which equals
-    |supp(W)| because each coordinate in the support is nonzero on exactly
-    (p-1)p^(dim-1) elements.  Exact rational arithmetic throughout; used as
-    an independent cross-check of `subspace_support`.
-    """
-    p, d = w.p, w.dim
-    if d == 0:
-        return Fraction(0)
-    if p**d > cap:
-        raise EnumerationCapError(f"enumeration of {p}**{d} elements exceeds cap {cap}")
-    count, total = p**d, 0
-    places = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    for start in range(0, count, 4096):  # blockwise, so memory stays bounded
-        coeffs = np.arange(start, min(start + 4096, count), dtype=np.int64)[:, None] // places % p
-        total += int(((coeffs @ w.basis) % p != 0).sum())
-    return Fraction(total, (p - 1) * p ** (d - 1))

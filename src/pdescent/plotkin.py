@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .fplinalg import FpSubspace, _integers, kernel_basis, subspace_support
 __all__ = [
     "chain_factor",
     "uniform_factor",
-    "hyperplane_functionals",
     "hyperplane_subspace",
     "HyperplaneResult",
     "best_hyperplane",
@@ -40,19 +38,6 @@ def chain_factor(p: int, v: int, w: int) -> Fraction:
 def uniform_factor(p: int, w: int) -> Fraction:
     """Dimension-free decay factor for a reduction to dimension w."""
     return Fraction(p ** (w + 1) - p, p ** (w + 1) - 1)
-
-
-def hyperplane_functionals(v: int, p: int):
-    """All projectively normalized nonzero functionals on F_p^v, in lex order.
-
-    One representative per hyperplane: the first nonzero coefficient is 1.
-    """
-    for lead in range(v - 1, -1, -1):
-        for rest in product(range(p), repeat=v - 1 - lead):
-            f = np.zeros(v, dtype=np.int64)
-            f[lead] = 1
-            f[lead + 1 :] = rest
-            yield f
 
 
 def hyperplane_subspace(V: FpSubspace, f) -> FpSubspace:

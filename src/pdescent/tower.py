@@ -7,8 +7,8 @@ hyperplane machinery.  Supports then shrink by at least the uniform factor
 (p^(u+1) - p)/(p^(u+1) - 1) per level relative to the edge count, which is
 the decaying-support signal the reports certify.
 
-Also here: finite-prefix largeness diagnostics (never proofs), cyclic
-cover homology growth, and quasi-additive limit estimation.
+Also here: finite-prefix largeness diagnostics (never proofs) and cyclic
+cover homology growth.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ from .covers import (
     _cyclic_weights,
     build_abelian_p_cover,
 )
-from .errors import (
-    InvariantError,
-    MalformedTowerError,
-    NotRapidlyDescendingError,
-    QuasiAdditivityError,
-)
+from .errors import InvariantError, MalformedTowerError, NotRapidlyDescendingError
 from .plotkin import chain_factor, reduce_to_dimension, uniform_factor
 from .wedge import build_wedge_family
 
@@ -59,7 +54,6 @@ __all__ = [
     "largeness_criteria_report",
     "GrowthReport",
     "cyclic_growth_report",
-    "quasi_additive_limit",
 ]
 
 DEFAULT_CELL_BUDGET = 10**6
@@ -423,40 +417,3 @@ def cyclic_growth_report(
         positive_limit_signal=signal,
         limit_estimate=entries[-1][2],
     )
-
-
-def quasi_additive_limit(values, k) -> tuple[Fraction, bool]:
-    """Limit estimate for f(i)/i from samples of a quasi-additive function.
-
-    values is a list of (i, f(i)) pairs; every sampled triple must satisfy
-    |f(i+j) - f(i) - f(j)| <= k, else QuasiAdditivityError names a witness
-    pair.  Since |f(i) - M i| <= 2k for the limit M, the ratio at the
-    largest sampled argument is the tightest available estimate; the
-    bounded flag reports whether all |f(i)| <= 2k, consistent with f being
-    bounded (limit 0).
-    """
-    pairs = sorted((int(i), int(v)) for i, v in values)
-    if not pairs:
-        raise ValueError("need at least one sample")
-    if any(i < 1 for i, _ in pairs):
-        raise ValueError("arguments must be positive integers")
-    if len({i for i, _ in pairs}) != len(pairs):
-        raise ValueError("arguments must be distinct")
-    table = dict(pairs)
-    if k < 0:
-        raise ValueError("quasi-additivity constant must be nonnegative")
-    for i in table:
-        for j in table:
-            if j < i:
-                continue
-            if i + j in table:
-                defect = abs(table[i + j] - table[i] - table[j])
-                if defect > k:
-                    raise QuasiAdditivityError(
-                        f"|f({i + j}) - f({i}) - f({j})| = {defect} > {k}",
-                        witness=(i, j),
-                    )
-    i_max, f_max = pairs[-1]
-    estimate = Fraction(f_max, i_max)
-    bounded = all(abs(v) <= 2 * k for _, v in pairs)
-    return estimate, bounded

@@ -10,11 +10,17 @@ scan and the every-vertex greedy descent are the package's earlier
 implementations, kept as references; the edge-loop heuristic Cheeger
 sweep reads its first order off a dense eigendecomposition where the
 package runs Lanczos.  The expansion routines, the column-class loop and
-the functional scan use numpy.
-Nothing in this module imports the package: complexes, graphs and
-cochains are read through their attributes only.
+the functional scan use numpy.  The helpers that only tests call live
+here too: word loops, cochain combinations and supports, face paths and
+tree edges of a complex, row-span membership, the enumerated subspace
+support and the hyperplane functionals.
+Nothing in this module imports the package: complexes and cochains are
+read through their attributes only (the expansion oracles read a
+complex's 1-skeleton), and a path or cochain is built by
+`dataclasses.replace` on one the package made.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -78,10 +84,51 @@ def loop_boundary_matrices(K, p):
         d1[v][e] += 1
         d1[u][e] -= 1
     d2 = [[0] * K.num_faces for _ in range(K.num_edges)]
-    for j, f in enumerate(K.faces):
+    for j, f in enumerate(face_paths(K)):
         for e, d in f:
             d2[e][j] += d
     return [[x % p for x in row] for row in d1], [[x % p for x in row] for row in d2]
+
+
+def face_paths(K):
+    """The (edge, direction) steps of each face's attaching path, read off K.arrays."""
+    a = K.arrays
+    steps = list(zip(a.face_edges.tolist(), a.face_signs.tolist()))
+    bounds = [*a.face_starts.tolist(), len(steps)]
+    return tuple(tuple(steps[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def tree_edges(K):
+    """The spanning-tree edges of K, read off K.arrays."""
+    return frozenset(K.arrays.parent_edge.tolist())
+
+
+def boundary_path(K, j):
+    """Face j's attaching path, starting at the start of its first step."""
+    steps = face_paths(K)[j]
+    e, d = steps[0]
+    start = K.edges[e][0 if d == 1 else 1]
+    return dataclasses.replace(K.tree_path(K.basepoint), start=start, steps=steps)
+
+
+def presentation_loop(K, pres, word):
+    """The based loop of a word in the presentation complex K of pres."""
+    return dataclasses.replace(K.tree_path(K.basepoint), steps=tuple(pres.word_steps(word)))
+
+
+def combine_cochains(cochains, coeffs, p):
+    """The linear combination sum(coeffs[i] * cochains[i]) over F_p, term by term."""
+    cochains = list(cochains)
+    values = np.zeros(cochains[0].complex.num_edges, dtype=np.int64)
+    for a, c in zip(coeffs, cochains, strict=True):
+        assert c.complex is cochains[0].complex, "cochains live on different complexes"
+        values = (values + int(a) * c.values) % p
+    return dataclasses.replace(cochains[0], p=p, values=values)
+
+
+def cochain_support(c):
+    """The edges where the cochain c is nonzero."""
+    return {int(j) for j in np.flatnonzero(c.values)}
 
 
 def edge_scan_spanning_tree(num_vertices, edges, basepoint):
@@ -181,6 +228,38 @@ def brute_support_sum(rows, p):
     return sum(sum(1 for x in vec if x % p != 0) for vec in enumerate_span(rows, p))
 
 
+ENUMERATION_CAP = 2**20
+
+
+def support_size_by_enumeration(w, cap=ENUMERATION_CAP):
+    """Support size of a subspace recovered by summing member supports over all of it.
+
+    w is an `FpSubspace`.  Returns (sum over elements of |supp|) /
+    ((p-1) p^(dim-1)), which equals |supp(W)| because each coordinate in
+    the support is nonzero on exactly (p-1)p^(dim-1) elements; exact
+    rational arithmetic throughout.  More than cap elements raise
+    ValueError.
+    """
+    p, d = w.p, w.dim
+    if d == 0:
+        return Fraction(0)
+    if p**d > cap:
+        raise ValueError(f"enumeration of {p}**{d} elements exceeds cap {cap}")
+    count, total = p**d, 0
+    places = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    for start in range(0, count, 4096):  # blockwise, so memory stays bounded
+        coeffs = np.arange(start, min(start + 4096, count), dtype=np.int64)[:, None] // places % p
+        total += int(((coeffs @ w.basis) % p != 0).sum())
+    return Fraction(total, (p - 1) * p ** (d - 1))
+
+
+def in_rowspan(vec, basis, p):
+    """True when vec lies in the row span of basis over F_p: it adds no rank."""
+    vec = [int(x) for x in np.ravel(vec)]
+    rows = np.asarray(basis, dtype=np.int64).reshape(-1, len(vec)).tolist()
+    return mod_rank(rows + [vec], p) == mod_rank(rows, p)
+
+
 def brute_min_hyperplane_support(rows, p):
     """Smallest |supp(W)| over all index-p subspaces W of span(rows).
 
@@ -234,6 +313,19 @@ def all_hyperplane_supports(rows, p):
     return sizes
 
 
+def hyperplane_functionals(v, p):
+    """All projectively normalized nonzero functionals on F_p^v, in lex order.
+
+    One representative per hyperplane: the first nonzero coefficient is 1.
+    """
+    for lead in range(v - 1, -1, -1):
+        for rest in itertools.product(range(p), repeat=v - 1 - lead):
+            f = np.zeros(v, dtype=np.int64)
+            f[lead] = 1
+            f[lead + 1 :] = rest
+            yield f
+
+
 def brute_cheeger(num_vertices, edges):
     """Cheeger constant by enumerating every cut; loops are ignored."""
     plain = [(u, v) for u, v in edges if u != v]
@@ -274,10 +366,10 @@ def random_subspace_rows(rng, p, dim, ambient):
             return rows
 
 
-def sweep_min_full_recount(graph, order):
-    """Best (cut, size) over prefixes of `order` with size <= |V|/2,
-    recounting the whole cut for every prefix."""
-    n = graph.num_vertices
+def sweep_min_full_recount(K, order):
+    """Best (cut, size) over prefixes of `order` with size <= |V|/2 in the
+    1-skeleton of K, recounting the whole cut for every prefix."""
+    n = K.num_vertices
     inside = np.zeros(n, dtype=bool)
     best = None
     for k, v in enumerate(order, start=1):
@@ -285,7 +377,7 @@ def sweep_min_full_recount(graph, order):
         if 2 * k > n:
             break
         cut = 0
-        for a, b in graph.edges:
+        for a, b in K.edges:
             if a != b and inside[a] != inside[b]:
                 cut += 1
         if best is None or cut * best[1] < best[0] * k:
@@ -326,10 +418,10 @@ def greedy_descent_full_recount(K, alpha):
     return reps, best
 
 
-def adjacency_lists(graph):
-    """Neighbour lists with one entry per non-loop edge end, in edge order."""
-    adj = [[] for _ in range(graph.num_vertices)]
-    for u, v in graph.edges:
+def adjacency_lists(K):
+    """Neighbour lists of K's 1-skeleton, one entry per non-loop edge end, in edge order."""
+    adj = [[] for _ in range(K.num_vertices)]
+    for u, v in K.edges:
         if u != v:
             adj[u].append(v)
             adj[v].append(u)
@@ -357,11 +449,12 @@ def sweep_min_incremental(adj, order):
     return best
 
 
-def laplacian_by_edge_loops(graph):
-    """The dense combinatorial Laplacian, filled edge by edge; loops are skipped."""
-    n = graph.num_vertices
+def laplacian_by_edge_loops(K):
+    """The dense combinatorial Laplacian of K's 1-skeleton, filled edge by edge;
+    loops are skipped."""
+    n = K.num_vertices
     lap = np.zeros((n, n), dtype=float)
-    for u, v in graph.edges:
+    for u, v in K.edges:
         if u == v:
             continue
         lap[u, u] += 1
@@ -371,8 +464,8 @@ def laplacian_by_edge_loops(graph):
     return lap
 
 
-def heuristic_cheeger_by_edge_loops(graph, seed=0, sweeps=8):
-    """Heuristic Cheeger upper bound from a Laplacian filled edge by edge.
+def heuristic_cheeger_by_edge_loops(K, seed=0, sweeps=8):
+    """Heuristic Cheeger upper bound of K's 1-skeleton from a Laplacian filled edge by edge.
 
     The first order sorts the seeded start direction (the generator's first
     standard normal draw) projected on the dense eigh's lambda_2 cluster,
@@ -382,9 +475,9 @@ def heuristic_cheeger_by_edge_loops(graph, seed=0, sweeps=8):
     Fraction, or None when two entries of the unit projected vector lie
     within 1e-9 of each other, where rounding can decide their order.
     """
-    n = graph.num_vertices
-    adj = adjacency_lists(graph)
-    vals, vecs = np.linalg.eigh(laplacian_by_edge_loops(graph))
+    n = K.num_vertices
+    adj = adjacency_lists(K)
+    vals, vecs = np.linalg.eigh(laplacian_by_edge_loops(K))
     cluster = vecs[:, 1:][:, vals[1:] - vals[1] <= 1e-8]
     rng = np.random.default_rng(seed)
     projected = cluster @ (cluster.T @ rng.standard_normal(n))
@@ -490,7 +583,7 @@ def tuple_label_cover(K, shifts, moduli):
             b = shifted(a, e, 1)
             edges.append((u * degree + label_rank[a], v * degree + label_rank[b]))
     faces = []
-    for f in K.faces:
+    for f in face_paths(K):
         for a in labels:
             cur = a
             steps = []

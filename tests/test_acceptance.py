@@ -19,27 +19,31 @@ from pdescent.complexes import (
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
-    combine_cochains,
     face_sums,
     h1_cocycle_basis,
     h1_dimension,
     parse_presentation,
-    presentation_loop,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
 from pdescent.expansion import expansion_bound_report
-from pdescent.fplinalg import FpSubspace, subspace_support, support_size_by_enumeration
+from pdescent.fplinalg import FpSubspace, subspace_support
 from pdescent.plotkin import (
     best_hyperplane,
     chain_factor,
-    hyperplane_functionals,
     hyperplane_subspace,
     reduce_to_dimension,
 )
 from pdescent.tower import SeriesSpec, cyclic_growth_report, run_descent
 from pdescent.wedge import build_wedge_family, commutator_path, wedge_cochain
 
-from oracles import random_subspace_rows
+from oracles import (
+    cochain_support,
+    combine_cochains,
+    hyperplane_functionals,
+    presentation_loop,
+    random_subspace_rows,
+    support_size_by_enumeration,
+)
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -177,7 +181,7 @@ def test_criterion_06_lifted_cocycle_family_contract():
         assert not np.any(face_sums(cov.total, fam.cocycle_basis) % p)
         coords = class_coordinates(cov.total, fam.cocycle_basis, p)
         assert fplinalg.rank(coords, p) == fam.size  # independent classes upstairs
-        supp_u = set().union(*(c.support() for c in basis[:u]))
+        supp_u = set().union(*(cochain_support(c) for c in basis[:u]))
         preimage = {e for e in range(cov.total.num_edges) if e // cov.degree in supp_u}
         for row in fam.cocycle_basis:
             assert set(np.flatnonzero(row).tolist()) <= preimage

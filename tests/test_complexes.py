@@ -17,23 +17,26 @@ from pdescent.complexes import (
     class_coordinates,
     coboundary,
     cocycle_from_coordinates,
-    combine_cochains,
     face_sums,
     format_presentation,
     h1_cocycle_basis,
     h1_dimension,
     parse_presentation,
-    presentation_loop,
     tree_potential,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, loop_evaluations
 from pdescent.errors import CocycleConditionError, ParseError
 
 from oracles import (
+    boundary_path,
+    combine_cochains,
     dense_cocycle_coordinates,
     edge_scan_spanning_tree,
+    face_paths,
     loop_boundary_matrices,
     mod_rank,
+    presentation_loop,
+    tree_edges,
     tree_path_steps,
     walk_evaluate,
 )
@@ -172,7 +175,7 @@ def test_from_arrays_matches_constructor():
     L = TwoComplex.from_arrays(
         4, *zip(*edges), [0, 1, 2, 3, 7, 6, 4], [1] * 7, [0, 1, 3], basepoint=2
     )
-    assert (L.edges, L.faces, L.non_tree_edges) == (K.edges, K.faces, K.non_tree_edges)
+    assert (L.edges, face_paths(L), L.non_tree_edges) == (K.edges, face_paths(K), K.non_tree_edges)
     # faces must cover the steps from step 0
     with pytest.raises(ValueError, match="step 0"):
         TwoComplex.from_arrays(1, [0], [0], [0], [1], [1])
@@ -181,7 +184,7 @@ def test_from_arrays_matches_constructor():
 def test_spanning_tree_and_fundamental_loops():
     # square: 4 vertices in a cycle plus a chord
     K = TwoComplex(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
-    assert K.tree_edges == {0, 1, 3}  # BFS from 0 in edge order
+    assert tree_edges(K) == {0, 1, 3}  # BFS from 0 in edge order
     assert set(K.non_tree_edges) == {2, 4}
     for e in K.non_tree_edges:
         loop = K.fundamental_loop(e)
@@ -206,7 +209,7 @@ def test_spanning_tree_matches_edge_scan_bfs():
     complexes += [TwoComplex(4, edges, faces, basepoint=b) for b in (0, 2)]
     for K in complexes:
         parent, tree, non_tree, *_ = edge_scan_spanning_tree(K.num_vertices, K.edges, K.basepoint)
-        assert K.tree_edges == tree
+        assert tree_edges(K) == tree
         assert K.non_tree_edges == non_tree
         for v in range(K.num_vertices):
             assert K.tree_path(v) == EdgePath(K.basepoint, tree_path_steps(parent, v))
@@ -340,7 +343,7 @@ def test_h1_cocycle_basis_properties():
         for c in basis:
             assert c.is_cocycle()
             # normalized: zero on tree edges
-            assert all(c.values[e] == 0 for e in K.tree_edges)
+            assert all(c.values[e] == 0 for e in tree_edges(K))
             coord_rows.append(class_coordinates(K, c.values, p).tolist())
         if coord_rows:
             assert mod_rank(coord_rows, p) == len(basis)
@@ -370,7 +373,7 @@ def test_h1_cocycle_basis_matches_dense_oracle(p, seed, data):
     want = dense_cocycle_coordinates(K, p)
     assert len(basis) == len(want) == h1_dimension(K, p)
     non_tree = list(K.non_tree_edges)
-    tree = sorted(K.tree_edges)
+    tree = sorted(tree_edges(K))
     for i in data.draw(st.permutations(range(len(want)))):
         c = basis[i]
         assert c.values[non_tree].tolist() == want[i]
@@ -454,10 +457,10 @@ def test_tree_potential_checks_match_path_walks(c):
     loops = [walk(loop) for loop in K.fundamental_loops()]
     assert class_coordinates(K, c.values, p).tolist() == loops
     assert c.has_trivial_class() == (not any(loops))
-    assert c.is_cocycle() == all(walk(K.boundary_path(j)) == 0 for j in range(K.num_faces))
+    assert c.is_cocycle() == all(walk(boundary_path(K, j)) == 0 for j in range(K.num_faces))
     # integer face sums of a stack of rows, signs and all, before any reduction
     rows = np.stack([c.values, -3 * c.values, np.arange(K.num_edges)])
-    expect = [[sum(d * int(row[e]) for e, d in f) for f in K.faces] for row in rows]
+    expect = [[sum(d * int(row[e]) for e, d in f) for f in face_paths(K)] for row in rows]
     assert face_sums(K, rows).tolist() == expect
     assert face_sums(K, rows[0]).tolist() == expect[0]
     # a stack of 0, 1 or 3 unreduced rows gives the row-by-row potentials and coordinates
@@ -565,6 +568,19 @@ def test_edge_ends_table_and_reachability(case):
     assert ends.reaches_all == (len(reached) == n)
 
 
+def test_cochains_and_coboundaries_need_a_prime_modulus():
+    # the modulus is checked before any reduction by it, so mod 0 cannot
+    # reduce values to zeros and mod 4 is not taken for a field
+    K = build_presentation_complex(parse_presentation(TORUS)[0])  # one vertex, two edges
+    for p in (0, 1, 4, 2.0):
+        with pytest.raises(ValueError, match="modulus"):
+            Cochain(K, p, [1, 3])
+        with pytest.raises(ValueError, match="modulus"):
+            coboundary(K, [1], p)
+    assert Cochain(K, 3, [1, 3]).values.tolist() == [1, 0]
+    assert coboundary(K, [1], 2).values.tolist() == [0, 0]
+
+
 def test_edge_ends_reject_out_of_range_ends():
     with pytest.raises(ValueError, match="edge endpoint out of range"):
         EdgeEnds.of(2, [0], [2])
@@ -605,5 +621,4 @@ def test_non_integer_entries_are_rejected_not_truncated():
     assert face_sums(K, narrow).tolist() == [0] and loop_evaluations(K, narrow) == [1, 2, 0, 0]
     assert tree_potential(K, narrow, 3).tolist() == [0]
     assert plotkin.hyperplane_subspace(V, np.array([2, 1], dtype=np.uint8)).dim == 1
-    assert fplinalg.in_rowspan([0, 3, 0], [], 3)
     assert fplinalg.FpSubspace.from_rows([], 3, ambient_dim=2).dim == 0

@@ -9,11 +9,9 @@ from pdescent.complexes import (
     GroupPresentation,
     build_presentation_complex,
     class_coordinates,
-    combine_cochains,
     h1_cocycle_basis,
     h1_dimension,
     parse_presentation,
-    presentation_loop,
 )
 from pdescent.covers import (
     _build_shift_cover,
@@ -27,7 +25,14 @@ from pdescent.errors import (
     UndefinedVertexValueError,
 )
 
-from oracles import tuple_label_cover, tuple_label_lift, vertex_values_by_tree_paths
+from oracles import (
+    combine_cochains,
+    face_paths,
+    presentation_loop,
+    tuple_label_cover,
+    tuple_label_lift,
+    vertex_values_by_tree_paths,
+)
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
@@ -295,7 +300,7 @@ def assert_matches_tuple_labels(cov, shifts, moduli, paths):
     the tuple-label oracle, and deck_label decodes the oracle's labels."""
     edges, faces, basepoint, labels = tuple_label_cover(cov.base, shifts, moduli)
     assert cov.total.edges == tuple(edges)
-    assert cov.total.faces == tuple(faces)
+    assert face_paths(cov.total) == tuple(faces)
     assert cov.total.basepoint == basepoint
     assert [cov.deck_label(v) for v in range(cov.total.num_vertices)] == [
         labels[v % cov.degree] for v in range(cov.total.num_vertices)

@@ -22,7 +22,7 @@ from pdescent.complexes import (
     parse_presentation,
 )
 from pdescent.covers import build_abelian_p_cover, vertex_values
-from pdescent.errors import EnumerationCapError, TrivialClassError
+from pdescent.errors import CocycleConditionError, EnumerationCapError, TrivialClassError
 from pdescent.expansion import (
     SWEEPS,
     SkeletonGraph,
@@ -38,6 +38,7 @@ from pdescent.expansion import (
 from oracles import (
     brute_cheeger,
     brute_relative_size,
+    cochain_support,
     greedy_descent_every_vertex,
     greedy_descent_full_recount,
     heuristic_cheeger_by_edge_loops,
@@ -89,7 +90,7 @@ def test_cheeger_matches_brute_force():
             edges.append((u, v))  # parallel edges and loops allowed
         K = TwoComplex(n, edges)
         g = SkeletonGraph.from_complex(K)
-        if not g.is_connected():
+        if not g.edge_ends.reaches_all:
             continue
         assert cheeger_constant(g) == brute_cheeger(n, edges)
 
@@ -102,7 +103,7 @@ def test_cheeger_heuristic_upper_bounds_exact():
         for _ in range(3):
             edges.append((int(rng.integers(0, n)), int(rng.integers(0, n))))
         g = SkeletonGraph.from_complex(TwoComplex(n, edges))
-        if not g.is_connected():
+        if not g.edge_ends.reaches_all:
             continue
         exact = cheeger_constant(g, mode="exact")
         upper = cheeger_constant(g, mode="heuristic", seed=1)
@@ -110,10 +111,13 @@ def test_cheeger_heuristic_upper_bounds_exact():
 
 
 def test_cheeger_rejects_disconnected_graphs():
+    # edges 0-1, 2-3 and a loop at 1: two components
+    graph = SkeletonGraph(4, EdgeEnds.of(4, [0, 2, 1], [1, 3, 1]))
+    assert not graph.edge_ends.reaches_all
     for mode in ("exact", "heuristic"):
         with pytest.raises(ValueError, match="graph is not connected"):
-            cheeger_constant(SkeletonGraph(4, ((0, 1), (2, 3), (1, 1))), mode=mode)
-    assert not SkeletonGraph(3, ((0, 1),)).is_connected()
+            cheeger_constant(graph, mode=mode)
+    assert not SkeletonGraph(3, EdgeEnds.of(3, [0], [1])).edge_ends.reaches_all
 
 
 def test_graph_of_a_complex_shares_its_edge_end_table():
@@ -125,7 +129,7 @@ def test_graph_of_a_complex_shares_its_edge_end_table():
     for complex_ in (K, cover):
         graph = SkeletonGraph.from_complex(complex_)
         assert graph.edge_ends is complex_.edge_ends
-        want = EdgeEnds.of(graph.num_vertices, *zip(*graph.edges))
+        want = EdgeEnds.of(graph.num_vertices, *zip(*complex_.edges))
         for name in ("offsets", "vertex", "other", "edge", "sign"):
             assert np.array_equal(getattr(graph.edge_ends, name), getattr(want, name)), name
 
@@ -144,11 +148,11 @@ def test_heuristic_cheeger_on_the_p2_towers_matches_the_dense_projection(depth):
     # seeded start direction's projection on the whole eigenspace
     cov, _, _ = _tower("genus2_p2.txt", depth)
     graph = SkeletonGraph.from_complex(cov.total)
-    vals = np.linalg.eigvalsh(laplacian_by_edge_loops(graph))
+    vals = np.linalg.eigvalsh(laplacian_by_edge_loops(cov.total))
     assert np.count_nonzero(vals[1:] - vals[1] <= 1e-8) == 4
     got = cheeger_constant(graph, mode="heuristic", seed=5)
     assert got == cheeger_constant(graph, mode="heuristic", seed=5)
-    assert got == heuristic_cheeger_by_edge_loops(graph, seed=5)
+    assert got == heuristic_cheeger_by_edge_loops(cov.total, seed=5)
 
 
 def test_cheeger_caps_exact_enumeration():
@@ -195,14 +199,14 @@ def _same_as_edge_loop_versions(K, alpha, seeds, exact=None):
         graph = SkeletonGraph.from_complex(K)
         for seed in seeds:
             got = cheeger_constant(graph, mode="heuristic", seed=seed)
-            want = heuristic_cheeger_by_edge_loops(graph, seed=seed)
+            want = heuristic_cheeger_by_edge_loops(K, seed=seed)
             if want is not None:
                 assert got == want
             elif exact is not None:
                 rng = np.random.default_rng(seed)
                 rng.standard_normal(n)  # the start vector
                 orders = [np.argsort(rng.standard_normal(n), kind="stable") for _ in range(SWEEPS)]
-                sweeps = [Fraction(*sweep_min_full_recount(graph, o)) for o in orders]
+                sweeps = [Fraction(*sweep_min_full_recount(K, o)) for o in orders]
                 assert exact <= got <= min(sweeps)
     rep, size = _greedy_descent(K, alpha)
     ref_values, ref_size = greedy_descent_every_vertex(K, alpha)
@@ -217,7 +221,7 @@ def _same_as_edge_loop_versions(K, alpha, seeds, exact=None):
 def test_incremental_sweep_and_greedy_match_full_recount(case, seeds):
     K, alpha, order = case
     graph = SkeletonGraph.from_complex(K)
-    assert _sweep_min(graph.edge_ends, [order]) == sweep_min_full_recount(graph, order)
+    assert _sweep_min(graph.edge_ends, [order]) == sweep_min_full_recount(K, order)
     exact = None
     if K.num_vertices >= 2:
         # exact mode reads its edges off the edge-end table
@@ -225,7 +229,7 @@ def test_incremental_sweep_and_greedy_match_full_recount(case, seeds):
         assert cheeger_constant(graph) == exact
     rep, size = _greedy_descent(K, alpha)
     ref_values, ref_size = greedy_descent_full_recount(K, alpha)
-    assert size == ref_size == len(rep.support())
+    assert size == ref_size == len(cochain_support(rep))
     assert np.array_equal(rep.values, ref_values)
     _same_as_edge_loop_versions(K, alpha, seeds, exact)
 
@@ -328,6 +332,17 @@ def test_relative_size_upper_bounds_exact():
         assert relative_size(K, alpha, mode="upper") >= relative_size(K, alpha, mode="exact")
 
 
+def test_relative_size_rejects_a_non_cocycle():
+    # on <a | aa> the face takes a twice, so a = 1 is no cocycle mod 3
+    K = build_presentation_complex(GroupPresentation(generators=("a",), relators=("aa",)))
+    alpha = Cochain(K, 3, [1])
+    for mode in ("exact", "upper"):
+        with pytest.raises(CocycleConditionError, match="relative size needs a cocycle"):
+            relative_size(K, alpha, mode=mode)
+    with pytest.raises(CocycleConditionError, match="relative size needs a cocycle"):
+        minimum_support_representative(K, alpha)
+
+
 def test_relative_size_rejects_trivial_class():
     K = cycle_complex(4)
     rng = np.random.default_rng(113)
@@ -356,11 +371,11 @@ def test_minimum_support_representative_is_same_class():
     basis = h1_cocycle_basis(K4, p)
     for alpha in basis[:3]:
         rep, size = minimum_support_representative(K4, alpha)
-        assert len(rep.support()) == size
+        assert len(cochain_support(rep)) == size
         # same class: evaluations agree on every fundamental loop
         for loop in K4.fundamental_loops():
             assert rep.evaluate(loop) == alpha.evaluate(loop)
-        assert size <= len(alpha.support())
+        assert size <= len(cochain_support(alpha))
 
 
 def test_minimum_support_cap():

@@ -11,7 +11,6 @@ from pdescent.plotkin import (
     _column_classes,
     best_hyperplane,
     chain_factor,
-    hyperplane_functionals,
     hyperplane_subspace,
     reduce_to_dimension,
     uniform_factor,
@@ -23,6 +22,7 @@ from oracles import (
     brute_min_hyperplane_support,
     column_classes_by_loop,
     hyperplane_by_rows,
+    hyperplane_functionals,
     mod_rank,
     random_subspace_rows,
 )
@@ -77,7 +77,7 @@ def test_hyperplane_subspace_is_codim_one():
                 f[lead] = rng.integers(2, p) if p > 2 else 1
                 W = hyperplane_subspace(V, f)
                 assert W.dim == dim - 1
-                assert all(V.contains(row) for row in W.basis)
+                assert V.contains_subspace(W)
                 assert W.basis.tolist() == hyperplane_by_rows(V.basis, f, p)
 
 

@@ -23,12 +23,41 @@ def test_benchmark_self_test_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_library_has_no_assert_statements():
-    # python -O strips assert, so a check written as one would vanish
+def library_modules():
+    """(file name, syntax tree) of each module of the package."""
     paths = sorted(Path(pdescent.__file__).parent.glob("*.py"))
     assert len(paths) > 1
-    found = []
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so a check written as one would vanish
+    found = []
+    for name, tree in library_modules():
+        found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_library_imports_are_all_used():
+    # a deletion that leaves its imports behind leaves dead names: every
+    # module-level import must be read by the module or listed in __all__
+    found = []
+    for name, tree in library_modules():
+        names = (n for n in ast.walk(tree) if isinstance(n, ast.Name))
+        used = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"{name}:{node.lineno} {bound}")
     assert found == []

@@ -19,7 +19,6 @@ from pdescent.errors import (
     InvariantError,
     MalformedTowerError,
     NotRapidlyDescendingError,
-    QuasiAdditivityError,
 )
 from pdescent.tower import (
     SeriesSpec,
@@ -27,7 +26,6 @@ from pdescent.tower import (
     cyclic_growth_report,
     descent_parameters,
     largeness_criteria_report,
-    quasi_additive_limit,
     run_descent,
     uniform_factor,
 )
@@ -327,40 +325,6 @@ def test_cyclic_growth_matches_h1_of_the_built_covers(case, max_order, p):
     orders = range(1, max_order + 1)
     want = [h1_dimension(build_cyclic_cover(K, weights, n).total, p) for n in orders]
     assert [(n, dp) for n, dp, _ in report.entries] == list(zip(orders, want))
-
-
-def test_quasi_additive_examples():
-    # exact additivity
-    est, bounded = quasi_additive_limit([(i, 3 * i) for i in range(1, 9)], 0)
-    assert (est, bounded) == (Fraction(3), False)
-    # parity wobble within k = 2
-    est, bounded = quasi_additive_limit(
-        [(i, i + (i % 2)) for i in range(1, 9)], 2
-    )
-    assert Fraction(1) <= est <= Fraction(3, 2)
-    assert not bounded
-    # constant function: bounded, estimate shrinking toward 0
-    est, bounded = quasi_additive_limit([(i, 5) for i in range(1, 11)], 5)
-    assert bounded
-    assert est == Fraction(5, 10)
-
-
-def test_quasi_additive_violation_witness():
-    values = [(i, i * i) for i in range(1, 5)]
-    with pytest.raises(QuasiAdditivityError) as info:
-        quasi_additive_limit(values, 1)
-    assert info.value.witness == (1, 1)
-
-
-def test_quasi_additive_input_validation():
-    with pytest.raises(ValueError):
-        quasi_additive_limit([], 0)
-    with pytest.raises(ValueError):
-        quasi_additive_limit([(0, 1)], 0)
-    with pytest.raises(ValueError):
-        quasi_additive_limit([(1, 1), (1, 2)], 0)
-    with pytest.raises(ValueError):
-        quasi_additive_limit([(1, 1)], -1)
 
 
 def test_uniform_factor_decay_engages_at_every_level():
