@@ -15,7 +15,6 @@ from .complexes import (
     TwoComplex,
     build_presentation_complex,
     class_coordinates,
-    cocycle_from_coordinates,
     coboundary,
     format_presentation,
     h1_cocycle_basis,
@@ -90,7 +89,6 @@ __all__ = [
     "TwoComplex",
     "build_presentation_complex",
     "class_coordinates",
-    "cocycle_from_coordinates",
     "coboundary",
     "format_presentation",
     "h1_cocycle_basis",

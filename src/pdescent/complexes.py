@@ -12,6 +12,7 @@ Sign conventions: an edge e runs init(e) -> term(e); a coboundary is
 
 from __future__ import annotations
 
+import numbers
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fplinalg
-from .errors import CocycleConditionError, InvariantError, ParseError
+from .errors import InvariantError, ParseError
 
 __all__ = [
     "GroupPresentation",
@@ -39,7 +40,6 @@ __all__ = [
     "tree_potential",
     "face_sums",
     "class_coordinates",
-    "cocycle_from_coordinates",
 ]
 
 
@@ -487,31 +487,40 @@ def h1_dimension(K: TwoComplex, p: int) -> int:
 
 
 class CocycleBasis(Sequence):
-    """The echelon H^1 basis of a complex, each cocycle built when first read.
+    """The echelon H^1 basis of a complex, a d_p x |E| matrix built row by row.
 
-    Immutable: len is d_p, and an index, a slice or iteration builds the
-    requested cocycles from the kernel rows of `fplinalg.sparse_kernel` and
-    caches them, so reading a cocycle twice gives the same object.
+    Immutable: len is d_p.  A slice or a sequence of indices returns a
+    read-only int64 matrix of those rows, in the order asked; an integer
+    index returns one `Cochain`.  Each row vanishes on the spanning tree:
+    a kernel row of `fplinalg.sparse_kernel` scattered onto the non-tree
+    edges, built when first read.  The cache keeps it as a view into the
+    matrix it was first returned in.
     """
 
     def __init__(self, K: TwoComplex, p: int, size: int, row):
         self._complex = K
         self._p = p
         self._row = row
-        self._cache: list[Cochain | None] = [None] * size
+        self._cache: list[np.ndarray | None] = [None] * size
 
     def __len__(self) -> int:
         return len(self._cache)
 
     def __getitem__(self, i):
+        if isinstance(i, numbers.Integral):
+            return Cochain(self._complex, self._p, self[[i]][0])
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        i = range(len(self))[i]  # bounds check and negative indices
-        c = self._cache[i]
-        if c is None:
-            c = cocycle_from_coordinates(self._complex, self._p, self._row(i))
-            self._cache[i] = c
-        return c
+            i = range(len(self))[i]
+        rows = np.zeros((len(i), self._complex.num_edges), dtype=np.int64)
+        for k, j in enumerate(i):
+            j = range(len(self))[j]  # bounds check and negative indices
+            if self._cache[j] is None:
+                rows[k, self._complex.arrays.non_tree] = self._row(j)
+                self._cache[j] = rows[k]  # a view, so a row is stored once
+            else:
+                rows[k] = self._cache[j]
+        rows.flags.writeable = False
+        return rows
 
 
 def h1_cocycle_basis(K: TwoComplex, p: int) -> CocycleBasis:
@@ -520,7 +529,7 @@ def h1_cocycle_basis(K: TwoComplex, p: int) -> CocycleBasis:
     A cocycle vanishing on the tree is determined by its non-tree values,
     and distinct such cocycles lie in distinct classes, so the kernel of
     the tree-contracted face rows holds one representative per class.  Its
-    reduced echelon basis comes from one sparse elimination; a cocycle is
+    reduced echelon basis comes from one sparse elimination; a row is
     built only when it is read.
     """
     p = fplinalg.validate_prime(p)
@@ -553,6 +562,7 @@ def tree_potential(K: TwoComplex, values, p: int) -> np.ndarray:
     stack; pot[..., v] evaluates each row on the tree path from the
     basepoint to v, mod p, with one vectorised step per BFS layer.
     """
+    p = fplinalg.validate_prime(p)
     a = K.arrays
     # edge-major, so each layer gathers and scatters along the first axis
     values = np.ascontiguousarray(fplinalg._integers(values).T)
@@ -586,22 +596,9 @@ def class_coordinates(K: TwoComplex, rows, p: int) -> np.ndarray:
     are its non-tree values.  The loop through e evaluates to
     pot[init e] + c(e) - pot[term e] for the tree potential pot of c.
     """
+    p = fplinalg.validate_prime(p)
     a = K.arrays
     rows = fplinalg._integers(rows)
     pot = tree_potential(K, rows, p).T  # vertex-major, as tree_potential builds it
     values = rows.T
     return np.ascontiguousarray(((pot[a.init] + values - pot[a.term]) % p)[a.non_tree].T)
-
-
-def cocycle_from_coordinates(K: TwoComplex, p: int, coords) -> Cochain:
-    """The tree-vanishing cocycle with the given non-tree values."""
-    coords = _index_array(coords, "coordinate vector")
-    coords %= p
-    if coords.shape != K.arrays.non_tree.shape:
-        raise ValueError("coordinate length does not match non-tree edge count")
-    values = np.zeros(K.num_edges, dtype=np.int64)
-    values[K.arrays.non_tree] = coords
-    c = Cochain(K, p, values)
-    if not c.is_cocycle():
-        raise CocycleConditionError("coordinates do not satisfy the face constraints")
-    return c

@@ -173,22 +173,23 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
 def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
     """The connected (Z/p)^n cover defined by n independent cocycle classes.
 
-    Raises CocycleConditionError, naming the face, if some class does not
-    sum to 0 mod p around a face (a face lift would not close), and then
+    classes is an n x |E| integer matrix of residues mod p, one cocycle on
+    K per row, such as a slice of `h1_cocycle_basis(K, p)`.  Raises
+    CocycleConditionError, naming the face, if some class does not sum to
+    0 mod p around a face (a face lift would not close), and then
     DisconnectedCoverError (with a dependency certificate) if the classes
     are linearly dependent in H^1.
     """
     p = fplinalg.validate_prime(p)
-    classes = tuple(classes)
-    if not classes:
+    classes = fplinalg._integers(classes)
+    if classes.ndim != 2 or classes.shape[1] != K.num_edges:
+        raise ValueError("classes must be a matrix with one column per edge of K")
+    if not len(classes):
         raise ValueError("need at least one class")
-    for c in classes:
-        if c.complex is not K:
-            raise ValueError("class does not live on the given complex")
-        if c.p != p:
-            raise ValueError("class modulus does not match p")
-    shifts = np.stack([c.values for c in classes], axis=1)  # E x n
-    return _build_shift_cover(K, shifts, (p,) * len(classes), p)
+    if np.any((classes < 0) | (classes >= p)):
+        raise ValueError(f"class entries are not residues mod p = {p}")
+    # shifts are E x n, a copy that the cover owns
+    return _build_shift_cover(K, classes.T.copy(), (p,) * len(classes), p)
 
 
 def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:

@@ -158,6 +158,7 @@ def rref(m, p) -> tuple[np.ndarray, int]:
     the rows it touches times the columns it spans, so the total follows
     the nonzeros of the pivot columns.  The input is not modified.
     """
+    p = validate_prime(p)
     a = _as_matrix(m, p)
     if p == 2:
         return _rref_f2(a)
@@ -188,6 +189,7 @@ def rref(m, p) -> tuple[np.ndarray, int]:
 def rank(m, p) -> int:
     """Rank over F_p.  At p = 2 it counts the pivots of `_f2_echelon` on
     packed rows, with no back substitution and no unpacking."""
+    p = validate_prime(p)
     if p == 2:
         return len(_f2_echelon(_as_matrix(m, 2)))
     return rref(m, p)[1]

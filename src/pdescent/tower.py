@@ -14,7 +14,7 @@ cover homology growth.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fplinalg
 from .complexes import (
-    Cochain,
+    CocycleBasis,
     GroupPresentation,
     TwoComplex,
     build_presentation_complex,
@@ -143,12 +143,12 @@ def descent_parameters(
     return lam, u
 
 
-def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> list[Cochain]:
-    """The next level's covering classes from its echelon H^1 basis, per the series kind."""
+def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> np.ndarray:
+    """The next level's covering classes as rows of its echelon H^1 basis, per the series kind."""
     if spec.kind == "derived":
         if not basis:
             raise ValueError(f"level {level}: H^1 is trivial, series cannot continue")
-        return basis
+        return basis[:]
     if spec.kind == "explicit":
         if level - 1 >= len(spec.levels):
             raise ValueError(f"explicit series has no classes for level {level}")
@@ -158,57 +158,57 @@ def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> list[Coch
                 raise ValueError(
                     f"level {level}: class index {i} out of range (H^1 has rank {len(basis)})"
                 )
-        return [basis[i] for i in picks]
+        return basis[picks]
     # rank kind: prefer classes independent of the family span so the
     # complement (and with it the wedge family) stays as large as possible;
-    # reading a basis entry builds its cocycle, so stop once enough are chosen;
-    # an entry vanishes on the spanning tree, so its non-tree values are its coordinates
+    # reading a basis row builds it, so stop once enough are chosen;
+    # a row vanishes on the spanning tree, so its non-tree values are its coordinates
     rows = list(class_coordinates(K, np.reshape(family, (len(family), K.num_edges)), spec.p))
     picks: list[int] = []
-    for i, c in enumerate(basis):
-        row = c.values[K.arrays.non_tree]
+    for i in range(len(basis)):
+        row = basis[i : i + 1][0, K.arrays.non_tree]
         stacked = np.array(rows + [row], dtype=np.int64)
         if fplinalg.rank(stacked, spec.p) == len(stacked):
             picks.append(i)
             rows.append(row)
             if len(picks) == spec.rank:
                 break
-    # distinct echelon basis entries are independent: top up with the first unpicked ones
+    # distinct echelon basis rows are independent: top up with the first unpicked ones
     picks += [i for i in range(len(basis)) if i not in picks][: spec.rank - len(picks)]
-    chosen = [basis[i] for i in picks]
-    if len(chosen) < spec.rank:
+    if len(picks) < spec.rank:
         raise ValueError(
             f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes"
         )
-    return chosen
+    return basis[picks]
 
 
 @dataclass(frozen=True)
 class TowerLevel:
     """One tower level: its complex, the complex's H^1 basis, and the cover built on it.
 
-    basis is the lazy `CocycleBasis` itself, so only the cocycles the
-    series reads are ever built.  cover is None when the projected cell
-    count exceeds the budget; note then says so.
+    basis is the lazy `CocycleBasis` itself, so only the rows the series
+    reads are ever built.  classes is the matrix of basis rows that define
+    the cover, one per row.  cover is None when the projected cell count
+    exceeds the budget; note then says so.
     """
 
     level: int
     index: int
     complex: TwoComplex
-    basis: Sequence[Cochain]
-    classes: tuple[Cochain, ...]
+    basis: CocycleBasis
+    classes: np.ndarray
     cover: CoveringMap | None
     note: str | None = None
 
 
 def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) -> TowerLevel:
-    """Pick the covering classes of K from `basis`, its h1_cocycle_basis, and build their cover.
+    """Pick K's covering classes as rows of `basis`, its h1_cocycle_basis, and build their cover.
 
     The rank series avoids the span of `family`, a matrix of edge-value
     rows on K (empty for a bare tower).  The cover is not built
     when its p**n * K.num_cells cells would exceed the cell budget.
     """
-    classes = tuple(_series_classes(K, basis, spec, level, family))
+    classes = _series_classes(K, basis, spec, level, family)
     projected = spec.p ** len(classes) * K.num_cells
     if projected > spec.cell_budget:
         note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
@@ -260,7 +260,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
     basis = h1_cocycle_basis(K, p)
     if len(basis) < u:
         raise ValueError(f"H^1 of the presentation complex has rank {len(basis)} < u = {u}")
-    family = np.array([c.values for c in basis[:u]])
+    family = basis[:u]
     support = int(np.any(family, axis=0).sum())
     records: list[TowerRecord] = []
     notes: list[str] = []

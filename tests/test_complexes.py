@@ -16,7 +16,6 @@ from pdescent.complexes import (
     build_presentation_complex,
     class_coordinates,
     coboundary,
-    cocycle_from_coordinates,
     face_sums,
     format_presentation,
     h1_cocycle_basis,
@@ -25,7 +24,7 @@ from pdescent.complexes import (
     tree_potential,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, loop_evaluations
-from pdescent.errors import CocycleConditionError, ParseError
+from pdescent.errors import ParseError
 
 from oracles import (
     boundary_path,
@@ -374,10 +373,17 @@ def test_h1_cocycle_basis_matches_dense_oracle(p, seed, data):
     assert len(basis) == len(want) == h1_dimension(K, p)
     non_tree = list(K.non_tree_edges)
     tree = sorted(tree_edges(K))
-    for i in data.draw(st.permutations(range(len(want)))):
+    order = data.draw(st.permutations(range(len(want))))
+    # the rows read as one matrix, in the drawn order, before any is cached
+    rows = basis[order]
+    expect = np.zeros((len(want), K.num_edges), dtype=np.int64)
+    expect[:, non_tree] = np.reshape([want[i] for i in order], (len(want), len(non_tree)))
+    assert np.array_equal(rows, expect) and not rows.flags.writeable
+    for k, i in enumerate(order):
         c = basis[i]
         assert c.values[non_tree].tolist() == want[i]
         assert not c.values[tree].any()
+        assert np.array_equal(rows[k], c.values)
 
 
 def test_cocycle_basis_is_a_lazy_immutable_sequence():
@@ -389,18 +395,21 @@ def test_cocycle_basis_is_a_lazy_immutable_sequence():
     assert isinstance(basis, Sequence) and len(basis) == len(want) == 20
     # read out of order: the rows do not depend on what was read before
     late = basis[7]
-    assert basis[-13] is late and basis[7] is late
+    assert isinstance(late, Cochain)
+    assert basis[-13].values.tolist() == basis[7].values.tolist() == late.values.tolist()
     assert class_coordinates(K, late.values, 3).tolist() == want[7]
+    # a slice is a read-only matrix of rows, an integer index a cochain
     window = basis[5:9]
-    assert isinstance(window, tuple) and window[2] is late
-    assert [c.values.tolist() for c in basis[::-7]] == [
-        basis[i].values.tolist() for i in (19, 12, 5)
-    ]
-    assert class_coordinates(K, np.array([c.values for c in basis]), 3).tolist() == want
-    assert all(a is b for a, b in zip(basis, list(basis)))
+    assert isinstance(window, np.ndarray) and not window.flags.writeable
+    assert window.shape == (4, K.num_edges) and window[2].tolist() == late.values.tolist()
+    assert basis[::-7].tolist() == [basis[i].values.tolist() for i in (19, 12, 5)]
+    assert class_coordinates(K, basis[:], 3).tolist() == want
+    assert [c.values.tolist() for c in basis] == basis[:].tolist()
     for bad in (20, -21):
         with pytest.raises(IndexError):
             basis[bad]
+        with pytest.raises(IndexError):
+            basis[[0, bad]]
     with pytest.raises(TypeError):
         basis[0] = late
     # no faces: every non-tree value is free; no non-tree edges: H^1 = 0
@@ -472,33 +481,6 @@ def test_tree_potential_checks_match_path_walks(c):
         assert coords.tolist() == [class_coordinates(K, row, p).tolist() for row in stack]
 
 
-def test_cocycle_from_coordinates_round_trip():
-    pres, p = parse_presentation(GENUS2)
-    K = build_presentation_complex(pres)
-    rng = np.random.default_rng(43)
-    n = len(K.non_tree_edges)
-    ok = 0
-    for _ in range(20):
-        coords = rng.integers(0, p, size=n)
-        try:
-            c = cocycle_from_coordinates(K, p, coords)
-        except CocycleConditionError:
-            continue
-        ok += 1
-        assert c.is_cocycle()
-        assert np.array_equal(class_coordinates(K, c.values, p), coords % p)
-    assert ok > 0
-
-
-def test_cocycle_from_coordinates_rejects_non_cocycles():
-    # on <a | a> the face kills the only candidate coordinate
-    K = build_presentation_complex(
-        GroupPresentation(generators=("a",), relators=("a",))
-    )
-    with pytest.raises(CocycleConditionError):
-        cocycle_from_coordinates(K, 2, [1])
-
-
 def test_coboundary_is_trivial_cocycle():
     K = TwoComplex(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
     rng = np.random.default_rng(47)
@@ -538,7 +520,7 @@ def test_combine_cochains():
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
-    combo = combine_cochains(basis[:2], [1, 1], p)
+    combo = combine_cochains([basis[0], basis[1]], [1, 1], p)
     assert np.array_equal(combo.values, (basis[0].values + basis[1].values) % p)
 
 
@@ -579,6 +561,19 @@ def test_cochains_and_coboundaries_need_a_prime_modulus():
             coboundary(K, [1], p)
     assert Cochain(K, 3, [1, 3]).values.tolist() == [1, 0]
     assert coboundary(K, [1], 2).values.tolist() == [0, 0]
+    # so are the potentials, coordinates and eliminations over F_p: mod 4
+    # these returned [1, 3] and the rank 3 of the identity
+    for p in (0, 4, 6):
+        with pytest.raises(ValueError, match="modulus"):
+            tree_potential(K, [1, 3], p)
+        with pytest.raises(ValueError, match="modulus"):
+            class_coordinates(K, [1, 3], p)
+        with pytest.raises(ValueError, match="modulus"):
+            fplinalg.rref(np.eye(3, dtype=int), p)
+        with pytest.raises(ValueError, match="modulus"):
+            fplinalg.rank(np.eye(3, dtype=int), p)
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        fplinalg.kernel_basis([[2, 0], [0, 2]], 4)
 
 
 def test_edge_ends_reject_out_of_range_ends():
@@ -592,7 +587,7 @@ def test_non_integer_entries_are_rejected_not_truncated():
         with pytest.raises(ValueError, match="integer"):
             Cochain(K, 3, bad)
         with pytest.raises(ValueError, match="integer"):
-            cocycle_from_coordinates(K, 3, bad)
+            build_abelian_p_cover(K, [bad], 3)
     with pytest.raises(ValueError, match="integer"):
         coboundary(K, [0.5], 3)
     with pytest.raises(ValueError, match="integer"):

@@ -45,7 +45,7 @@ def wedge(n):
 
 
 def full_derived_cover(K, p):
-    return build_abelian_p_cover(K, h1_cocycle_basis(K, p), p)
+    return build_abelian_p_cover(K, h1_cocycle_basis(K, p)[:], p)
 
 
 def test_free_group_derived_cover_formula():
@@ -71,14 +71,33 @@ def test_euler_characteristic_multiplicative():
 def test_cover_rejects_dependent_classes():
     K = wedge(2)
     basis = h1_cocycle_basis(K, 2)
-    dependent = [basis[0], basis[1], basis[0]]
+    dependent = basis[[0, 1, 0]]
     with pytest.raises(DisconnectedCoverError) as info:
         build_abelian_p_cover(K, dependent, 2)
     cert = np.asarray(info.value.certificate)
-    coords = class_coordinates(K, np.array([c.values for c in dependent]), 2)
+    coords = class_coordinates(K, dependent, 2)
     # the certificate is a left-kernel vector of the coordinate matrix
     assert cert.any()
     assert np.all((cert @ coords) % 2 == 0)
+
+
+def test_cover_takes_a_matrix_of_residues():
+    # the classes are rows of an n x |E| matrix of residues mod p, as a
+    # slice of the H^1 basis is; a sequence of cochains is not such a matrix
+    K = wedge(2)
+    basis = h1_cocycle_basis(K, 3)
+    for classes, message in (
+        (basis[:][:, :1], "one column per edge"),
+        ([[1, 0, 0]], "one column per edge"),
+        (basis[0].values, "one column per edge"),
+        ([[3, 0]], "not residues mod p = 3"),
+        ([[1, 0], [0, -1]], "not residues mod p = 3"),
+        (basis[:0], "at least one class"),
+        ([basis[0], basis[1]], "not integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_abelian_p_cover(K, classes, 3)
+    assert build_abelian_p_cover(K, [[1, 0], [0, 2]], 3).degree == 9
 
 
 def test_cover_rejects_non_cocycles():
@@ -92,7 +111,7 @@ def test_cover_rejects_non_cocycles():
         for values, face in (([1, 0], 2 if p == 2 else 0), ([0, 1], 0), ([1, p - 1], 0)):
             c = Cochain(K, p, np.array(values))
             assert not c.is_cocycle()
-            for classes in ([c], [c, c]):
+            for classes in ([c.values], [c.values, c.values]):
                 with pytest.raises(CocycleConditionError, match=f"^face {face} attaching path"):
                     build_abelian_p_cover(K, classes, p)
 
@@ -119,21 +138,22 @@ def test_lift_of_defining_class_loop_shifts_label():
     # the lift of a loop ends at the label shifted by the class evaluations
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
-    classes = h1_cocycle_basis(K, p)[:2]
-    cov = build_abelian_p_cover(K, classes, p)
+    basis = h1_cocycle_basis(K, p)
+    cov = build_abelian_p_cover(K, basis[:2], p)
     for w in ("ab", "ba", "acd", "bD"):
         loop = presentation_loop(K, pres, w)
         lift = cov.lift_path(loop, 0)
         end = cov.total.path_end(lift)
         label = cov.deck_label(end)
-        assert label == tuple(c.evaluate(loop) % p for c in classes)
+        assert label == tuple(basis[i].evaluate(loop) % p for i in range(2))
 
 
 def test_pullback_evaluates_like_base():
     pres, p = parse_presentation(TORUS)
     K = build_presentation_complex(pres)
-    c = h1_cocycle_basis(K, p)[0]
-    cov = build_abelian_p_cover(K, [c], p)
+    basis = h1_cocycle_basis(K, p)
+    c = basis[0]
+    cov = build_abelian_p_cover(K, basis[:1], p)
     pull = cov.pullback(c)
     assert pull.is_cocycle()
     for w in ("a", "b", "ab", "aabb"):
@@ -205,9 +225,9 @@ def test_cyclic_weights_must_be_integers():
 def test_vertex_values_difference_property():
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
-    classes = h1_cocycle_basis(K, p)[:2]
-    cov = build_abelian_p_cover(K, classes, p)
-    for c in classes:
+    basis = h1_cocycle_basis(K, p)
+    cov = build_abelian_p_cover(K, basis[:2], p)
+    for c in (basis[0], basis[1]):
         vals = vertex_values(cov, c.values, p)
         pull = cov.pullback(c)
         # defining property: values jump by the pulled-back cochain along edges
@@ -331,14 +351,14 @@ def random_words(rng, K, count):
 
 
 def independent_classes(K, p, n, rng):
-    """min(n, d_p) random combinations of the H^1 basis, independent
-    because their coefficients on randomly chosen basis classes form an
-    identity block."""
-    basis = h1_cocycle_basis(K, p)
+    """min(n, d_p) random combinations of the H^1 basis as matrix rows,
+    independent because their coefficients on randomly chosen basis
+    classes form an identity block."""
+    basis = h1_cocycle_basis(K, p)[:]
     n = min(n, len(basis))
     coeffs = rng.integers(0, p, size=(n, len(basis)))
     coeffs[:, rng.choice(len(basis), size=n, replace=False)] = np.eye(n, dtype=np.int64)
-    return [combine_cochains(basis, row, p) for row in coeffs]
+    return coeffs @ basis % p
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -357,7 +377,7 @@ def test_integer_labels_match_tuple_label_oracle(text, p, n1, n2, seed):
     classes = independent_classes(K, p, n1, rng)
     n1 = len(classes)
     cov = build_abelian_p_cover(K, classes, p)
-    shifts = np.stack([c.values for c in classes], axis=1)
+    shifts = classes.T
     words = random_words(rng, K, 4)
     assert_matches_tuple_labels(cov, shifts, (p,) * n1, words)
     if n2 == 0 or p ** (n1 + n2) > 125:
@@ -365,7 +385,7 @@ def test_integer_labels_match_tuple_label_oracle(text, p, n1, n2, seed):
     classes2 = independent_classes(cov.total, p, n2, rng)
     n2 = len(classes2)
     cov2 = build_abelian_p_cover(cov.total, classes2, p)
-    shifts2 = np.stack([c.values for c in classes2], axis=1)
+    shifts2 = classes2.T
     paths = [cov.lift_path(w, int(r)) for w, r in zip(words, rng.integers(0, cov.degree, 4))]
     assert_matches_tuple_labels(cov2, shifts2, (p,) * n2, paths)
 

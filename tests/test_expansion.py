@@ -271,7 +271,7 @@ def abelian_cover_cases(draw):
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     picks = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=2, unique=True))
-    total = build_abelian_p_cover(K, [basis[i] for i in picks], p).total
+    total = build_abelian_p_cover(K, basis[picks], p).total
     residues = st.integers(0, p - 1)
     cover_basis = h1_cocycle_basis(total, p)
     coeffs = draw(st.lists(residues, min_size=len(cover_basis), max_size=len(cover_basis)))
@@ -366,10 +366,10 @@ def test_relative_size_rejects_cochain_of_another_complex():
 def test_minimum_support_representative_is_same_class():
     pres, p = parse_presentation(TORUS)
     K = build_presentation_complex(pres)
-    cov = build_abelian_p_cover(K, h1_cocycle_basis(K, p), p)
+    cov = build_abelian_p_cover(K, h1_cocycle_basis(K, p)[:], p)
     K4 = cov.total
     basis = h1_cocycle_basis(K4, p)
-    for alpha in basis[:3]:
+    for alpha in list(basis)[:3]:
         rep, size = minimum_support_representative(K4, alpha)
         assert len(cochain_support(rep)) == size
         # same class: evaluations agree on every fundamental loop
@@ -413,8 +413,8 @@ def test_expansion_bound_on_small_covers():
         K = build_presentation_complex(pres)
         basis = h1_cocycle_basis(K, p)
         cov = build_abelian_p_cover(K, basis[:k], p)
-        for alpha in basis[:k]:
-            report = expansion_bound_report(cov, alpha)
+        for i in range(k):
+            report = expansion_bound_report(cov, basis[i])
             assert report.holds
             assert report.cut_holds
             assert all(c == cov.total.num_vertices // p for c in report.fiber_counts)
@@ -425,7 +425,7 @@ def test_vertex_value_classes_split_fibers():
     pres, p = parse_presentation(TORUS)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
-    cov = build_abelian_p_cover(K, basis, p)
+    cov = build_abelian_p_cover(K, basis[:], p)
     vals = vertex_values(cov, basis[1].values, p)
     assert sorted(np.bincount(vals, minlength=p)) == [cov.total.num_vertices // p] * p
 
@@ -482,8 +482,8 @@ def test_expansion_bound_holds_on_the_depth3_p2_cover():
     # zero class's cut, 16 edges over 32 vertices, meets it
     cov, base_basis, _ = _tower("genus2_p2.txt", 3)
     assert cov.total.num_vertices == 64
-    for alpha in base_basis[:2]:
-        r = expansion_bound_report(cov, alpha, cheeger_mode="heuristic")
+    for i in range(2):
+        r = expansion_bound_report(cov, base_basis[i], cheeger_mode="heuristic")
         assert r.holds
         assert r.cheeger == Fraction(r.zero_cut, r.fiber_counts[0]) == r.bound == Fraction(1, 2)
 

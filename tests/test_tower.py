@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pdescent import tower
 from pdescent.complexes import (
+    Cochain,
     GroupPresentation,
     TwoComplex,
     build_presentation_complex,
@@ -112,6 +113,23 @@ def test_run_descent_support_containment():
     for a, b in zip(report.records, report.records[1:]):
         degree = b.index // a.index
         assert b.support_size <= degree * a.support_size
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_run_descent_builds_no_cochain(monkeypatch, p):
+    # the covering classes stay rows of one matrix from the H^1 basis to the cover
+    built = []
+    post_init = Cochain.__post_init__
+
+    def counted(self):
+        built.append(self.p)
+        post_init(self)
+
+    monkeypatch.setattr(Cochain, "__post_init__", counted)
+    pres, _ = parse_presentation(GENUS2)
+    report = run_descent(pres, SeriesSpec(kind="rank", p=p, depth=3, rank=2), u=2)
+    assert len(report.records) == 4
+    assert built == []
 
 
 def test_run_descent_budget_exhaustion():
