@@ -86,6 +86,8 @@ class SeriesSpec:
             raise ValueError("explicit series needs per-level class indices")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
+        if self.cell_budget < 0:
+            raise ValueError("cell budget must be at least 0")
         fplinalg.validate_prime(self.p)
 
 
@@ -143,12 +145,15 @@ def descent_parameters(
     return lam, u
 
 
-def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> np.ndarray:
-    """The next level's covering classes as rows of its echelon H^1 basis, per the series kind."""
+def _series_picks(K, basis, spec: SeriesSpec, level: int, family) -> tuple[int, ...]:
+    """The next level's covering classes as indices into its echelon H^1 basis, per the series kind.
+
+    Only the rank series reads rows: at most spec.rank + len(family).
+    """
     if spec.kind == "derived":
         if not basis:
             raise ValueError(f"level {level}: H^1 is trivial, series cannot continue")
-        return basis[:]
+        return tuple(range(len(basis)))
     if spec.kind == "explicit":
         if level - 1 >= len(spec.levels):
             raise ValueError(f"explicit series has no classes for level {level}")
@@ -158,63 +163,58 @@ def _series_classes(K, basis, spec: SeriesSpec, level: int, family) -> np.ndarra
                 raise ValueError(
                     f"level {level}: class index {i} out of range (H^1 has rank {len(basis)})"
                 )
-        return basis[picks]
+        return tuple(picks)
     # rank kind: prefer classes independent of the family span so the
     # complement (and with it the wedge family) stays as large as possible;
     # reading a basis row builds it, so stop once enough are chosen;
     # a row vanishes on the spanning tree, so its non-tree values are its coordinates
+    if len(basis) < spec.rank:
+        raise ValueError(f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes")
     rows = list(class_coordinates(K, np.reshape(family, (len(family), K.num_edges)), spec.p))
     picks: list[int] = []
     for i in range(len(basis)):
-        row = basis[i : i + 1][0, K.arrays.non_tree]
-        stacked = np.array(rows + [row], dtype=np.int64)
-        if fplinalg.rank(stacked, spec.p) == len(stacked):
-            picks.append(i)
-            rows.append(row)
+        stacked = rows + [basis[i : i + 1][0, K.arrays.non_tree]]
+        if fplinalg.rank(np.array(stacked, dtype=np.int64), spec.p) == len(stacked):
+            rows, picks = stacked, picks + [i]
             if len(picks) == spec.rank:
                 break
     # distinct echelon basis rows are independent: top up with the first unpicked ones
-    picks += [i for i in range(len(basis)) if i not in picks][: spec.rank - len(picks)]
-    if len(picks) < spec.rank:
-        raise ValueError(
-            f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes"
-        )
-    return basis[picks]
+    return tuple(picks + [i for i in range(len(basis)) if i not in picks][: spec.rank - len(picks)])
 
 
 @dataclass(frozen=True)
 class TowerLevel:
     """One tower level: its complex, the complex's H^1 basis, and the cover built on it.
 
-    basis is the lazy `CocycleBasis` itself, so only the rows the series
-    reads are ever built.  classes is the matrix of basis rows that define
-    the cover, one per row.  cover is None when the projected cell count
-    exceeds the budget; note then says so.
+    basis is the lazy `CocycleBasis` itself, and picks index the basis rows
+    that define the cover; past the rows the rank series reads, they are
+    built only once the projected cell count fits the budget.  Otherwise
+    cover is None and note says so.
     """
 
     level: int
     index: int
     complex: TwoComplex
     basis: CocycleBasis
-    classes: np.ndarray
+    picks: tuple[int, ...]
     cover: CoveringMap | None
     note: str | None = None
 
 
 def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) -> TowerLevel:
-    """Pick K's covering classes as rows of `basis`, its h1_cocycle_basis, and build their cover.
+    """Pick K's covering classes in `basis`, its h1_cocycle_basis, and build their cover.
 
     The rank series avoids the span of `family`, a matrix of edge-value
-    rows on K (empty for a bare tower).  The cover is not built
-    when its p**n * K.num_cells cells would exceed the cell budget.
+    rows on K (empty for a bare tower).  The picked rows and their cover
+    are built only when its p**n * K.num_cells cells fit the cell budget.
     """
-    classes = _series_classes(K, basis, spec, level, family)
-    projected = spec.p ** len(classes) * K.num_cells
+    picks = _series_picks(K, basis, spec, level, family)
+    projected = spec.p ** len(picks) * K.num_cells
     if projected > spec.cell_budget:
         note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
-        return TowerLevel(level, index, K, basis, classes, None, note)
-    cov = build_abelian_p_cover(K, classes, spec.p)
-    return TowerLevel(level, index, K, basis, classes, cov)
+        return TowerLevel(level, index, K, basis, picks, None, note)
+    cov = build_abelian_p_cover(K, basis[picks], spec.p)
+    return TowerLevel(level, index, K, basis, picks, cov)
 
 
 def iter_covers(K: TwoComplex, spec: SeriesSpec) -> Iterator[TowerLevel]:
@@ -272,7 +272,7 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
             basis = h1_cocycle_basis(K, p)
         step = tower_level(K, basis, spec, level, index, family)
         here = (level, index, K, len(basis), support)
-        n = len(step.classes)
+        n = len(step.picks)
         cov = step.cover
         if cov is None:
             verdict = "budget-exhausted"

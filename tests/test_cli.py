@@ -515,3 +515,12 @@ def test_budget_notes_name_the_projected_cells(tmp_path, capsys):
     assert (code, json.loads(out)["notes"]) == (3, [note])
     assert main(["cheeger", *argv]) == 3
     assert capsys.readouterr().err == f"pdescent: {note}\n"
+
+
+def test_negative_budget_is_a_precondition_error(tmp_path, capsys):
+    path = write(tmp_path, "genus2.txt", GENUS2)
+    for command in ("cover", "descend", "cheeger"):
+        assert main([command, path, "--budget", "-1"]) == 2
+        assert capsys.readouterr() == ("", "pdescent: cell budget must be at least 0\n")
+    # a budget of 0 is valid: level 1 already exceeds it
+    assert main(["cover", path, "--budget", "0"]) == 3

@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +40,7 @@ from oracles import (
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
+DATA = Path(__file__).parent / "data"
 
 
 def wedge(n):
@@ -410,3 +415,66 @@ def test_shift_cover_rejects_faces_that_do_not_close():
     K = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=("aab",)))
     with pytest.raises(CocycleConditionError, match="face 0 attaching path does not close"):
         _build_shift_cover(K, np.array([[1], [0]]), (3,))
+
+
+def dp_and_fingerprint(text):
+    """d_p of a presentation and the multiset of d_p over its index-p normal subgroups.
+
+    One Z/p cover per line of H^1(K; F_p), each defined by the combination
+    of echelon basis rows whose first nonzero coefficient is 1.
+    """
+    pres, p = parse_presentation(text)
+    K = build_presentation_complex(pres)
+    basis = h1_cocycle_basis(K, p)[:]
+    lines = [
+        c
+        for c in itertools.product(range(p), repeat=len(basis))
+        if any(c) and next(x for x in c if x) == 1
+    ]
+    classes = np.array(lines, dtype=np.int64) @ basis % p
+    covers = (build_abelian_p_cover(K, c[None, :], p) for c in classes)
+    return h1_dimension(K, p), dict(Counter(h1_dimension(cov.total, p) for cov in covers))
+
+
+FINGERPRINTS = {
+    "genus2_p2.txt": (4, {6: 15}),
+    "genus2_p3.txt": (4, {8: 40}),
+    "genus2_p5.txt": (4, {12: 156}),
+    "tworel_p3.txt": (3, {5: 12, 7: 1}),
+    "z2_p2.txt": (1, {0: 1}),
+}
+
+# each generator list and relator list defines the group of the data file named first
+TIETZE_MOVES = [
+    pytest.param("genus2_p2.txt", "a b c d e", ["abABcdCD", "eBA"], id="genus2_p2-add-generator"),
+    pytest.param(
+        "genus2_p2.txt", "a b c d", ["abABcdCD", "abABcdCDabABcdCD"], id="genus2_p2-add-square"
+    ),
+    pytest.param(
+        "genus2_p2.txt", "a b c d", ["abABcdCD", "cabABcdCDC"], id="genus2_p2-add-conjugate"
+    ),
+    pytest.param("genus2_p2.txt", "a b c d", ["bABcdCDa"], id="genus2_p2-rotate"),
+    pytest.param("genus2_p2.txt", "a b c d", ["dcDCbaBA"], id="genus2_p2-invert"),
+    pytest.param("genus2_p2.txt", "w x y z", ["wxWXyzYZ"], id="genus2_p2-rename"),
+    pytest.param("genus2_p2.txt", "d c b a", ["abABcdCD"], id="genus2_p2-reorder"),
+    pytest.param("genus2_p3.txt", "a b c d e", ["abABcdCD", "eBA"], id="genus2_p3-add-generator"),
+    pytest.param("genus2_p5.txt", "x y z w", ["xyXYzwZW"], id="genus2_p5-rename"),
+    pytest.param(
+        "tworel_p3.txt", "a b c d x", ["abAB", "acaCAC", "xAcc"], id="tworel_p3-add-generator"
+    ),
+    pytest.param("tworel_p3.txt", "d c b a", ["abAB", "acaCAC"], id="tworel_p3-reorder"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_index_p_fingerprint_of_the_data_presentations(name):
+    assert dp_and_fingerprint((DATA / name).read_text()) == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name, gens, relators", TIETZE_MOVES)
+def test_dp_and_fingerprint_survive_tietze_moves(name, gens, relators):
+    # both depend only on the group, while a move changes the complex,
+    # its spanning tree, its face rows and so its pivots
+    _, p = parse_presentation((DATA / name).read_text())
+    text = f"p = {p}\ngens = {gens}\n" + "".join(f"rel = {r}\n" for r in relators)
+    assert dp_and_fingerprint(text) == FINGERPRINTS[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdescent import tower
+from pdescent import fplinalg, tower
 from pdescent.complexes import (
     Cochain,
     GroupPresentation,
@@ -141,6 +141,38 @@ def test_run_descent_budget_exhaustion():
     assert report.notes
 
 
+def test_over_budget_level_builds_no_class_rows(tmp_path, monkeypatch):
+    # level 2 of the derived series on F_8 has 1,793 classes and needs
+    # 2**1793 * 2304 cells: the budget check must come before any row is built
+    built = []
+    sparse_kernel = fplinalg.sparse_kernel
+
+    def counted(*args):
+        rank, free, row = sparse_kernel(*args)
+
+        def counted_row(i):
+            built.append(i)
+            return row(i)
+
+        return rank, free, counted_row
+
+    monkeypatch.setattr(fplinalg, "sparse_kernel", counted)
+    path = tmp_path / "f8.txt"
+    path.write_text("p = 2\ngens = a b c d e f g h\n")
+    pres, p = parse_presentation(path.read_text())
+    spec = SeriesSpec(kind="derived", p=p, depth=2)
+    levels = tower.iter_covers(build_presentation_complex(pres), spec)
+    first = next(levels)
+    assert first.cover.degree == 256
+    assert sorted(built) == list(range(8))
+    second = next(levels)
+    assert second.cover is None
+    assert second.note == f"level 2: projected {2**1793 * 2304} cells exceeds budget 1000000"
+    assert list(levels) == []
+    assert len(built) == 8
+    assert (first.picks, second.picks) == (tuple(range(8)), tuple(range(1793)))
+
+
 def test_run_descent_validates_u():
     pres, p = parse_presentation(TORUS)
     with pytest.raises(ValueError):
@@ -160,6 +192,9 @@ def test_series_spec_validation():
         SeriesSpec(kind="derived", p=4, depth=1)
     with pytest.raises(ValueError):
         SeriesSpec(kind="derived", p=2, depth=0)
+    with pytest.raises(ValueError, match="cell budget must be at least 0"):
+        SeriesSpec(kind="derived", p=2, depth=1, cell_budget=-1)
+    assert SeriesSpec(kind="derived", p=2, depth=1, cell_budget=0).cell_budget == 0
 
 
 def test_run_descent_explicit_series():
