@@ -49,13 +49,12 @@ from .expansion import (
     minimum_support_representative,
     relative_size,
 )
-from .fplinalg import FpSubspace, subspace_support
+from .fplinalg import FpSubspace
 from .plotkin import (
     HyperplaneResult,
     ReductionResult,
     best_hyperplane,
     chain_factor,
-    hyperplane_subspace,
     reduce_to_dimension,
     uniform_factor,
 )
@@ -117,12 +116,10 @@ __all__ = [
     "minimum_support_representative",
     "relative_size",
     "FpSubspace",
-    "subspace_support",
     "HyperplaneResult",
     "ReductionResult",
     "best_hyperplane",
     "chain_factor",
-    "hyperplane_subspace",
     "reduce_to_dimension",
     "uniform_factor",
     "CriteriaReport",

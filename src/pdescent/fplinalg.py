@@ -11,15 +11,17 @@ with the nonzeros of the pivot columns rather than with the matrix size.
 matrix at all: the first gives the reduced echelon kernel basis one row
 at a time, the second the rank only.  Both lead each row with its largest
 column; `first_seen_labels` numbers columns so that a row's newest column
-is its largest.
+is its largest.  A row being reduced is a {column: value} dict at odd p
+and a set of columns at p = 2, where adding a row is a symmetric
+difference.
 
-At p = 2, `rref` and `rank` pack each row into one Python int, column 0
-the most significant bit, and eliminate by XOR (the word-per-row-chunk
-method of M4RI).  A row update then costs cols/64 machine words instead
-of cols int64 multiply-and-reduce steps, and no row pays numpy's
-per-call overhead; the unpacked echelon form is the same array the
-int64 path gives, because reduced echelon form is unique.  Odd p takes
-the int64 path.
+At p = 2, `rref` and `rank` read the low bit of each entry into a uint8
+matrix, pack each row into one Python int, column 0 the most significant
+bit, and eliminate by XOR (the word-per-row-chunk method of M4RI).  A row
+update then costs cols/64 machine words instead of cols int64
+multiply-and-reduce steps, and no row pays numpy's per-call overhead;
+the unpacked echelon form is the same array the int64 path gives,
+because reduced echelon form is unique.  Odd p takes the int64 path.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "solve",
     "extend_to_complement",
     "FpSubspace",
-    "subspace_support",
 ]
 
 MAX_PRIME = 2**16
@@ -74,12 +75,17 @@ def _integers(values) -> np.ndarray:
 
 
 def _as_matrix(m, p):
+    """m as a matrix of residues mod p: int64, or uint8 at p = 2.
+
+    A residue mod 2 is the low bit, which the cast to uint8 keeps, so the
+    p = 2 matrix takes an eighth of the bytes and no division.
+    """
     a = _integers(m)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError("expected a 1- or 2-dimensional array")
-    return a % p
+    return a.astype(np.uint8) & 1 if p == 2 else a % p
 
 
 def _f2_echelon(a) -> dict[int, int]:
@@ -130,7 +136,7 @@ def _rref_f2(a) -> tuple[np.ndarray, int]:
         basis[k] = x
         mask |= 1 << (k - 1)
     r = len(keys)
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, dtype=np.int64)
     if r:
         nbytes = (a.shape[1] + 7) // 8
         data = b"".join(basis[k].to_bytes(nbytes, "big") for k in reversed(keys))
@@ -260,20 +266,23 @@ def first_seen_labels(cols) -> np.ndarray:
 def _eliminate(rows, p) -> tuple[dict, dict]:
     """Sparse elimination of `sparse_rows` rows, one stored row per pivot.
 
-    Values are Python ints, so the arithmetic is exact for every
-    p <= 2**16.  A row's lead is its largest column, its last entry.  A
-    row whose lead has no stored row is stored as it is, by its slices of
-    the column and value lists; only a row that meets a stored pivot
-    becomes a {column: value} dict, reduced against the stored row of its
-    lead column until it vanishes or reaches a lead column without one,
-    where it is stored.  Returns (pivots, scale): pivots[c] is a pair of
-    sequences (columns, values), the row stored for column c without its
-    lead entry, and scale[c] the inverse of that entry where it is not 1,
-    so the pivot row scaled to lead with 1 is e_c + scale.get(c, 1) * pivots[c].
-    Rows with few nonzeros that overlap in few columns stay short, so the
-    cost follows the fill-in, not |rows| x |columns|.  The input is not
-    modified.
+    A row's lead is its largest column, its last entry.  A row whose lead
+    has no stored row is stored as it is, by its slices of the column and
+    value lists.  Only a row that meets a stored pivot is copied, as a
+    {column: value} dict of Python ints (exact for every p <= 2**16), and
+    reduced against the stored row of its lead column until it vanishes
+    or reaches a lead column without one, where it is stored.  Returns
+    (pivots, scale): pivots[c] is the row stored for column c without its
+    lead entry.  At odd p it is a pair of sequences (columns, values), and
+    scale[c] the inverse of the lead entry where it is not 1, so the pivot
+    row scaled to lead with 1 is e_c + scale.get(c, 1) * pivots[c].  At
+    p = 2 every value is 1, so `_eliminate_f2` runs instead: pivots[c] is
+    its columns alone and scale is empty.  Rows with few nonzeros that
+    overlap in few columns stay short, so the cost follows the fill-in,
+    not |rows| x |columns|.  The input is not modified.
     """
+    if p == 2:
+        return _eliminate_f2(rows[0].tolist(), rows[1].tolist()), {}
     ptr, cols, vals = (a.tolist() for a in rows)
     pivots = {}
     scale = {}
@@ -305,6 +314,31 @@ def _eliminate(rows, p) -> tuple[dict, dict]:
             else:
                 pivots[c] = (r.keys(), r.values())
     return pivots, scale
+
+
+def _eliminate_f2(ptr, cols) -> dict:
+    """`_eliminate` at p = 2, where a row is its set of columns.
+
+    A copied row is a Python set, and adding a stored row is a symmetric
+    difference, with no values to multiply or reduce.
+    """
+    pivots = {}
+    for lo, hi in zip(ptr, ptr[1:]):
+        if lo == hi:
+            continue
+        c = cols[hi - 1]
+        r = None
+        while (pivot := pivots.get(c)) is not None:
+            if r is None:
+                r = set(cols[lo : hi - 1])
+            r.symmetric_difference_update(pivot)
+            if not r:
+                break
+            c = max(r)
+            r.remove(c)
+        else:
+            pivots[c] = cols[lo : hi - 1] if r is None else r
+    return pivots
 
 
 def sparse_rank(rows, p) -> int:
@@ -343,8 +377,13 @@ def sparse_kernel(rows, ncols: int, p):
         f = int(free[i])
         x = [0] * ncols
         x[f] = 1
-        for t in order[bisect.bisect_right(order, f) :]:
-            x[t] = -scale.get(t, 1) * sum(v * x[k] for k, v in zip(*pivots[t])) % p
+        later = order[bisect.bisect_right(order, f) :]
+        if p == 2:
+            for t in later:
+                x[t] = sum(x[k] for k in pivots[t]) & 1
+        else:
+            for t in later:
+                x[t] = -scale.get(t, 1) * sum(v * x[k] for k, v in zip(*pivots[t])) % p
         return np.array(x, dtype=np.int64)
 
     return len(pivots), free, row
@@ -438,18 +477,3 @@ class FpSubspace:
     @property
     def dim(self) -> int:
         return int(self.basis.shape[0])
-
-    def contains_subspace(self, other: "FpSubspace") -> bool:
-        # other lies inside self iff its rows add no rank to self's basis
-        return rank(np.vstack([self.basis, other.basis]), self.p) == self.dim
-
-
-def subspace_support(w: FpSubspace) -> set[int]:
-    """Indices where some element of the subspace is nonzero.
-
-    Equals the set of nonzero columns of any basis, since a column that
-    vanishes on a basis vanishes on every combination.
-    """
-    if w.dim == 0:
-        return set()
-    return {int(j) for j in np.flatnonzero((w.basis % w.p != 0).any(axis=0))}

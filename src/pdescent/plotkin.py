@@ -7,23 +7,31 @@ and iterating down to dimension w gives the chain bound
 (p^v - p^(v-w))/(p^v - 1), itself at most the uniform bound
 (p^(w+1) - p)/(p^(w+1) - 1).  For w = 1 this is the classical Plotkin
 bound on the minimum distance of a linear code.
+
+The reduction never works on the |E|-wide basis between steps.  A
+v-dimensional subspace has at most p^v - 1 distinct nonzero basis
+columns, so the basis B is grouped once into the matrix C of its
+distinct columns with their multiplicities.  Each step keeps the current
+subspace as T B, with T a transform in reduced echelon form, and cuts it
+on the images T C, one numpy product per step; the reduced basis is
+written once, as T B on the support columns.  Since B is in reduced
+echelon form, so is T B, which is the basis a per-step re-echelon of
+the |E|-wide hyperplane would give.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .fplinalg import FpSubspace, _integers, kernel_basis, subspace_support
+from .fplinalg import FpSubspace, rank
 
 __all__ = [
     "chain_factor",
     "uniform_factor",
-    "hyperplane_subspace",
     "HyperplaneResult",
     "best_hyperplane",
     "ReductionResult",
@@ -40,39 +48,114 @@ def uniform_factor(p: int, w: int) -> Fraction:
     return Fraction(p ** (w + 1) - p, p ** (w + 1) - 1)
 
 
-def hyperplane_subspace(V: FpSubspace, f) -> FpSubspace:
-    """The hyperplane of V cut out by a nonzero functional on its basis coordinates.
+def _groups(cols) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): cols[:, order] has its columns in ascending
+    lexicographic order, and each run of equal columns begins at an index
+    in starts."""
+    order = np.lexsort(cols[::-1])
+    ordered = cols[:, order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
+    return order, np.flatnonzero(new)
 
-    Its basis is the rows of `kernel_basis(f)`, a basis of ker(f), mapped
-    through V's basis.
+
+def _distinct_columns(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(support, columns, counts) of a basis matrix of residues.
+
+    support indexes its nonzero columns; the matrix columns holds each
+    distinct nonzero column once, in order of first appearance, and
+    counts[k] is how many support columns equal columns[:, k].
     """
-    f = _integers(f) % V.p
-    if f.shape != (V.dim,) or not f.any():
-        raise DimensionError(f"need a nonzero functional with {V.dim} coefficients")
-    return FpSubspace.from_rows(kernel_basis(f, V.p) @ V.basis % V.p, V.p, V.ambient_dim)
+    support = np.flatnonzero(basis.any(axis=0))
+    cols = basis[:, support]
+    order, starts = _groups(cols)
+    first = np.minimum.reduceat(order, starts)
+    counts = np.diff(starts, append=len(order))
+    keep = np.argsort(first)
+    return support, cols[:, first[keep]], counts[keep]
 
 
-def _column_classes(V: FpSubspace) -> dict[tuple[int, ...], int]:
-    """Projective class of each nonzero basis column, as functional tuples.
+def _column_classes(images, counts, p) -> tuple[np.ndarray, np.ndarray]:
+    """(functionals, sizes): the projective classes of the nonzero columns
+    of images, one column of functionals each, and their total counts.
 
     A coordinate stays in the support of the hyperplane ker(f) unless its
     basis column is proportional to f, so grouping columns by projective
-    class makes every hyperplane support a dictionary lookup.  Each column
-    is scaled to lead with 1 (one inverse per distinct leading value) and
-    the scaled columns are counted as tuples of Python ints, exact for any
-    p and dimension.  Classes come in ascending lexicographic order of
-    their tuples.
+    class makes every hyperplane support a subtraction.  Each column is
+    scaled to lead with 1 by lead**(p - 2), the inverse of its leading
+    entry (Fermat), taken by repeated squaring.  The classes come in
+    ascending lexicographic order.
     """
-    p = V.p
-    basis = V.basis % p
-    cols = basis[:, basis.any(axis=0)]
-    if cols.shape[1] == 0:
-        return {}
-    lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
-    values, which = np.unique(lead, return_inverse=True)
-    inverses = np.array([pow(int(x), -1, p) for x in values], dtype=np.int64)
-    scaled = cols * inverses[which] % p
-    return dict(sorted(Counter(map(tuple, scaled.T.tolist())).items()))
+    nonzero = images.any(axis=0)
+    cols, counts = images[:, nonzero], counts[nonzero]
+    x = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
+    inverse, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            inverse = inverse * x % p
+        x, e = x * x % p, e >> 1
+    scaled = cols * inverse % p
+    order, starts = _groups(scaled)
+    return scaled[:, order[starts]], np.add.reduceat(counts[order], starts)
+
+
+def _cut(T, f, p) -> np.ndarray:
+    """The reduced echelon transform of the hyperplane ker(f) of span(T B).
+
+    With l the last nonzero coefficient of f, ker(f) has the basis
+    e_i - (f_i / f_l) e_l (i != l), so its transform has the rows
+    T_i - (f_i / f_l) T_l.  For T in reduced echelon form these are too:
+    rows past l are unchanged, and a row before l keeps its pivot and
+    gains entries only where T_l is nonzero, which is past that pivot and
+    in no pivot column of another remaining row.
+    """
+    f = np.asarray(f, dtype=np.int64) % p
+    last = int(np.flatnonzero(f)[-1])
+    g = f * pow(int(f[last]), -1, p) % p
+    return ((T - np.outer(g, T[last])) % p)[np.arange(len(T)) != last]
+
+
+def _reduce(V: FpSubspace, w: int) -> tuple[FpSubspace, int, int]:
+    """Greedy best-hyperplane cuts of V (dim > w >= 1) down to dimension w.
+
+    Each step takes the largest projective class of the current images
+    T C, lexicographically first on ties, whose functional f cuts out the
+    minimum-support hyperplane; its support is the current one minus that
+    class's count.  Every step checks the averaging bound and recounts the
+    support from the new images; at the end the basis T B is checked to
+    lie in V (one rank on the support columns), its nonzero columns are
+    recounted, and the chain bound is checked.  Entries are residues below
+    p <= 2**16, so every int64 product here is exact.  Returns (subspace,
+    support size, support size of V).
+    """
+    p, B = V.p, V.basis
+    support, columns, counts = _distinct_columns(B)
+    start = size = len(support)
+    T = np.eye(V.dim, dtype=np.int64)
+    images = columns
+    while len(T) > w:
+        d = len(T)
+        classes, sizes = _column_classes(images, counts, p)
+        k = int(np.argmax(sizes))
+        best = size - int(sizes[k])
+        if best * (p**d - 1) > (p**d - p) * size:
+            raise InvariantError("the largest column class misses the averaging bound")
+        T = _cut(T, classes[:, k], p)
+        images = T @ columns % p
+        size = int(counts[images.any(axis=0)].sum())
+        if size != best:
+            raise InvariantError("hyperplane support differs from its column-class count")
+    rows = np.zeros((w, V.ambient_dim), dtype=np.int64)
+    rows[:, support] = T @ B[:, support] % p
+    if rank(np.vstack([B[:, support], rows[:, support]]), p) != V.dim:
+        raise InvariantError("reduced subspace is not inside the input subspace")
+    if np.count_nonzero(rows.any(axis=0)) != size:
+        raise InvariantError("reduced basis support differs from its column count")
+    if size > chain_factor(p, V.dim, w) * start:
+        raise InvariantError("chain bound must hold for the reduced subspace")
+    rows.flags.writeable = False
+    return FpSubspace(p=p, ambient_dim=V.ambient_dim, basis=rows), size, start
 
 
 @dataclass(frozen=True)
@@ -89,25 +172,16 @@ def best_hyperplane(V: FpSubspace) -> HyperplaneResult:
     The hyperplane ker(f) keeps every support coordinate whose column is not
     proportional to f, so the best hyperplane is the functional of the
     largest column class, with support |supp(V)| minus that class's count.
-    Ties break to the lexicographically first functional, which is the
-    first largest key in `_column_classes`' ascending order.  This costs
-    one grouping of the O(v |supp(V)|) column entries, not a scan of the
-    (p^v - 1)/(p - 1) hyperplanes, so every dimension is searched exactly
-    and the averaging bound always holds: the result is always certified.
+    Ties break to the lexicographically first functional.  This is one
+    step of `reduce_to_dimension`: one grouping of the basis columns, not
+    a scan of the (p^v - 1)/(p - 1) hyperplanes, so every dimension is
+    searched exactly and the averaging bound always holds: the result is
+    always certified.
     """
-    p, v = V.p, V.dim
-    if v < 2:
+    if V.dim < 2:
         raise DimensionError("hyperplane reduction needs dimension at least 2")
-    total = len(subspace_support(V))
-    classes = _column_classes(V)
-    best_f = max(classes, key=classes.get)
-    best_size = total - classes[best_f]
-    if best_size * (p**v - 1) > (p**v - p) * total:
-        raise InvariantError("the largest column class misses the averaging bound")
-    sub = hyperplane_subspace(V, best_f)
-    if len(subspace_support(sub)) != best_size:
-        raise InvariantError("hyperplane support differs from its column-class count")
-    return HyperplaneResult(subspace=sub, support_size=best_size, certified=True, mode="exact")
+    sub, size, _ = _reduce(V, V.dim - 1)
+    return HyperplaneResult(subspace=sub, support_size=size, certified=True, mode="exact")
 
 
 @dataclass(frozen=True)
@@ -132,22 +206,12 @@ def reduce_to_dimension(V: FpSubspace, w: int) -> ReductionResult:
         raise DimensionError(
             f"target dimension {w} must be at least 1 and below the input dimension {v}"
         )
-    cur = V
-    while cur.dim > w:
-        cur = best_hyperplane(cur).subspace
-    if not V.contains_subspace(cur):
-        raise InvariantError("reduced subspace is not inside the input subspace")
-    start_support = len(subspace_support(V))
-    chain = chain_factor(V.p, v, w) * start_support
-    uniform = uniform_factor(V.p, w) * start_support
-    size = len(subspace_support(cur))
-    if size > chain:
-        raise InvariantError("chain bound must hold for the reduced subspace")
+    sub, size, start = _reduce(V, w)
     return ReductionResult(
-        subspace=cur,
+        subspace=sub,
         support_size=size,
-        chain_bound=chain,
-        uniform_bound=uniform,
+        chain_bound=chain_factor(V.p, v, w) * start,
+        uniform_bound=uniform_factor(V.p, w) * start,
         certified=True,
         mode="exact",
     )

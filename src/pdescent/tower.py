@@ -209,8 +209,9 @@ def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) ->
     are built only when its p**n * K.num_cells cells fit the cell budget.
     """
     picks = _series_picks(K, basis, spec, level, family)
-    projected = spec.p ** len(picks) * K.num_cells
-    if projected > spec.cell_budget:
+    if spec.p ** len(picks) * K.num_cells > spec.cell_budget:
+        # p**n * cells, not the product, which runs to thousands of digits for a large derived step
+        projected = f"{spec.p}**{len(picks)} * {K.num_cells}"
         note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
         return TowerLevel(level, index, K, basis, picks, None, note)
     cov = build_abelian_p_cover(K, basis[picks], spec.p)

@@ -5,19 +5,24 @@ textbook row reduction) so that agreement with the package's vectorized
 routines is meaningful.  The full-recount expansion routines, the
 tuple-label cover builder and path lift, the dense H^1 basis, the
 column-class loop, the hyperplane functional scan and hand-built
-hyperplane rows, the greedy complement
+hyperplane rows, the per-step hyperplane reduction, the greedy complement
 scan and the every-vertex greedy descent are the package's earlier
-implementations, kept as references; the edge-loop heuristic Cheeger
+implementations, kept as references.  `run_descent_dense` assembles the
+dense pieces into the whole rank-series descent, with a wedge family
+built edge by edge; the edge-loop heuristic Cheeger
 sweep reads its first order off a dense eigendecomposition where the
 package runs Lanczos.  The expansion routines, the column-class loop and
 the functional scan use numpy.  The helpers that only tests call live
 here too: word loops, cochain combinations and supports, face paths and
-tree edges of a complex, row-span membership, the enumerated subspace
-support and the hyperplane functionals.
+tree edges of a complex, row-span membership and subspace containment,
+the subspace support, enumerated and read off a basis, and the
+hyperplane functionals.
 Nothing in this module imports the package: complexes and cochains are
 read through their attributes only (the expansion oracles read a
-complex's 1-skeleton), and a path or cochain is built by
-`dataclasses.replace` on one the package made.
+complex's 1-skeleton), a path or cochain is built by
+`dataclasses.replace` on one the package made, and `run_descent_dense`
+builds each cover complex with the constructor of the complex it was
+given.
 """
 
 import dataclasses
@@ -258,6 +263,20 @@ def in_rowspan(vec, basis, p):
     vec = [int(x) for x in np.ravel(vec)]
     rows = np.asarray(basis, dtype=np.int64).reshape(-1, len(vec)).tolist()
     return mod_rank(rows + [vec], p) == mod_rank(rows, p)
+
+
+def subspace_support(w):
+    """Indices where some element of the subspace w is nonzero.
+
+    Equals the set of nonzero columns of any basis, since a column that
+    vanishes on a basis vanishes on every combination.
+    """
+    return {int(j) for j in np.flatnonzero((np.asarray(w.basis) % w.p != 0).any(axis=0))}
+
+
+def contains_subspace(outer, inner):
+    """True when the subspace inner lies in outer: its rows add no rank to outer's basis."""
+    return mod_rank(outer.basis.tolist() + inner.basis.tolist(), outer.p) == outer.dim
 
 
 def brute_min_hyperplane_support(rows, p):
@@ -700,15 +719,183 @@ def dense_cocycle_coordinates(K, p):
     textbook elimination.
     """
     d2 = loop_boundary_matrices(K, p)[1]
-    nt = list(K.non_tree_edges)
-    n = len(nt)
-    ech, r = mod_rref([[d2[e][j] for e in nt] for j in range(K.num_faces)], p)
-    pivots = [next(c for c in range(n) if ech[i][c]) for i in range(r)]
+    nt = K.non_tree_edges
+    return mod_kernel([[d2[e][j] for e in nt] for j in range(K.num_faces)], len(nt), p)
+
+
+def mod_kernel(rows, ncols, p):
+    """Reduced echelon basis of {x : row . x = 0 for every row} by textbook elimination.
+
+    The standard solution of each free column of the rref, re-echelonised.
+    """
+    ech, r = mod_rref(rows, p)
+    pivots = [next(c for c in range(ncols) if ech[i][c]) for i in range(r)]
     vectors = []
-    for f in (c for c in range(n) if c not in pivots):
-        x = [0] * n
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [0] * ncols
         x[f] = 1
         for i, c in enumerate(pivots):
             x[c] = -ech[i][f] % p
         vectors.append(x)
     return mod_rref(vectors, p)[0]
+
+
+def reduce_by_hyperplane_steps(basis, p, w):
+    """The per-step reduction that `plotkin.reduce_to_dimension` replaced.
+
+    Echelonises the basis, then cuts one hyperplane per step on every
+    column: the columns of the whole current basis are grouped into
+    projective classes (`column_classes_by_loop`), the largest class's
+    functional wins, the lexicographically first on ties, and
+    `hyperplane_by_rows` re-echelonises the hyperplane it cuts out.
+    Returns (reduced echelon rows, support size, chain bound, uniform
+    bound), the bounds being the factors times the input's support size.
+    """
+    cur, v = mod_rref(basis, p)
+    cur = cur[:v]
+    start = sum(column_classes_by_loop(cur, p).values())
+    while len(cur) > w:
+        classes = column_classes_by_loop(cur, p)
+        f = max(sorted(classes), key=classes.get)
+        cur = hyperplane_by_rows(cur, f, p)
+    size = sum(column_classes_by_loop(cur, p).values())
+    chain = Fraction(p**v - p ** (v - w), p**v - 1) * start
+    uniform = Fraction(p ** (w + 1) - p, p ** (w + 1) - 1) * start
+    return cur, size, chain, uniform
+
+
+def tree_coordinates(K, values, p):
+    """A cocycle's class coordinates: its values minus the coboundary of
+    its tree-path integral, read on the non-tree edges."""
+    pot = vertex_values_by_tree_paths(K, values, p)[0]
+    edges = K.edges
+    return [(int(values[e]) + pot[edges[e][0]] - pot[edges[e][1]]) % p for e in K.non_tree_edges]
+
+
+def _on_non_tree_edges(K, coords):
+    row = [0] * K.num_edges
+    for e, x in zip(K.non_tree_edges, coords):
+        row[e] = x
+    return row
+
+
+def dense_wedge_cocycles(K, total, degree, family, cover_coords, p):
+    """The cocycle basis of `wedge.build_wedge_family`, edge by edge.
+
+    total is the degree-sheeted cover of K given by the classes with
+    coordinates cover_coords, with total edge t over base edge t // degree.
+    The complement C is `greedy_complement` of the family's classes in
+    the covering span, as tree-vanishing rows.  The wedge U_i ∧ C_j takes
+    U_i's value on the base edge under a total edge times C_j's tree-path
+    vertex value at the edge's start, U-major.  The cocycle combinations
+    are the textbook kernel of the wedges' face sums at the zero-label
+    lift f * degree of each base face f.  Returns the cocycles as rows.
+    """
+    u_coords = [tree_coordinates(K, row, p) for row in family]
+    tables = []
+    for c in greedy_complement(u_coords, cover_coords, p):
+        row = _on_non_tree_edges(K, c)
+        pulled = [row[t // degree] for t in range(total.num_edges)]
+        values, bad = vertex_values_by_tree_paths(total, pulled, p)
+        assert bad is None, "a complement class does not vanish on the cover's loops"
+        tables.append(values)
+    span = [
+        [U[t // degree] * values[a] % p for t, (a, _) in enumerate(total.edges)]
+        for U in family
+        for values in tables
+    ]
+    assert mod_rank(span, p) == len(span), "wedges of independent inputs are dependent"
+    paths = face_paths(total)
+    sums = [
+        [sum(d * row[e] for e, d in paths[f * degree]) % p for row in span]
+        for f in range(K.num_faces)
+    ]
+    return [
+        [sum(c * row[t] for c, row in zip(combo, span)) % p for t in range(total.num_edges)]
+        for combo in mod_kernel(sums, len(span), p)
+    ]
+
+
+def run_descent_dense(K, p, depth, rank, u, budget):
+    """`tower.run_descent` on a rank series, with dense textbook pieces.
+
+    K is the presentation complex.  Every H^1 basis is
+    `dense_cocycle_coordinates` on the non-tree edges, every cover is
+    `tuple_label_cover` made a complex of K's own type, the wedge family
+    is `dense_wedge_cocycles`, and each wedge span is cut to dimension u
+    by `reduce_by_hyperplane_steps`.  The rank series picks, budget check,
+    stops, notes and verdict follow `run_descent`.  Returns the report as
+    `dataclasses.asdict` spells a DescentReport; raises ValueError where
+    run_descent does, with its message.
+    """
+
+    def h1_rows(K):
+        return [_on_non_tree_edges(K, c) for c in dense_cocycle_coordinates(K, p)]
+
+    def support(rows):
+        return sum(1 for col in zip(*rows) if any(col))
+
+    def record(level, index, K, dp, supp, quotient_rank=None, bound_factor=None, wedge_count=None):
+        return dict(
+            level=level, index=index, dp=dp, support_size=supp, edge_count=K.num_edges,
+            relsize_upper=Fraction(supp, K.num_edges), quotient_rank=quotient_rank,
+            bound_factor=bound_factor, wedge_count=wedge_count,
+        )
+
+    basis = h1_rows(K)
+    if len(basis) < u:
+        raise ValueError(f"H^1 of the presentation complex has rank {len(basis)} < u = {u}")
+    family = basis[:u]
+    supp = support(family)
+    records, notes, index, verdict = [], [], 1, "decay-certified"
+    for level in range(1, depth + 1):
+        if level > 1:
+            basis = h1_rows(K)
+        if len(basis) < rank:
+            raise ValueError(f"level {level}: H^1 rank {len(basis)} cannot supply {rank} classes")
+        coords = [[row[e] for e in K.non_tree_edges] for row in basis]
+        span, picks = [tree_coordinates(K, row, p) for row in family], []
+        for i, c in enumerate(coords):
+            if len(picks) < rank and mod_rank(span + [c], p) == len(span) + 1:
+                span, picks = span + [c], picks + [i]
+        picks += [i for i in range(len(basis)) if i not in picks][: rank - len(picks)]
+        here = (level, index, K, len(basis), supp)
+        if p**rank * K.num_cells > budget:
+            verdict = "budget-exhausted"
+            projected = f"{p}**{rank} * {K.num_cells}"
+            notes.append(f"level {level}: projected {projected} cells exceeds budget {budget}")
+            records.append(record(*here, quotient_rank=rank))
+            break
+        degree = p**rank
+        shifts = [[basis[i][e] for i in picks] for e in range(K.num_edges)]
+        edges, faces, basepoint, _ = tuple_label_cover(K, shifts, (p,) * rank)
+        total = type(K)(K.num_vertices * degree, edges, faces, basepoint)
+        cocycles = dense_wedge_cocycles(K, total, degree, family, [coords[i] for i in picks], p)
+        size = len(cocycles)
+        if size <= u:
+            verdict = "bound-violated"
+            notes.append(f"level {level}: wedge family has {size} classes, need more than u = {u}")
+            records.append(record(*here, quotient_rank=rank, wedge_count=size))
+            index *= degree
+            last = (level + 1, index, total, len(dense_cocycle_coordinates(total, p)))
+            records.append(record(*last, support(cocycles)))
+            break
+        family, reduced, _, _ = reduce_by_hyperplane_steps(cocycles, p, u)
+        bound = Fraction(p**size - p ** (size - u), p**size - 1)
+        records.append(record(*here, quotient_rank=rank, bound_factor=bound, wedge_count=size))
+        assert reduced <= degree * supp, "reduced family left its support's preimage"
+        supp, index, K = reduced, index * degree, total
+    else:
+        records.append(record(depth + 1, index, K, len(dense_cocycle_coordinates(K, p)), supp))
+    factor = Fraction(p ** (u + 1) - p, p ** (u + 1) - 1)
+    if verdict == "decay-certified":
+        for a, b in zip(records, records[1:]):
+            if b["relsize_upper"] > factor * a["relsize_upper"]:
+                verdict = "bound-violated"
+                levels = f"{a['level']}->{b['level']}"
+                notes.append(f"levels {levels}: relative size ratio exceeded {factor}")
+                break
+    return dict(
+        records=tuple(records), p=p, u=u, verdict=verdict, uniform_factor=factor,
+        notes=tuple(notes),
+    )

@@ -26,11 +26,11 @@ from pdescent.complexes import (
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
 from pdescent.expansion import expansion_bound_report
-from pdescent.fplinalg import FpSubspace, subspace_support
+from pdescent.fplinalg import FpSubspace
 from pdescent.plotkin import (
+    _cut,
     best_hyperplane,
     chain_factor,
-    hyperplane_subspace,
     reduce_to_dimension,
 )
 from pdescent.tower import SeriesSpec, cyclic_growth_report, run_descent
@@ -42,6 +42,7 @@ from oracles import (
     hyperplane_functionals,
     presentation_loop,
     random_subspace_rows,
+    subspace_support,
     support_size_by_enumeration,
 )
 
@@ -108,8 +109,9 @@ def test_criterion_03_hyperplane_support_averaging():
         ambient = int(rng.integers(v, 13))
         V = FpSubspace.from_rows(random_subspace_rows(rng, p, v, ambient), p, ambient)
         total = len(subspace_support(V))
+        eye = np.eye(v, dtype=np.int64)
         supports = [
-            len(subspace_support(hyperplane_subspace(V, f)))
+            len(subspace_support(FpSubspace.from_rows(_cut(eye, f, p) @ V.basis, p)))
             for f in hyperplane_functionals(v, p)
         ]
         # summed over all hyperplanes, support sizes hit (p^v - p)/(p-1) * |supp(V)|

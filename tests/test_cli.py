@@ -505,7 +505,7 @@ def test_out_of_memory_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch
 
 def test_budget_notes_name_the_projected_cells(tmp_path, capsys):
     path = write(tmp_path, "genus2.txt", GENUS2)
-    note = "level 3: projected 384 cells exceeds budget 300"
+    note = "level 3: projected 2**2 * 96 cells exceeds budget 300"
     argv = [path, "--series", "rank:2", "--depth", "3", "--budget", "300"]
     code, out = run(capsys, ["cover", *argv])
     doc = json.loads(out)

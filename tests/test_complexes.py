@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdescent import fplinalg, plotkin
+from pdescent import fplinalg
 from pdescent.complexes import (
     Cochain,
     EdgeEnds,
@@ -604,9 +604,6 @@ def test_non_integer_entries_are_rejected_not_truncated():
         loop_evaluations(K, [1.5, 2.7, 0, 0])
     with pytest.raises(ValueError, match="integer"):
         tree_potential(K, [1.5, 2.7, 0, 0], 3)
-    V = fplinalg.FpSubspace.from_rows(np.eye(2, dtype=np.int64), 3, 2)
-    with pytest.raises(ValueError, match="integer"):
-        plotkin.hyperplane_subspace(V, [1.5, 1.2])
     # integer arrays of any width pass and are reduced; empty inputs stay valid
     c = Cochain(K, 3, np.array([4, 5, -6, 7], dtype=np.int32))
     assert c.values.dtype == np.int64 and c.values.tolist() == [1, 2, 0, 1]
@@ -615,5 +612,4 @@ def test_non_integer_entries_are_rejected_not_truncated():
     narrow = np.array([1, 2, 0, 0], dtype=np.int8)
     assert face_sums(K, narrow).tolist() == [0] and loop_evaluations(K, narrow) == [1, 2, 0, 0]
     assert tree_potential(K, narrow, 3).tolist() == [0]
-    assert plotkin.hyperplane_subspace(V, np.array([2, 1], dtype=np.uint8)).dim == 1
     assert fplinalg.FpSubspace.from_rows([], 3, ambient_dim=2).dim == 0

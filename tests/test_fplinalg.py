@@ -14,13 +14,13 @@ from pdescent.fplinalg import (
     sparse_kernel,
     sparse_rank,
     sparse_rows,
-    subspace_support,
 )
 from pdescent.tower import SeriesSpec
 
 from oracles import (
     brute_support,
     brute_support_sum,
+    contains_subspace,
     enumerate_span,
     greedy_complement,
     in_rowspan,
@@ -28,6 +28,7 @@ from oracles import (
     mod_rref,
     random_subspace_rows,
     row_steps,
+    subspace_support,
     support_size_by_enumeration,
 )
 
@@ -188,6 +189,25 @@ def test_packed_f2_path_matches_textbook_elimination(m, seed):
     assert np.array_equal(m, before)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.sampled_from((np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64)),
+    st.integers(0, 8),
+    st.integers(0, 20),
+    st.integers(0, 2**32 - 1),
+)
+def test_f2_rank_reads_the_low_bit_of_any_integer_dtype(dtype, rows, cols, seed):
+    # p = 2 casts to uint8 before the low bit: the cast must keep the
+    # parity of negative entries and of entries past 255
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(seed)
+    m = rng.integers(info.min, info.max, size=(rows, cols), dtype=dtype, endpoint=True)
+    want, want_rank = mod_rref([[int(x) for x in row] for row in m.tolist()], 2)
+    assert fplinalg.rank(m, 2) == want_rank
+    ech, r = rref(m, 2)
+    assert ech.dtype == np.int64 and r == want_rank and ech.tolist() == want
+
+
 def test_in_rowspan_of_an_empty_basis():
     assert not in_rowspan([1, 0, 0], [], 2)
     assert in_rowspan([0, 0, 0], [], 2)
@@ -319,6 +339,40 @@ def test_sparse_rows_spell_the_summed_matrix(case):
         assert got == sorted(set(got))  # ascending, one entry per column
         assert got == [c for c, x in enumerate(line) if x % p]
         assert vals[ptr[i] : ptr[i + 1]].tolist() == [x % p for x in line if x % p]
+
+
+def _fill_in_rows(rng, p, nrows, ncols):
+    """Rows of three entries that all share the last column, plus two random ones.
+
+    Every row after the first meets the pivot of that column and takes on
+    its entries, and then those of the pivots it meets next, so stored
+    rows grow longer than any input row.
+    """
+    rows = []
+    for _ in range(nrows):
+        cols = rng.choice(ncols - 1, size=2, replace=False).tolist() + [ncols - 1]
+        rows.append({c: int(rng.integers(1, p)) for c in cols})
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_kernel_rows_annihilate_rows_with_long_fill_in(p):
+    rng = np.random.default_rng(p)
+    grown = 0
+    for _ in range(20):
+        ncols = int(rng.integers(8, 30))
+        rows = _fill_in_rows(rng, p, int(rng.integers(4, ncols)), ncols)
+        triple = _rows(rows, p)
+        pivots, _ = fplinalg._eliminate(triple, p)
+        # fill-in past every input row's three entries
+        grown += max(1 + len(row if p == 2 else row[0]) for row in pivots.values()) > 3
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        rank, free, row = sparse_kernel(triple, ncols, p)
+        assert rank == sparse_rank(triple, p) == mod_rank(dense, p) == ncols - len(free)
+        kernel = np.array([row(i) for i in range(len(free))], dtype=np.int64).reshape(-1, ncols)
+        assert not np.any(np.array(dense, dtype=np.int64) @ kernel.T % p)
+        assert mod_rank(kernel.tolist(), p) == len(free)
+    assert grown >= 15
 
 
 def test_sparse_rows_examples():
@@ -518,8 +572,8 @@ def test_subspace_membership_and_intersection():
             assert in_rowspan(row, a, p)
         meet = np.array(meet, dtype=np.int64).reshape(-1, ambient)
         A, B, M = (FpSubspace.from_rows(m, p, ambient) for m in (a, b, meet))
-        assert A.contains_subspace(M) and B.contains_subspace(M)
-        assert A.contains_subspace(B) == all(in_rowspan(row, A.basis, p) for row in B.basis)
+        assert contains_subspace(A, M) and contains_subspace(B, M)
+        assert contains_subspace(A, B) == all(in_rowspan(row, A.basis, p) for row in B.basis)
         # dim(A) + dim(B) = dim(A+B) + dim(A cap B)
         ra = fplinalg.rank(a, p)
         rb = fplinalg.rank(b, p)

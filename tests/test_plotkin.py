@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdescent.errors import DimensionError
-from pdescent.fplinalg import FpSubspace, subspace_support
+from pdescent.fplinalg import FpSubspace
 from pdescent.plotkin import (
     _column_classes,
+    _cut,
+    _distinct_columns,
     best_hyperplane,
     chain_factor,
-    hyperplane_subspace,
     reduce_to_dimension,
     uniform_factor,
 )
@@ -21,10 +22,13 @@ from oracles import (
     best_hyperplane_by_functional_scan,
     brute_min_hyperplane_support,
     column_classes_by_loop,
+    contains_subspace,
     hyperplane_by_rows,
     hyperplane_functionals,
     mod_rank,
     random_subspace_rows,
+    reduce_by_hyperplane_steps,
+    subspace_support,
 )
 
 
@@ -61,7 +65,18 @@ def test_hyperplane_functionals_enumeration():
         assert as_tuples == sorted(as_tuples)
 
 
+def _support(rows):
+    return int(np.count_nonzero(np.any(np.array(rows), axis=0)))
+
+
+def _hyperplane(V, f):
+    """The library's cut of V by the functional f, as a basis matrix."""
+    return _cut(np.eye(V.dim, dtype=np.int64), f, V.p) @ V.basis % V.p
+
+
 def test_hyperplane_subspace_is_codim_one():
+    # the cut the reduction's column-class count stands for: ker(f) has
+    # codimension one in V and keeps exactly the columns not proportional to f
     rng = np.random.default_rng(71)
     for p in (2, 3, 5, 65521):
         for _ in range(25):
@@ -69,27 +84,19 @@ def test_hyperplane_subspace_is_codim_one():
             ambient = int(rng.integers(dim, 8))
             rows = random_subspace_rows(rng, p, dim, ambient)
             V = FpSubspace.from_rows(np.array(rows), p, ambient)
+            classes = column_classes_by_loop(V.basis, p)
             for _ in range(3):
                 f = rng.integers(0, p, size=dim)
                 lead = int(rng.integers(0, dim))
                 f[:lead] = 0
                 # a leading entry other than 1 wherever p allows one
                 f[lead] = rng.integers(2, p) if p > 2 else 1
-                W = hyperplane_subspace(V, f)
-                assert W.dim == dim - 1
-                assert V.contains_subspace(W)
-                assert W.basis.tolist() == hyperplane_by_rows(V.basis, f, p)
-
-
-def test_hyperplane_subspace_checks_the_functional():
-    V = FpSubspace.from_rows(np.eye(3, dtype=np.int64), 3, 3)
-    for f in ([0, 0, 0], [1, 2], [1, 2, 0, 1]):
-        with pytest.raises(DimensionError):
-            hyperplane_subspace(V, f)
-    # a scaled functional cuts out the same hyperplane
-    W = hyperplane_subspace(V, [2, 1, 0])
-    assert W.dim == 2
-    assert all((2 * row[0] + row[1]) % 3 == 0 for row in W.basis)
+                W = _hyperplane(V, f)
+                assert W.tolist() == hyperplane_by_rows(V.basis, f, p)
+                assert len(W) == dim - 1 == mod_rank(W.tolist(), p)
+                assert mod_rank(V.basis.tolist() + W.tolist(), p) == dim
+                key = tuple(int(x) * pow(int(f[lead]), -1, p) % p for x in f)
+                assert _support(W) == sum(classes.values()) - classes.get(key, 0)
 
 
 def test_averaging_identity_exact():
@@ -101,10 +108,7 @@ def test_averaging_identity_exact():
         ambient = int(rng.integers(dim, 7))
         rows = random_subspace_rows(rng, p, dim, ambient)
         V = FpSubspace.from_rows(np.array(rows), p, ambient)
-        sizes = [
-            len(subspace_support(hyperplane_subspace(V, f)))
-            for f in hyperplane_functionals(V.dim, p)
-        ]
+        sizes = [_support(_hyperplane(V, f)) for f in hyperplane_functionals(V.dim, p)]
         total = sum(sizes)
         expect = Fraction(p**dim - p, p - 1) * len(subspace_support(V))
         assert total == expect
@@ -153,7 +157,7 @@ def test_best_hyperplane_over_cap_is_exact(p, v):
     assert result.support_size == v == len(subspace_support(result.subspace))
     assert result.subspace.dim == v - 1
     assert not result.subspace.basis[:, v:].any()
-    assert V.contains_subspace(result.subspace)
+    assert contains_subspace(V, result.subspace)
 
 
 def test_reduce_over_cap_meets_the_chain_bound():
@@ -163,7 +167,7 @@ def test_reduce_over_cap_meets_the_chain_bound():
     assert result.subspace.dim == 1
     assert result.support_size == len(subspace_support(result.subspace))
     assert result.support_size <= result.chain_bound == chain_factor(2, 22, 1) * (22 + 40)
-    assert V.contains_subspace(result.subspace)
+    assert contains_subspace(V, result.subspace)
 
 
 @st.composite
@@ -234,6 +238,11 @@ def test_reduce_rejects_bad_target():
         reduce_to_dimension(V, 3)
 
 
+def _classes(V):
+    functionals, sizes = _column_classes(*_distinct_columns(V.basis)[1:], V.p)
+    return dict(zip(map(tuple, functionals.T.tolist()), sizes.tolist()))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 65521])
 def test_column_classes_match_the_column_loop(p):
     rng = np.random.default_rng(p)
@@ -246,10 +255,17 @@ def test_column_classes_match_the_column_loop(p):
         src, dst = rng.integers(0, ambient, size=(2, ambient // 3))
         rows[:, dst] = rows[:, src] * rng.integers(1, p, size=dst.size) % p
         V = FpSubspace.from_rows(rows, p)
-        assert _column_classes(V) == column_classes_by_loop(V.basis, p)
-    assert _column_classes(FpSubspace.from_rows(np.zeros((2, 6), dtype=np.int64), p)) == {}
-    # dimensions on both sides of p**dim = 2**63, where a base-p key of a
-    # column would stop fitting in int64
+        support, columns, counts = _distinct_columns(V.basis)
+        assert support.tolist() == sorted(subspace_support(V))
+        # each distinct column once, in order of first appearance
+        seen = list(dict.fromkeys(map(tuple, V.basis[:, support].T.tolist())))
+        assert list(map(tuple, columns.T.tolist())) == seen
+        assert counts.sum() == len(support)
+        assert _classes(V) == column_classes_by_loop(V.basis, p)
+    # zero columns are in no class
+    assert _classes(FpSubspace.from_rows(np.array([[0, 1, 0, 2, 0, 0]]), p)) == {(1,): 1 + (p > 2)}
+    # dimensions on both sides of p**dim = 2**63: the columns are compared
+    # entry by entry, exact however large p**dim grows
     top = next(d for d in range(1, 70) if p**d >= 2**63)
     for dim in (top - 1, top):
         rows = rng.integers(0, p, size=(dim, dim + 30))
@@ -257,6 +273,48 @@ def test_column_classes_match_the_column_loop(p):
         rows[:, dim + 10 : dim + 13] = 0
         V = FpSubspace.from_rows(rows, p)
         assert V.dim == dim
-        classes = _column_classes(V)
+        classes = _classes(V)
         assert classes == column_classes_by_loop(V.basis, p)
         assert list(classes) == sorted(classes)
+
+
+@st.composite
+def tied_subspaces(draw):
+    """Subspaces of dimension 2..5 whose column classes repeat, often with tied counts.
+
+    A few distinct columns are repeated, each the same number of times or
+    a random number, every copy scaled by a random unit, with zero columns
+    mixed in and the columns shuffled.  The echelon basis maps each class
+    to one class, so equal counts stay tied.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    v = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.integers(0, p, size=(v, draw(st.integers(1, 8))))
+    if draw(st.booleans()):
+        reps = np.full(distinct.shape[1], draw(st.integers(1, 3)))
+    else:
+        reps = rng.integers(1, 4, size=distinct.shape[1])
+    cols = np.repeat(distinct, reps, axis=1)
+    cols = cols * rng.integers(1, p, size=cols.shape[1]) % p
+    cols = np.hstack([cols, np.zeros((v, draw(st.integers(0, 3))), dtype=np.int64)])
+    V = FpSubspace.from_rows(cols[:, rng.permutation(cols.shape[1])], p)
+    assume(V.dim >= 2)
+    return V
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(tied_subspaces(), st.data())
+def test_reduction_matches_the_per_step_reference(V, data):
+    p = V.p
+    w = data.draw(st.integers(1, V.dim - 1))
+    rows, size, chain, uniform = reduce_by_hyperplane_steps(V.basis.tolist(), p, w)
+    res = reduce_to_dimension(V, w)
+    assert res.subspace.basis.tolist() == rows
+    assert (res.support_size, res.chain_bound, res.uniform_bound) == (size, chain, uniform)
+    assert res.subspace.ambient_dim == V.ambient_dim and not res.subspace.basis.flags.writeable
+    rows, size, chain, uniform = reduce_by_hyperplane_steps(V.basis.tolist(), p, V.dim - 1)
+    best = best_hyperplane(V)
+    assert best.subspace.basis.tolist() == rows and best.support_size == size
+    # one step's chain bound is the averaging bound
+    assert size <= chain == Fraction(p**V.dim - p, p**V.dim - 1) * len(subspace_support(V))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ from pdescent.tower import (
     run_descent,
     uniform_factor,
 )
+
+from oracles import run_descent_dense
 
 F2 = "p = 2\ngens = a b\n"
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
@@ -167,7 +170,7 @@ def test_over_budget_level_builds_no_class_rows(tmp_path, monkeypatch):
     assert sorted(built) == list(range(8))
     second = next(levels)
     assert second.cover is None
-    assert second.note == f"level 2: projected {2**1793 * 2304} cells exceeds budget 1000000"
+    assert second.note == "level 2: projected 2**1793 * 2304 cells exceeds budget 1000000"
     assert list(levels) == []
     assert len(built) == 8
     assert (first.picks, second.picks) == (tuple(range(8)), tuple(range(1793)))
@@ -388,3 +391,45 @@ def test_uniform_factor_decay_engages_at_every_level():
     f = uniform_factor(p, report.u)
     rel = [r.relsize_upper for r in report.records]
     assert all(b <= f * a for a, b in zip(rel, rel[1:]))
+
+
+@st.composite
+def descent_cases(draw):
+    """A random presentation (2-4 generators, 1-2 relators), p, depth <= 3, rank, u and budget.
+
+    Half the relators are balanced, a word followed by a shuffle of its
+    inverse letters, so H^1 keeps every generator and the towers run
+    deep.  The cell budget stays small, so the dense oracle's covers do
+    too, and runs stop on each of the three verdicts.
+    """
+    gens = "abcd"[: draw(st.integers(2, 4))]
+    word = st.text(gens + gens.upper(), min_size=1, max_size=12)
+    balanced = word.flatmap(lambda w: st.permutations(w.swapcase()).map(lambda s: w + "".join(s)))
+    relators = draw(st.lists(st.one_of(balanced, word), min_size=1, max_size=2))
+    pres = GroupPresentation(generators=tuple(gens), relators=tuple(relators))
+    p = draw(st.sampled_from((2, 3, 5)))
+    rank = draw(st.integers(1, 2))
+    spec = SeriesSpec(
+        kind="rank", p=p, depth=draw(st.integers(1, 3)), rank=rank,
+        cell_budget=draw(st.one_of(st.integers(100, 500), st.integers(0, 100))),
+    )
+    return pres, spec, draw(st.integers(1, rank))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(descent_cases())
+def test_descent_matches_the_dense_pipeline(case):
+    pres, spec, u = case
+    got = _outcome(lambda: dataclasses.asdict(run_descent(pres, spec, u)))
+    K = build_presentation_complex(pres)
+    want = _outcome(
+        lambda: run_descent_dense(K, spec.p, spec.depth, spec.rank, u, spec.cell_budget)
+    )
+    assert got == want
