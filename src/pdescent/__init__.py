@@ -51,9 +51,7 @@ from .expansion import (
 )
 from .fplinalg import FpSubspace
 from .plotkin import (
-    HyperplaneResult,
     ReductionResult,
-    best_hyperplane,
     chain_factor,
     reduce_to_dimension,
     uniform_factor,
@@ -116,9 +114,7 @@ __all__ = [
     "minimum_support_representative",
     "relative_size",
     "FpSubspace",
-    "HyperplaneResult",
     "ReductionResult",
-    "best_hyperplane",
     "chain_factor",
     "reduce_to_dimension",
     "uniform_factor",

@@ -362,18 +362,18 @@ def _cmd_reduce(args):
 def _cmd_cheeger(args):
     pres, p = _load_presentation(args)
     spec = _series_spec(args, p, default_depth=1)
-    *_, last = tower.iter_covers(build_presentation_complex(pres), spec)
-    if last.cover is None:
+    *_, last = tower.iter_levels(build_presentation_complex(pres), spec)
+    if last.note:
         raise EnumerationCapError(last.note)
-    K = last.cover.total
+    K = last.complex
     graph = SkeletonGraph.from_complex(K)
     value = cheeger_constant(graph, mode=args.mode, seed=args.seed)
     doc = {
         "command": "cheeger",
         "mode": args.mode,
         "series": args.series,
-        "level": last.level + 1,
-        "index": last.index * last.cover.degree,
+        "level": last.level,
+        "index": last.index,
         "vertices": K.num_vertices,
         "edges": K.num_edges,
         "cheeger": _fmt(value),
@@ -402,40 +402,33 @@ def _cmd_relsize(args):
     return emit_report(doc, args.format), 0
 
 
-def _cover_stats(level: int, index: int, K, dp: int) -> dict:
+def _cover_stats(lvl: tower.TowerLevel) -> dict:
+    K = lvl.complex
     return {
-        "level": level,
-        "index": index,
+        "level": lvl.level,
+        "index": lvl.index,
         "vertices": K.num_vertices,
         "edges": K.num_edges,
         "faces": K.num_faces,
         "euler": K.euler_characteristic,
-        "d_p": dp,
+        "d_p": lvl.dp,
     }
 
 
 def _cmd_cover(args):
     pres, p = _load_presentation(args)
     spec = _series_spec(args, p, default_depth=1)
-    steps = list(tower.iter_covers(build_presentation_complex(pres), spec))
-    levels = [_cover_stats(s.level, s.index, s.complex, len(s.basis)) for s in steps]
-    last = steps[-1]
-    if last.cover is None:
-        verdict, notes = "budget-exhausted", [last.note]
-    else:
-        verdict, notes = "completed", []
-        K = last.cover.total
-        index = last.index * last.cover.degree
-        levels.append(_cover_stats(last.level + 1, index, K, h1_dimension(K, p)))
+    levels = list(tower.iter_levels(build_presentation_complex(pres), spec))
+    note = levels[-1].note
     doc = {
         "command": "cover",
         "p": p,
         "series": args.series,
-        "verdict": verdict,
-        "levels": levels,
-        "notes": notes,
+        "verdict": "budget-exhausted" if note else "completed",
+        "levels": [_cover_stats(lvl) for lvl in levels],
+        "notes": [note] if note else [],
     }
-    return emit_report(doc, args.format), 3 if verdict == "budget-exhausted" else 0
+    return emit_report(doc, args.format), 3 if note else 0
 
 
 def _cmd_echo(args):

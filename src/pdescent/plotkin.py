@@ -32,8 +32,6 @@ from .fplinalg import FpSubspace, rank
 __all__ = [
     "chain_factor",
     "uniform_factor",
-    "HyperplaneResult",
-    "best_hyperplane",
     "ReductionResult",
     "reduce_to_dimension",
 ]
@@ -156,32 +154,6 @@ def _reduce(V: FpSubspace, w: int) -> tuple[FpSubspace, int, int]:
         raise InvariantError("chain bound must hold for the reduced subspace")
     rows.flags.writeable = False
     return FpSubspace(p=p, ambient_dim=V.ambient_dim, basis=rows), size, start
-
-
-@dataclass(frozen=True)
-class HyperplaneResult:
-    subspace: FpSubspace
-    support_size: int
-    certified: bool
-    mode: str
-
-
-def best_hyperplane(V: FpSubspace) -> HyperplaneResult:
-    """The minimum-support hyperplane of V (dim >= 2), read off the column classes.
-
-    The hyperplane ker(f) keeps every support coordinate whose column is not
-    proportional to f, so the best hyperplane is the functional of the
-    largest column class, with support |supp(V)| minus that class's count.
-    Ties break to the lexicographically first functional.  This is one
-    step of `reduce_to_dimension`: one grouping of the basis columns, not
-    a scan of the (p^v - 1)/(p - 1) hyperplanes, so every dimension is
-    searched exactly and the averaging bound always holds: the result is
-    always certified.
-    """
-    if V.dim < 2:
-        raise DimensionError("hyperplane reduction needs dimension at least 2")
-    sub, size, _ = _reduce(V, V.dim - 1)
-    return HyperplaneResult(subspace=sub, support_size=size, certified=True, mode="exact")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ cover homology growth.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -47,8 +48,7 @@ __all__ = [
     "TowerRecord",
     "DescentReport",
     "descent_parameters",
-    "tower_level",
-    "iter_covers",
+    "iter_levels",
     "run_descent",
     "CriteriaReport",
     "largeness_criteria_report",
@@ -170,7 +170,7 @@ def _series_picks(K, basis, spec: SeriesSpec, level: int, family) -> tuple[int, 
     # a row vanishes on the spanning tree, so its non-tree values are its coordinates
     if len(basis) < spec.rank:
         raise ValueError(f"level {level}: H^1 rank {len(basis)} cannot supply {spec.rank} classes")
-    rows = list(class_coordinates(K, np.reshape(family, (len(family), K.num_edges)), spec.p))
+    rows = list(class_coordinates(K, family, spec.p))
     picks: list[int] = []
     for i in range(len(basis)):
         stacked = rows + [basis[i : i + 1][0, K.arrays.non_tree]]
@@ -184,129 +184,132 @@ def _series_picks(K, basis, spec: SeriesSpec, level: int, family) -> tuple[int, 
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One tower level: its complex, the complex's H^1 basis, and the cover built on it.
+    """One tower level: its complex, its index over the base, and the family on it.
 
-    basis is the lazy `CocycleBasis` itself, and picks index the basis rows
-    that define the cover; past the rows the rank series reads, they are
+    family is the matrix of the cocycle family's edge values on the complex
+    (no rows for a bare tower).  A step level also holds the complex's lazy
+    H^1 basis, the picks that index the basis rows defining the next cover,
+    and that cover; past the rows the rank series reads, the picked rows are
     built only once the projected cell count fits the budget.  Otherwise
-    cover is None and note says so.
+    cover is None and note says so.  With a family, wedge_count is the size
+    of the cover's wedge family.  The deepest complex reached is a level
+    without basis, picks or cover.  dp is len(basis) on a step level and
+    h1_dimension on the deepest complex, computed when first read.
     """
 
     level: int
     index: int
     complex: TwoComplex
-    basis: CocycleBasis
-    picks: tuple[int, ...]
-    cover: CoveringMap | None
+    p: int
+    family: np.ndarray
+    basis: CocycleBasis | None = None
+    picks: tuple[int, ...] | None = None
+    cover: CoveringMap | None = None
     note: str | None = None
+    wedge_count: int | None = None
+
+    @functools.cached_property
+    def dp(self) -> int:
+        return h1_dimension(self.complex, self.p) if self.basis is None else len(self.basis)
+
+    @functools.cached_property
+    def support(self) -> int:
+        """The number of edges on which some family row is nonzero."""
+        return int(np.any(self.family, axis=0).sum())
 
 
-def tower_level(K: TwoComplex, basis, spec: SeriesSpec, level, index, family) -> TowerLevel:
-    """Pick K's covering classes in `basis`, its h1_cocycle_basis, and build their cover.
+def iter_levels(K: TwoComplex, spec: SeriesSpec, u: int = 0) -> Iterator[TowerLevel]:
+    """The tower's levels over K, carrying a family of u cocycles (none for a bare tower).
 
-    The rank series avoids the span of `family`, a matrix of edge-value
-    rows on K (empty for a bare tower).  The picked rows and their cover
-    are built only when its p**n * K.num_cells cells fit the cell budget.
+    The family starts as the first u rows of K's echelon H^1 basis.  Each
+    step picks its covering classes (the rank series avoids the family's
+    span) and builds their cover only when its p**n * cells fit the cell
+    budget; with a family, the wedge family over the cover is reduced to
+    dimension u and becomes the next level's family.  The last level
+    yielded is the first one over budget or the deepest complex reached:
+    spec.depth steps down, or one step below a wedge family of size <= u,
+    whose classes are then its family.  Nothing of a level is built before
+    it is asked for.
     """
-    picks = _series_picks(K, basis, spec, level, family)
-    if spec.p ** len(picks) * K.num_cells > spec.cell_budget:
-        # p**n * cells, not the product, which runs to thousands of digits for a large derived step
-        projected = f"{spec.p}**{len(picks)} * {K.num_cells}"
-        note = f"level {level}: projected {projected} cells exceeds budget {spec.cell_budget}"
-        return TowerLevel(level, index, K, basis, picks, None, note)
-    cov = build_abelian_p_cover(K, basis[picks], spec.p)
-    return TowerLevel(level, index, K, basis, picks, cov)
-
-
-def iter_covers(K: TwoComplex, spec: SeriesSpec) -> Iterator[TowerLevel]:
-    """The tower's levels over K without the wedge machinery, for an empty family.
-
-    Stops after spec.depth levels or at the first level over budget.
-    """
-    index = 1
-    for level in range(1, spec.depth + 1):
-        step = tower_level(K, h1_cocycle_basis(K, spec.p), spec, level, index, ())
-        yield step
-        if step.cover is None:
-            return
-        index *= step.cover.degree
-        K = step.cover.total
-
-
-def _record(level, index, K, dp, support, **step_fields):
-    return TowerRecord(
-        level=level,
-        index=index,
-        dp=dp,
-        support_size=support,
-        edge_count=K.num_edges,
-        relsize_upper=Fraction(support, K.num_edges),
-        **step_fields,
-    )
-
-
-def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentReport:
-    """Run the descent pipeline to the requested depth.
-
-    Starts from the first u echelon classes of the presentation complex.
-    Each level builds the cover named by the series, forms the wedge family
-    of the current cocycle family, and reduces its span to dimension u.  A
-    wedge family of size <= u stops the run with verdict bound-violated; a
-    projected cell count over the budget stops it with budget-exhausted.
-    """
-    if u < 1:
-        raise ValueError("family dimension u must be at least 1")
-    p = spec.p
-    K = build_presentation_complex(pres)
+    if u < 0:
+        raise ValueError("family dimension u must be at least 0")
+    p, budget = spec.p, spec.cell_budget
     basis = h1_cocycle_basis(K, p)
     if len(basis) < u:
         raise ValueError(f"H^1 of the presentation complex has rank {len(basis)} < u = {u}")
     family = basis[:u]
-    support = int(np.any(family, axis=0).sum())
-    records: list[TowerRecord] = []
-    notes: list[str] = []
     index = 1
-    verdict = "decay-certified"
-
     for level in range(1, spec.depth + 1):
         if level > 1:
             basis = h1_cocycle_basis(K, p)
-        step = tower_level(K, basis, spec, level, index, family)
-        here = (level, index, K, len(basis), support)
-        n = len(step.picks)
-        cov = step.cover
-        if cov is None:
-            verdict = "budget-exhausted"
-            notes.append(step.note)
-            records.append(_record(*here, quotient_rank=n))
-            break
-        fam = build_wedge_family(cov, family)
-        if fam.size <= u:
-            verdict = "bound-violated"
-            notes.append(
-                f"level {level}: wedge family has {fam.size} classes, need more than u = {u}"
-            )
-            records.append(_record(*here, quotient_rank=n, wedge_count=fam.size))
-            index *= cov.degree
-            last = (level + 1, index, cov.total, h1_dimension(cov.total, p))
-            records.append(_record(*last, int(np.any(fam.cocycle_basis, axis=0).sum())))
-            break
-        span = fplinalg.FpSubspace.from_rows(fam.cocycle_basis, p, cov.total.num_edges)
-        reduction = reduce_to_dimension(span, u)
-        bound = chain_factor(p, fam.size, u)
-        records.append(_record(*here, quotient_rank=n, bound_factor=bound, wedge_count=fam.size))
-        # the new family's support stays inside the preimage of the old one
-        if reduction.support_size > cov.degree * support:
-            raise InvariantError(f"level {level}: reduced family left its support's preimage")
-        support = reduction.support_size
+        picks = _series_picks(K, basis, spec, level, family)
+        step = functools.partial(TowerLevel, level, index, K, p, family, basis, picks)
+        if p ** len(picks) * K.num_cells > budget:
+            # p**n * cells, not the product, which runs to thousands of digits for a large derived step
+            projected = f"{p}**{len(picks)} * {K.num_cells}"
+            yield step(note=f"level {level}: projected {projected} cells exceeds budget {budget}")
+            return
+        cov = build_abelian_p_cover(K, basis[picks], p)
         index *= cov.degree
         K = cov.total
+        if not u:
+            yield step(cov)
+            family = np.zeros((0, K.num_edges), dtype=np.int64)
+            continue
+        fam = build_wedge_family(cov, family)
+        here = step(cov, wedge_count=fam.size)
+        yield here
+        if fam.size <= u:
+            yield TowerLevel(level + 1, index, K, p, fam.cocycle_basis)
+            return
+        span = fplinalg.FpSubspace.from_rows(fam.cocycle_basis, p, K.num_edges)
+        reduction = reduce_to_dimension(span, u)
+        # the new family's support stays inside the preimage of the old one
+        if reduction.support_size > cov.degree * here.support:
+            raise InvariantError(f"level {level}: reduced family left its support's preimage")
         family = reduction.subspace.basis
-    else:
-        records.append(_record(spec.depth + 1, index, K, h1_dimension(K, p), support))
+    yield TowerLevel(spec.depth + 1, index, K, p, family)
 
+
+def _record(lvl: TowerLevel, u: int) -> TowerRecord:
+    edges, w = lvl.complex.num_edges, lvl.wedge_count
+    return TowerRecord(
+        level=lvl.level,
+        index=lvl.index,
+        dp=lvl.dp,
+        support_size=lvl.support,
+        edge_count=edges,
+        relsize_upper=Fraction(lvl.support, edges),
+        quotient_rank=None if lvl.picks is None else len(lvl.picks),
+        bound_factor=chain_factor(lvl.p, w, u) if w is not None and w > u else None,
+        wedge_count=w,
+    )
+
+
+def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentReport:
+    """Run the descent pipeline to the requested depth: one record per level of `iter_levels`.
+
+    A wedge family of size <= u gives verdict bound-violated, and a
+    projected cell count over the budget budget-exhausted; otherwise the
+    relative size must shrink by the uniform factor at every level.
+    """
+    if u < 1:
+        raise ValueError("family dimension u must be at least 1")
+    records: list[TowerRecord] = []
+    notes: list[str] = []
+    verdict = "decay-certified"
+    for lvl in iter_levels(build_presentation_complex(pres), spec, u):
+        records.append(_record(lvl, u))
+        if lvl.note:
+            verdict = "budget-exhausted"
+            notes.append(lvl.note)
+        elif lvl.wedge_count is not None and lvl.wedge_count <= u:
+            verdict = "bound-violated"
+            size = lvl.wedge_count
+            notes.append(f"level {lvl.level}: wedge family has {size} classes, need more than u = {u}")
+
+    factor = uniform_factor(spec.p, u)
     if verdict == "decay-certified":
-        factor = uniform_factor(p, u)
         for a, b in zip(records, records[1:]):
             if b.relsize_upper > factor * a.relsize_upper:
                 verdict = "bound-violated"
@@ -316,10 +319,10 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
                 break
     return DescentReport(
         records=tuple(records),
-        p=p,
+        p=spec.p,
         u=u,
         verdict=verdict,
-        uniform_factor=uniform_factor(p, u),
+        uniform_factor=factor,
         notes=tuple(notes),
     )
 

@@ -29,7 +29,6 @@ from pdescent.expansion import expansion_bound_report
 from pdescent.fplinalg import FpSubspace
 from pdescent.plotkin import (
     _cut,
-    best_hyperplane,
     chain_factor,
     reduce_to_dimension,
 )
@@ -116,7 +115,7 @@ def test_criterion_03_hyperplane_support_averaging():
         ]
         # summed over all hyperplanes, support sizes hit (p^v - p)/(p-1) * |supp(V)|
         assert sum(supports) * (p - 1) == (p**v - p) * total
-        best = best_hyperplane(V)
+        best = reduce_to_dimension(V, V.dim - 1)
         assert best.certified and best.mode == "exact"
         assert best.support_size == min(supports)
         assert best.support_size * (p**v - 1) <= (p**v - p) * total

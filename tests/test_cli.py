@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from pdescent import tower
+import pdescent
+from pdescent import cli, complexes, tower
 from pdescent.cli import (
     emit_report,
     main,
@@ -296,6 +297,40 @@ def test_cover_command(tmp_path, capsys):
     )
     code, _ = run(capsys, ["cover", path, "--budget", "5"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, verdict, ranked",
+    [
+        (["cheeger", "genus2_p2.txt", "--series", "rank:2", "--depth", "2", "--mode", "heuristic"],
+         None, 0),
+        (["cover", "genus2_p3.txt", "--series", "rank:2", "--depth", "2"], "completed", 1),
+        (["descend", "genus2_p2.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+         "decay-certified", 1),
+        (["descend", "z2_p2.txt", "--u", "1", "--depth", "2"], "bound-violated", 1),
+        (["descend", "tworel_p3.txt", "--series", "rank:2", "--u", "2", "--depth", "3"],
+         "bound-violated", 1),
+    ],
+)
+def test_only_the_deepest_complex_is_ranked(capsys, monkeypatch, argv, verdict, ranked):
+    # a step level's d_p is the length of its H^1 basis, so h1_dimension runs
+    # once, on the deepest complex, and only for a report that shows its d_p
+    edges = []
+    h1_dimension = complexes.h1_dimension
+
+    def counted(K, p):
+        edges.append(K.num_edges)
+        return h1_dimension(K, p)
+
+    for mod in (pdescent, complexes, tower, cli):
+        if getattr(mod, "h1_dimension", None) is h1_dimension:
+            monkeypatch.setattr(mod, "h1_dimension", counted)
+    code, out = run(capsys, [argv[0], str(DATA / argv[1]), *argv[2:]])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc.get("verdict") == verdict
+    deepest = doc["levels"][-1] if "levels" in doc else doc
+    assert edges == [deepest["edges"]] * ranked
 
 
 def test_series_file(tmp_path, capsys):

@@ -11,7 +11,6 @@ from pdescent.plotkin import (
     _column_classes,
     _cut,
     _distinct_columns,
-    best_hyperplane,
     chain_factor,
     reduce_to_dimension,
     uniform_factor,
@@ -124,7 +123,7 @@ def test_best_hyperplane_is_true_minimum():
         ambient = int(rng.integers(dim, 7))
         rows = random_subspace_rows(rng, p, dim, ambient)
         V = FpSubspace.from_rows(np.array(rows), p, ambient)
-        result = best_hyperplane(V)
+        result = reduce_to_dimension(V, V.dim - 1)
         assert result.mode == "exact"
         assert result.certified
         assert result.support_size == brute_min_hyperplane_support(V.basis.tolist(), p)
@@ -152,7 +151,7 @@ def test_best_hyperplane_over_cap_is_exact(p, v):
     # over 2**20 hyperplanes: still the exact minimum, read off the classes
     V = _lead_zero_worst_case(p, v)
     assert (p**v - 1) // (p - 1) > 2**20
-    result = best_hyperplane(V)
+    result = reduce_to_dimension(V, V.dim - 1)
     assert result.mode == "exact" and result.certified
     assert result.support_size == v == len(subspace_support(result.subspace))
     assert result.subspace.dim == v - 1
@@ -190,7 +189,7 @@ def classed_subspaces(draw):
 @given(classed_subspaces())
 def test_best_hyperplane_matches_the_functional_scan(V):
     size, rows = best_hyperplane_by_functional_scan(V.basis, V.p)
-    result = best_hyperplane(V)
+    result = reduce_to_dimension(V, V.dim - 1)
     assert result.support_size == size
     assert result.subspace.basis.tolist() == rows
 
@@ -202,7 +201,7 @@ def test_reduce_repeats_identically():
         FpSubspace.from_rows(np.array(random_subspace_rows(rng, 3, 4, 9)), 3, 9),
         _lead_zero_worst_case(2, 22),
     ):
-        a, b = best_hyperplane(V), best_hyperplane(V)
+        a, b = reduce_to_dimension(V, V.dim - 1), reduce_to_dimension(V, V.dim - 1)
         assert np.array_equal(a.subspace.basis, b.subspace.basis)
         assert a.support_size == b.support_size
         a, b = reduce_to_dimension(V, 2), reduce_to_dimension(V, 2)
@@ -314,7 +313,7 @@ def test_reduction_matches_the_per_step_reference(V, data):
     assert (res.support_size, res.chain_bound, res.uniform_bound) == (size, chain, uniform)
     assert res.subspace.ambient_dim == V.ambient_dim and not res.subspace.basis.flags.writeable
     rows, size, chain, uniform = reduce_by_hyperplane_steps(V.basis.tolist(), p, V.dim - 1)
-    best = best_hyperplane(V)
+    best = reduce_to_dimension(V, V.dim - 1)
     assert best.subspace.basis.tolist() == rows and best.support_size == size
     # one step's chain bound is the averaging bound
     assert size <= chain == Fraction(p**V.dim - p, p**V.dim - 1) * len(subspace_support(V))

@@ -164,7 +164,7 @@ def test_over_budget_level_builds_no_class_rows(tmp_path, monkeypatch):
     path.write_text("p = 2\ngens = a b c d e f g h\n")
     pres, p = parse_presentation(path.read_text())
     spec = SeriesSpec(kind="derived", p=p, depth=2)
-    levels = tower.iter_covers(build_presentation_complex(pres), spec)
+    levels = tower.iter_levels(build_presentation_complex(pres), spec)
     first = next(levels)
     assert first.cover.degree == 256
     assert sorted(built) == list(range(8))
@@ -176,12 +176,46 @@ def test_over_budget_level_builds_no_class_rows(tmp_path, monkeypatch):
     assert (first.picks, second.picks) == (tuple(range(8)), tuple(range(1793)))
 
 
+def test_stopping_iter_levels_early_builds_no_further_cover(monkeypatch):
+    built = []
+    build = tower.build_abelian_p_cover
+
+    def counted(K, rows, p):
+        built.append(K.num_vertices)
+        return build(K, rows, p)
+
+    monkeypatch.setattr(tower, "build_abelian_p_cover", counted)
+    pres, p = parse_presentation(GENUS2)
+    K = build_presentation_complex(pres)
+    for u in (0, 2):
+        built.clear()
+        levels = tower.iter_levels(K, SeriesSpec(kind="rank", p=p, depth=4, rank=2), u)
+        first = next(levels)
+        assert (first.level, first.index, first.cover.degree) == (1, 1, 4)
+        assert first.wedge_count == (4 if u else None)
+        assert built == [1]
+        second = next(levels)
+        assert (second.level, second.index) == (2, 4)
+        levels.close()
+        assert built == [1, 4]
+    # the deepest complex has no basis, picks or cover, and carries the reduced family
+    levels = list(tower.iter_levels(K, SeriesSpec(kind="rank", p=p, depth=2, rank=2), 2))
+    last = levels[-1]
+    assert [lvl.level for lvl in levels] == [1, 2, 3]
+    assert (last.index, last.basis, last.picks, last.cover, last.note) == (16, None, None, None, None)
+    assert [lvl.dp for lvl in levels] == [4, 10, 34]
+    assert all(lvl.family.shape == (2, lvl.complex.num_edges) for lvl in levels)
+
+
 def test_run_descent_validates_u():
     pres, p = parse_presentation(TORUS)
     with pytest.raises(ValueError):
         run_descent(pres, SeriesSpec(kind="derived", p=p, depth=1), u=0)
     with pytest.raises(ValueError):
         run_descent(pres, SeriesSpec(kind="derived", p=p, depth=1), u=3)
+    levels = tower.iter_levels(build_presentation_complex(pres), SeriesSpec("derived", p, 1), -1)
+    with pytest.raises(ValueError, match="must be at least 0"):
+        next(levels)
 
 
 def test_series_spec_validation():
