@@ -49,7 +49,6 @@ from .expansion import (
     minimum_support_representative,
     relative_size,
 )
-from .fplinalg import FpSubspace
 from .plotkin import (
     ReductionResult,
     chain_factor,
@@ -113,7 +112,6 @@ __all__ = [
     "expansion_bound_report",
     "minimum_support_representative",
     "relative_size",
-    "FpSubspace",
     "ReductionResult",
     "chain_factor",
     "reduce_to_dimension",

@@ -28,11 +28,8 @@ from __future__ import annotations
 
 import bisect
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import DimensionError
 
 __all__ = [
     "validate_prime",
@@ -45,7 +42,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "extend_to_complement",
-    "FpSubspace",
 ]
 
 MAX_PRIME = 2**16
@@ -445,35 +441,3 @@ def extend_to_complement(inner, outer, p) -> np.ndarray:
     e, rr = rref(np.vstack([inner, outer_ech[:r]]).T, p)
     pivots = _pivot_columns(e, rr)
     return outer_ech[pivots[pivots >= len(inner)] - len(inner)]
-
-
-@dataclass(frozen=True, eq=False)
-class FpSubspace:
-    """A subspace of F_p^n held as a reduced-echelon basis with no zero rows."""
-
-    p: int
-    ambient_dim: int
-    basis: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_rows(cls, rows, p, ambient_dim=None):
-        p = validate_prime(p)
-        a = _integers(rows)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if a.size == 0:
-            if ambient_dim is None:
-                ambient_dim = a.shape[1] if a.ndim == 2 else 0
-            a = a.reshape(0, ambient_dim)
-        if ambient_dim is None:
-            ambient_dim = a.shape[1]
-        if a.shape[1] != ambient_dim:
-            raise DimensionError(f"rows have length {a.shape[1]}, expected {ambient_dim}")
-        e, r = rref(a, p)
-        b = e[:r].copy()
-        b.flags.writeable = False
-        return cls(p=p, ambient_dim=int(ambient_dim), basis=b)
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[0])

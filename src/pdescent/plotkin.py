@@ -10,13 +10,14 @@ bound on the minimum distance of a linear code.
 
 The reduction never works on the |E|-wide basis between steps.  A
 v-dimensional subspace has at most p^v - 1 distinct nonzero basis
-columns, so the basis B is grouped once into the matrix C of its
-distinct columns with their multiplicities.  Each step keeps the current
-subspace as T B, with T a transform in reduced echelon form, and cuts it
-on the images T C, one numpy product per step; the reduced basis is
-written once, as T B on the support columns.  Since B is in reduced
-echelon form, so is T B, which is the basis a per-step re-echelon of
-the |E|-wide hyperplane would give.
+columns, so the basis B, the reduced echelon form of the input rows,
+is grouped once into the matrix C of its distinct columns with their
+multiplicities.  Each step keeps the current subspace as T B, with T a
+transform in reduced echelon form, and cuts it on the images T C, one
+numpy product per step; the reduced basis is written once, as T B on
+the support columns.  Since B is in reduced echelon form, so is T B,
+which is the basis a per-step re-echelon of the |E|-wide hyperplane
+would give.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionError, InvariantError
-from .fplinalg import FpSubspace, rank
+from .fplinalg import rank, rref, validate_prime
 
 __all__ = [
     "chain_factor",
@@ -114,23 +115,40 @@ def _cut(T, f, p) -> np.ndarray:
     return ((T - np.outer(g, T[last])) % p)[np.arange(len(T)) != last]
 
 
-def _reduce(V: FpSubspace, w: int) -> tuple[FpSubspace, int, int]:
-    """Greedy best-hyperplane cuts of V (dim > w >= 1) down to dimension w.
+@dataclass(frozen=True)
+class ReductionResult:
+    basis: np.ndarray
+    input_dim: int
+    support_size: int
+    chain_bound: Fraction
+    uniform_bound: Fraction
 
-    Each step takes the largest projective class of the current images
-    T C, lexicographically first on ties, whose functional f cuts out the
-    minimum-support hyperplane; its support is the current one minus that
-    class's count.  Every step checks the averaging bound and recounts the
-    support from the new images; at the end the basis T B is checked to
-    lie in V (one rank on the support columns), its nonzero columns are
-    recounted, and the chain bound is checked.  Entries are residues below
-    p <= 2**16, so every int64 product here is exact.  Returns (subspace,
-    support size, support size of V).
+
+def reduce_to_dimension(rows, p, w: int) -> ReductionResult:
+    """Greedy best-hyperplane cuts of span(rows) from its dimension v down to w (1 <= w < v).
+
+    The rows are put in reduced echelon form B once; the rank v is the
+    result's input_dim.  Each step takes the largest projective class of
+    the current images T C, lexicographically first on ties, whose
+    functional f cuts out the minimum-support hyperplane; its support is
+    the current one minus that class's count.  Every step checks the
+    averaging bound and recounts the support from the new images; at the
+    end the basis T B (read-only, w x n) is checked to lie in span(rows)
+    (one rank on the support columns), its nonzero columns are recounted,
+    and the chain bound, hence the uniform bound, is checked against
+    |supp(span(rows))|.  Entries are residues below p <= 2**16, so every
+    int64 product here is exact.
     """
-    p, B = V.p, V.basis
+    p = validate_prime(p)  # a Python int, so p**d below stays exact
+    e, v = rref(rows, p)
+    if not 1 <= w < v:
+        raise DimensionError(
+            f"target dimension {w} must be at least 1 and below the input dimension {v}"
+        )
+    B = e[:v]
     support, columns, counts = _distinct_columns(B)
     start = size = len(support)
-    T = np.eye(V.dim, dtype=np.int64)
+    T = np.eye(v, dtype=np.int64)
     images = columns
     while len(T) > w:
         d = len(T)
@@ -144,46 +162,14 @@ def _reduce(V: FpSubspace, w: int) -> tuple[FpSubspace, int, int]:
         size = int(counts[images.any(axis=0)].sum())
         if size != best:
             raise InvariantError("hyperplane support differs from its column-class count")
-    rows = np.zeros((w, V.ambient_dim), dtype=np.int64)
-    rows[:, support] = T @ B[:, support] % p
-    if rank(np.vstack([B[:, support], rows[:, support]]), p) != V.dim:
+    basis = np.zeros((w, B.shape[1]), dtype=np.int64)
+    basis[:, support] = T @ B[:, support] % p
+    if rank(np.vstack([B[:, support], basis[:, support]]), p) != v:
         raise InvariantError("reduced subspace is not inside the input subspace")
-    if np.count_nonzero(rows.any(axis=0)) != size:
+    if np.count_nonzero(basis.any(axis=0)) != size:
         raise InvariantError("reduced basis support differs from its column count")
-    if size > chain_factor(p, V.dim, w) * start:
+    chain = chain_factor(p, v, w) * start
+    if size > chain:
         raise InvariantError("chain bound must hold for the reduced subspace")
-    rows.flags.writeable = False
-    return FpSubspace(p=p, ambient_dim=V.ambient_dim, basis=rows), size, start
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    subspace: FpSubspace
-    support_size: int
-    chain_bound: Fraction
-    uniform_bound: Fraction
-    certified: bool
-    mode: str
-
-
-def reduce_to_dimension(V: FpSubspace, w: int) -> ReductionResult:
-    """Iterate hyperplane reduction from dim v down to dim w (1 <= w < v).
-
-    The result subspace sits inside V, and its support is at most the chain
-    bound (and hence the uniform bound) times |supp(V)|; both are checked
-    on every call.
-    """
-    v = V.dim
-    if not 1 <= w < v:
-        raise DimensionError(
-            f"target dimension {w} must be at least 1 and below the input dimension {v}"
-        )
-    sub, size, start = _reduce(V, w)
-    return ReductionResult(
-        subspace=sub,
-        support_size=size,
-        chain_bound=chain_factor(V.p, v, w) * start,
-        uniform_bound=uniform_factor(V.p, w) * start,
-        certified=True,
-        mode="exact",
-    )
+    basis.flags.writeable = False
+    return ReductionResult(basis, v, size, chain, uniform_factor(p, w) * start)

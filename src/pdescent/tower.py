@@ -262,12 +262,11 @@ def iter_levels(K: TwoComplex, spec: SeriesSpec, u: int = 0) -> Iterator[TowerLe
         if fam.size <= u:
             yield TowerLevel(level + 1, index, K, p, fam.cocycle_basis)
             return
-        span = fplinalg.FpSubspace.from_rows(fam.cocycle_basis, p, K.num_edges)
-        reduction = reduce_to_dimension(span, u)
+        reduction = reduce_to_dimension(fam.cocycle_basis, p, u)
         # the new family's support stays inside the preimage of the old one
         if reduction.support_size > cov.degree * here.support:
             raise InvariantError(f"level {level}: reduced family left its support's preimage")
-        family = reduction.subspace.basis
+        family = reduction.basis
     yield TowerLevel(spec.depth + 1, index, K, p, family)
 
 

@@ -236,16 +236,18 @@ def brute_support_sum(rows, p):
 ENUMERATION_CAP = 2**20
 
 
-def support_size_by_enumeration(w, cap=ENUMERATION_CAP):
-    """Support size of a subspace recovered by summing member supports over all of it.
+def support_size_by_enumeration(rows, p, cap=ENUMERATION_CAP):
+    """Support size of span(rows) recovered by summing supports over every combination of rows.
 
-    w is an `FpSubspace`.  Returns (sum over elements of |supp|) /
-    ((p-1) p^(dim-1)), which equals |supp(W)| because each coordinate in
-    the support is nonzero on exactly (p-1)p^(dim-1) elements; exact
-    rational arithmetic throughout.  More than cap elements raise
-    ValueError.
+    Returns (sum over the p^d coefficient vectors c of |supp(c rows)|) /
+    ((p-1) p^(d-1)), d the number of rows, which equals |supp(span(rows))|
+    because a coordinate in the support is a nonzero functional of c, so
+    nonzero on exactly (p-1)p^(d-1) of them; the rows need not be
+    independent.  Exact rational arithmetic throughout.  More than cap
+    coefficient vectors raise ValueError.
     """
-    p, d = w.p, w.dim
+    basis = np.asarray(rows, dtype=np.int64) % p
+    d = len(basis)
     if d == 0:
         return Fraction(0)
     if p**d > cap:
@@ -254,7 +256,7 @@ def support_size_by_enumeration(w, cap=ENUMERATION_CAP):
     places = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
     for start in range(0, count, 4096):  # blockwise, so memory stays bounded
         coeffs = np.arange(start, min(start + 4096, count), dtype=np.int64)[:, None] // places % p
-        total += int(((coeffs @ w.basis) % p != 0).sum())
+        total += int(((coeffs @ basis) % p != 0).sum())
     return Fraction(total, (p - 1) * p ** (d - 1))
 
 
@@ -265,18 +267,19 @@ def in_rowspan(vec, basis, p):
     return mod_rank(rows + [vec], p) == mod_rank(rows, p)
 
 
-def subspace_support(w):
-    """Indices where some element of the subspace w is nonzero.
+def subspace_support(rows, p):
+    """Indices where some element of span(rows) over F_p is nonzero.
 
-    Equals the set of nonzero columns of any basis, since a column that
-    vanishes on a basis vanishes on every combination.
+    Equals the set of columns nonzero mod p of any spanning set, since a
+    column that vanishes on the rows vanishes on every combination.
     """
-    return {int(j) for j in np.flatnonzero((np.asarray(w.basis) % w.p != 0).any(axis=0))}
+    return {int(j) for j in np.flatnonzero((np.asarray(rows, dtype=np.int64) % p != 0).any(axis=0))}
 
 
-def contains_subspace(outer, inner):
-    """True when the subspace inner lies in outer: its rows add no rank to outer's basis."""
-    return mod_rank(outer.basis.tolist() + inner.basis.tolist(), outer.p) == outer.dim
+def contains_subspace(outer, inner, p):
+    """True when span(inner) lies in span(outer): inner's rows add no rank to outer's."""
+    outer = np.asarray(outer, dtype=np.int64).tolist()
+    return mod_rank(outer + np.asarray(inner, dtype=np.int64).tolist(), p) == mod_rank(outer, p)
 
 
 def brute_min_hyperplane_support(rows, p):
@@ -668,9 +671,10 @@ def column_classes_by_loop(basis, p):
 def best_hyperplane_by_functional_scan(basis, p):
     """The minimum-support hyperplane of span(basis) by scanning functionals.
 
-    The exact scan that `plotkin.best_hyperplane` replaced: every
-    functional f with first nonzero coefficient 1, in lexicographic order,
-    where ker(f) keeps every support coordinate whose column is not
+    The reference for `plotkin.reduce_to_dimension(basis, p, dim - 1)`
+    when basis is in reduced echelon form, as the reduction makes it:
+    every functional f with first nonzero coefficient 1, in lexicographic
+    order, where ker(f) keeps every support coordinate whose column is not
     proportional to f.  The first f of smallest support wins.  Returns
     (support size, reduced echelon basis of ker(f) as row lists).
     """
@@ -692,9 +696,10 @@ def best_hyperplane_by_functional_scan(basis, p):
 def hyperplane_by_rows(basis, f, p):
     """Reduced echelon basis of the hyperplane of span(basis) cut out by f.
 
-    The construction that `plotkin.hyperplane_subspace` replaced: scale f
-    to lead with 1, then map each of the rows e_i - f_i e_lead (i not the
-    lead), a basis of ker(f), through the basis.  Returns row lists.
+    The reference for the reduction's echelon-transform cut
+    (`plotkin._cut`): scale f to lead with 1, then map each of the rows
+    e_i - f_i e_lead (i not the lead), a basis of ker(f), through the
+    basis, and re-echelonise.  Returns row lists.
     """
     basis = np.asarray(basis, dtype=np.int64) % p
     f = [int(x) % p for x in f]

@@ -26,7 +26,6 @@ from pdescent.complexes import (
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover
 from pdescent.expansion import expansion_bound_report
-from pdescent.fplinalg import FpSubspace
 from pdescent.plotkin import (
     _cut,
     chain_factor,
@@ -90,8 +89,8 @@ def test_criterion_02_support_size_oracle_equivalence():
         p = primes[i % 3]
         dim = int(rng.integers(1, 5))
         ambient = int(rng.integers(dim, 11))
-        V = FpSubspace.from_rows(random_subspace_rows(rng, p, dim, ambient), p, ambient)
-        assert support_size_by_enumeration(V) == len(subspace_support(V))
+        rows = random_subspace_rows(rng, p, dim, ambient)
+        assert support_size_by_enumeration(rows, p) == len(subspace_support(rows, p))
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -106,17 +105,16 @@ def test_criterion_03_hyperplane_support_averaging():
         if p**v > 2**12:
             continue
         ambient = int(rng.integers(v, 13))
-        V = FpSubspace.from_rows(random_subspace_rows(rng, p, v, ambient), p, ambient)
-        total = len(subspace_support(V))
+        rows = np.array(random_subspace_rows(rng, p, v, ambient))
+        total = len(subspace_support(rows, p))
         eye = np.eye(v, dtype=np.int64)
         supports = [
-            len(subspace_support(FpSubspace.from_rows(_cut(eye, f, p) @ V.basis, p)))
-            for f in hyperplane_functionals(v, p)
+            len(subspace_support(_cut(eye, f, p) @ rows, p)) for f in hyperplane_functionals(v, p)
         ]
         # summed over all hyperplanes, support sizes hit (p^v - p)/(p-1) * |supp(V)|
         assert sum(supports) * (p - 1) == (p**v - p) * total
-        best = reduce_to_dimension(V, V.dim - 1)
-        assert best.certified and best.mode == "exact"
+        best = reduce_to_dimension(rows, p, v - 1)
+        assert best.input_dim == v
         assert best.support_size == min(supports)
         assert best.support_size * (p**v - 1) <= (p**v - p) * total
         checked += 1
@@ -133,13 +131,12 @@ def test_criterion_04_dimension_reduction_support_bound():
         v = int(rng.integers(2, 7))
         w = int(rng.integers(1, v))
         ambient = int(rng.integers(v, 13))
-        V = FpSubspace.from_rows(random_subspace_rows(rng, p, v, ambient), p, ambient)
-        res = reduce_to_dimension(V, w)
-        assert res.mode == "exact" and res.certified
-        assert res.subspace.dim == w
-        stacked = np.vstack([V.basis, res.subspace.basis])
+        rows = random_subspace_rows(rng, p, v, ambient)
+        res = reduce_to_dimension(rows, p, w)
+        assert (res.input_dim, len(res.basis)) == (v, w)
+        stacked = np.vstack([rows, res.basis])
         assert fplinalg.rank(stacked, p) == v  # output sits inside V
-        assert res.support_size <= chain_factor(p, v, w) * len(subspace_support(V))
+        assert res.support_size <= chain_factor(p, v, w) * len(subspace_support(rows, p))
     assert time.perf_counter() - t0 < 30.0
 
 

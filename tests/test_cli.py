@@ -234,6 +234,18 @@ def test_reduce_command(tmp_path, capsys):
     assert doc["mode"] == "exact"
     assert doc["certified"] is True
     assert len(doc["basis"]) == 1
+    # a repeated row and a multiple of another change neither the input
+    # dimension, which is the rank, nor anything else in the report
+    rows = ["1 1 0 0 1", "0 1 1 0 1", "0 0 1 1 1"]
+    for p, k in ((2, 3), (3, 2)):
+        multiple = " ".join(str(k * int(x)) for x in rows[2].split())
+        reports = []
+        for name, extra in (("plain", []), ("dependent", [rows[1], multiple])):
+            text = f"p = {p}\n" + "".join(f"row = {r}\n" for r in rows + extra)
+            path = write(tmp_path, f"{name}{p}.txt", text)
+            reports.append(run(capsys, ["reduce", path, "--u", "1"]))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0 and json.loads(reports[0][1])["input_dim"] == 3
     # target above the input dimension is a precondition failure
     code, _ = run(capsys, ["reduce", mat, "--u", "3"])
     assert code == 2

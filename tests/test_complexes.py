@@ -24,7 +24,8 @@ from pdescent.complexes import (
     tree_potential,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, loop_evaluations
-from pdescent.errors import ParseError
+from pdescent.errors import DimensionError, ParseError
+from pdescent.plotkin import reduce_to_dimension
 
 from oracles import (
     boundary_path,
@@ -593,7 +594,7 @@ def test_non_integer_entries_are_rejected_not_truncated():
     with pytest.raises(ValueError, match="integer"):
         fplinalg.rank([[0.5, 1.9]], 3)
     with pytest.raises(ValueError, match="integer"):
-        fplinalg.FpSubspace.from_rows([[1.5, 2.7]], 3)
+        reduce_to_dimension([[1.5, 2.7]], 3, 1)
     with pytest.raises(ValueError, match="integer"):
         fplinalg.solve([[1, 0]], [0.5], 3)
     # these cast with truncation before: [1.5, 2.7, 0, 0] evaluated as [1, 2, 0, 0]
@@ -612,4 +613,6 @@ def test_non_integer_entries_are_rejected_not_truncated():
     narrow = np.array([1, 2, 0, 0], dtype=np.int8)
     assert face_sums(K, narrow).tolist() == [0] and loop_evaluations(K, narrow) == [1, 2, 0, 0]
     assert tree_potential(K, narrow, 3).tolist() == [0]
-    assert fplinalg.FpSubspace.from_rows([], 3, ambient_dim=2).dim == 0
+    assert fplinalg.rank(np.zeros((0, 2), dtype=np.int64), 3) == 0
+    with pytest.raises(DimensionError, match="input dimension 0"):
+        reduce_to_dimension([], 3, 1)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pdescent import fplinalg
 from pdescent.fplinalg import (
-    FpSubspace,
     first_seen_labels,
     kernel_basis,
     rref,
@@ -520,12 +519,11 @@ def test_solve_finds_consistent_solutions():
 
 def test_subspace_support_examples():
     # span{(1,1,0),(0,1,1)} in F_2^3 covers all three coordinates
-    W = FpSubspace.from_rows(np.array([[1, 1, 0], [0, 1, 1]]), 2, 3)
-    assert subspace_support(W) == {0, 1, 2}
-    zero = FpSubspace.from_rows(np.zeros((0, 4), dtype=np.int64), 2, 4)
-    assert subspace_support(zero) == set()
-    single = FpSubspace.from_rows(np.array([[0, 2, 0, 1]]), 3, 4)
-    assert subspace_support(single) == {1, 3}
+    assert subspace_support([[1, 1, 0], [0, 1, 1]], 2) == {0, 1, 2}
+    assert subspace_support(np.zeros((0, 4), dtype=np.int64), 2) == set()
+    assert subspace_support([[0, 2, 0, 1]], 3) == {1, 3}
+    # entries are read mod p
+    assert subspace_support([[0, 2, 0, 1]], 2) == {3}
 
 
 def test_support_matches_brute_force_enumeration():
@@ -535,8 +533,7 @@ def test_support_matches_brute_force_enumeration():
         dim = int(rng.integers(1, 4))
         ambient = int(rng.integers(dim, 8))
         rows = random_subspace_rows(rng, p, dim, ambient)
-        W = FpSubspace.from_rows(np.array(rows), p, ambient)
-        assert subspace_support(W) == brute_support(rows, p)
+        assert subspace_support(rows, p) == brute_support(rows, p)
 
 
 def test_support_sum_identity_against_oracle():
@@ -547,16 +544,16 @@ def test_support_sum_identity_against_oracle():
         dim = int(rng.integers(1, 4))
         ambient = int(rng.integers(dim, 7))
         rows = random_subspace_rows(rng, p, dim, ambient)
-        W = FpSubspace.from_rows(np.array(rows), p, ambient)
-        value = support_size_by_enumeration(W)
-        assert value == len(subspace_support(W))
+        value = support_size_by_enumeration(rows, p)
+        assert value == len(subspace_support(rows, p))
+        # a dependent row changes no support: (p-1) p^(d-1) counts every spanning set
+        assert support_size_by_enumeration(rows + [rows[0]], p) == value
         assert brute_support_sum(rows, p) == value * (p - 1) * p ** (dim - 1)
 
 
 def test_support_sum_oracle_cap():
-    W = FpSubspace.from_rows(np.eye(8, dtype=np.int64), 2, 8)
     with pytest.raises(ValueError, match="exceeds cap"):
-        support_size_by_enumeration(W, cap=100)
+        support_size_by_enumeration(np.eye(8, dtype=np.int64), 2, cap=100)
 
 
 def test_subspace_membership_and_intersection():
@@ -571,14 +568,13 @@ def test_subspace_membership_and_intersection():
         for row in meet:
             assert in_rowspan(row, a, p)
         meet = np.array(meet, dtype=np.int64).reshape(-1, ambient)
-        A, B, M = (FpSubspace.from_rows(m, p, ambient) for m in (a, b, meet))
-        assert contains_subspace(A, M) and contains_subspace(B, M)
-        assert contains_subspace(A, B) == all(in_rowspan(row, A.basis, p) for row in B.basis)
+        assert contains_subspace(a, meet, p) and contains_subspace(b, meet, p)
+        assert contains_subspace(a, b, p) == all(in_rowspan(row, a, p) for row in b)
         # dim(A) + dim(B) = dim(A+B) + dim(A cap B)
         ra = fplinalg.rank(a, p)
         rb = fplinalg.rank(b, p)
         rsum = fplinalg.rank(np.vstack([a, b]), p)
-        assert ra + rb == rsum + M.dim
+        assert ra + rb == rsum + fplinalg.rank(meet, p)
 
 
 def test_extend_to_complement():

@@ -1,6 +1,9 @@
 """Checks on the repository's own tooling and source, not on the mathematics."""
 
 import ast
+import contextlib
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +64,15 @@ def test_library_imports_are_all_used():
                 if bound not in used:
                     found.append(f"{name}:{node.lineno} {bound}")
     assert found == []
+
+
+def test_readme_library_example_prints_what_it_says():
+    # each print in README's python block ends with a comment giving its output line
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    expected = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 3
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
