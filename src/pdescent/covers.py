@@ -48,31 +48,43 @@ def _strides(moduli) -> np.ndarray:
     return np.array([math.prod(moduli[k + 1 :]) for k in range(len(moduli))], dtype=np.int64)
 
 
-def _lift(edges, signs, starts, shifts, moduli, ranks):
-    """Lift base paths, laid out as CellArrays faces, from an array of start ranks.
+def _offsets(edges, signs, starts, shifts):
+    """Each step's deck offset from the start of its path, and each path's total.
 
     A lift's deck digits are its start digits plus the signed shifts of
-    the steps taken so far, so one prefix sum over the steps places every
-    lift at once.  Returns the lifts in the same layout, the lift of path
-    i from ranks[r] being path i * len(ranks) + r, and the ranks they end
-    at, one row per path.
+    the steps taken so far, so one prefix sum over the steps gives every
+    offset, one row per step, and every path's total, one row per path.
+    Sums are in the dtype of shifts (E x n): int64 residues for covers,
+    Python ints (object) for weights, which stay exact however large.
+    """
+    lengths = np.diff(starts, append=len(edges))
+    taken = np.zeros((len(edges) + 1, shifts.shape[1]), dtype=shifts.dtype)
+    np.cumsum(signs[:, None] * shifts[edges], axis=0, out=taken[1:])
+    opened = taken[starts]
+    # a forward step's lift leaves from the digits before it, a backward one's from those after
+    leave = np.where(signs[:, None] == 1, taken[:-1], taken[1:]) - np.repeat(opened, lengths, axis=0)
+    return leave, taken[starts + lengths] - opened
+
+
+def _lift(edges, signs, starts, leave, moduli, ranks):
+    """Lift base paths, laid out as CellArrays faces, from an array of start ranks.
+
+    leave are the step offsets of `_offsets`: a step lifted from rank r
+    leaves from the digits of r plus its offset.  Returns the lifts in the
+    same layout, the lift of path i from ranks[r] being path
+    i * len(ranks) + r.
     """
     strides, count, degree = _strides(moduli), len(ranks), math.prod(moduli)
     digits = np.asarray(ranks, dtype=np.int64)[:, None] // strides % moduli  # count x n
     lengths = np.diff(starts, append=len(edges))
     path = np.repeat(np.arange(len(starts)), lengths)
-    taken = np.zeros((len(edges) + 1, len(moduli)), dtype=np.int64)
-    np.cumsum(signs[:, None] * shifts[edges], axis=0, out=taken[1:])
-    # a forward step's lift leaves from the digits before it, a backward one's from those after
-    leave = np.where(signs[:, None] == 1, taken[:-1], taken[1:]) - taken[starts][path]
     lifted = edges[:, None] * degree + (leave[:, None, :] + digits) % moduli @ strides
-    end = ((taken[starts + lengths] - taken[starts])[:, None, :] + digits) % moduli @ strides
     lift_starts = count * starts[:, None] + lengths[:, None] * np.arange(count)
     at = lift_starts[path] + (np.arange(len(edges)) - starts[path])[:, None]
     lift_edges = np.empty(lifted.size, dtype=np.int64)
     lift_signs = np.empty(lifted.size, dtype=np.int64)
     lift_edges[at], lift_signs[at] = lifted, signs[:, None]
-    return (lift_edges, lift_signs, lift_starts.ravel()), end
+    return lift_edges, lift_signs, lift_starts.ravel()
 
 
 class CoveringMap:
@@ -105,8 +117,10 @@ class CoveringMap:
     def lift_path(self, path: EdgePath, label_rank: int = 0) -> EdgePath:
         """The lift of a base path starting at the given deck rank."""
         steps = np.array(path.steps, dtype=np.int64).reshape(-1, 2)
+        edges, signs = steps.T
         start = np.zeros(1, dtype=np.int64)
-        (edges, signs, _), _ = _lift(*steps.T, start, self.shifts, self.deck_moduli, [label_rank])
+        leave, _ = _offsets(edges, signs, start, self.shifts)
+        edges, signs, _ = _lift(edges, signs, start, leave, self.deck_moduli, [label_rank])
         lifted = tuple(zip(edges.tolist(), signs.tolist()))
         return EdgePath(start=self.lift_vertex(path.start, label_rank), steps=lifted)
 
@@ -128,13 +142,13 @@ def _lift_faces(K: TwoComplex, shifts, moduli):
     close, i.e. the shifts must sum to zero around every face mod moduli;
     otherwise CocycleConditionError names the first face whose lift does not.
     """
-    ranks = np.arange(math.prod(moduli), dtype=np.int64)
     a = K.arrays
-    faces, end = _lift(a.face_edges, a.face_signs, a.face_starts, shifts, moduli, ranks)
-    bad = np.flatnonzero((end != ranks).any(axis=1))
+    leave, total = _offsets(a.face_edges, a.face_signs, a.face_starts, shifts)
+    bad = np.flatnonzero((total % moduli).any(axis=1))
     if len(bad):
         raise CocycleConditionError(f"face {bad[0]} attaching path does not close in the cover")
-    return faces
+    ranks = np.arange(math.prod(moduli), dtype=np.int64)
+    return _lift(a.face_edges, a.face_signs, a.face_starts, leave, moduli, ranks)
 
 
 def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
@@ -247,54 +261,6 @@ def build_cyclic_cover(K: TwoComplex, weights, order: int) -> CoveringMap:
         raise ValueError("cover order must be at least 1")
     w = _cyclic_weights(K, weights, order)
     return _build_shift_cover(K, w.reshape(-1, 1) % order, (order,))
-
-
-def _cyclic_face_steps(K: TwoComplex, w):
-    """The steps of the faces of K with their offsets over Z, once for every order.
-
-    w are weights that passed `_cyclic_weights`.  A step's offset is the
-    signed weight sum from its face's start up to it: before a forward
-    step, after a backward one.  The lift of a face from rank r then takes
-    the lift of the step's edge at rank (offset + r) mod n in the Z/n
-    cover.  Offsets are Python ints, so weights near 2**63 sum exactly.
-    Faces are padded to one length with copies of their last step of sign
-    0, which add nothing to any row.  Returns (edges, signs, offsets), each
-    |faces| x length.  Such weights sum to zero around every face, so a
-    face that does not close is a bug.
-    """
-    a = K.arrays
-    lengths = np.diff(a.face_starts, append=len(a.face_edges))
-    taken = np.concatenate([[0], np.cumsum(w.astype(object)[a.face_edges] * a.face_signs)])
-    opened, closed = taken[a.face_starts], taken[a.face_starts + lengths]
-    bad = np.flatnonzero(closed != opened)
-    if len(bad):
-        raise InvariantError(f"face {bad[0]} attaching path does not close in the cover")
-    leave = np.where(a.face_signs == 1, taken[:-1], taken[1:]) - np.repeat(opened, lengths)
-    # column k of face j is its step min(k, length - 1)
-    k = np.arange(lengths.max(initial=0))
-    at = a.face_starts[:, None] + np.minimum(k, lengths[:, None] - 1)
-    real = k < lengths[:, None]
-    return a.face_edges[at], np.where(real, a.face_signs[at], 0), leave[at]
-
-
-def _cyclic_face_rows(steps, order: int, p: int):
-    """The face rows of d2 of the Z/order cover, without building the cover.
-
-    steps are those of `_cyclic_face_steps`.  Row j * order + r is the
-    lift of face j from rank r, over the cover's edges (edge e at rank t
-    being e * order + t) relabelled by `fplinalg.first_seen_labels`, so
-    that each row leads with its newest edge, as a (ptr, cols, vals)
-    triple of `fplinalg.sparse_rows`.
-    """
-    edges, signs, offsets = steps
-    faces, length = edges.shape
-    ranks = np.arange(order)[:, None]
-    shift = (offsets % order).astype(np.int64)[:, None, :]
-    cols = (edges * order)[:, None, :] + (shift + ranks) % order  # faces x order x length
-    rows = np.repeat(np.arange(faces * order), length)
-    vals = np.repeat(signs, order, axis=0).ravel()
-    labels = fplinalg.first_seen_labels(cols.ravel())
-    return fplinalg.sparse_rows(rows, labels, vals, faces * order, p)
 
 
 def loop_evaluations(K: TwoComplex, weights) -> list[int]:

@@ -33,9 +33,8 @@ from .complexes import (
 )
 from .covers import (
     CoveringMap,
-    _cyclic_face_rows,
-    _cyclic_face_steps,
     _cyclic_weights,
+    _offsets,
     build_abelian_p_cover,
 )
 from .errors import InvariantError, MalformedTowerError, NotRapidlyDescendingError
@@ -406,10 +405,33 @@ def cyclic_growth_report(
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     K = build_presentation_complex(pres)
-    steps = _cyclic_face_steps(K, _cyclic_weights(K, weights))
+    a = K.arrays
+    exact = _cyclic_weights(K, weights).astype(object)[:, None]  # Python ints sum exactly
+    leave, total = _offsets(a.face_edges, a.face_signs, a.face_starts, exact)
+    # such weights sum to zero around every face, so a face that does not close is a bug
+    bad = np.flatnonzero((total != 0).any(axis=1))
+    if len(bad):
+        raise InvariantError(f"face {bad[0]} attaching path does not close in the cover")
+    lengths = np.diff(a.face_starts, append=len(a.face_edges))
+    face = np.repeat(np.arange(K.num_faces), lengths)
+    start, length = a.face_starts[face], lengths[face][:, None]
+    within = np.arange(len(face)) - start
     entries = []
     for order in range(1, max_order + 1):
-        rank = fplinalg.sparse_rank(_cyclic_face_rows(steps, order, p), p)
+        # the step lifted from rank r leaves from rank (offset + r) mod order
+        ranks = np.arange(order)
+        shift = (leave[:, 0] % order).astype(np.int64)[:, None]
+        lifted = (a.face_edges * order)[:, None] + (shift + ranks) % order
+        # in `_lift`'s layout face j from rank r is row j * order + r, its steps in order;
+        # labelling the edges by first sight there makes each row lead with its newest edge
+        at = (start * order + within)[:, None] + length * ranks
+        cols = np.empty(lifted.size, dtype=np.int64)
+        cols[at] = lifted
+        labels = fplinalg.first_seen_labels(cols)[at]
+        rows = (face * order)[:, None] + ranks
+        signs = np.repeat(a.face_signs, order)
+        triple = fplinalg.sparse_rows(rows.ravel(), labels.ravel(), signs, K.num_faces * order, p)
+        rank = fplinalg.sparse_rank(triple, p)
         dp = order * (K.num_edges - K.num_vertices) + 1 - rank
         entries.append((order, dp, Fraction(dp, order)))
     dps = [dp for _, dp, _ in entries]

@@ -415,6 +415,15 @@ def test_shift_cover_rejects_faces_that_do_not_close():
     K = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=("aab",)))
     with pytest.raises(CocycleConditionError, match="face 0 attaching path does not close"):
         _build_shift_cover(K, np.array([[1], [0]]), (3,))
+    # the same shifts close around abAB, so the first face that does not is face 1
+    K = build_presentation_complex(GroupPresentation(("a", "b"), ("abAB", "aab")))
+    with pytest.raises(CocycleConditionError, match="face 1 attaching path does not close"):
+        _build_shift_cover(K, np.array([[1], [0]]), (3,))
+    # over (Z/3)^2 the shifts a = (1, 1), b = (1, 0) sum to (3, 2) around aab:
+    # 0 in the first digit, so only the second one leaves the lift open
+    K = build_presentation_complex(GroupPresentation(("a", "b"), ("aab",)))
+    with pytest.raises(CocycleConditionError, match="face 0 attaching path does not close"):
+        _build_shift_cover(K, np.array([[1, 1], [1, 0]]), (3, 3))
 
 
 def dp_and_fingerprint(text):

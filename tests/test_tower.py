@@ -384,6 +384,34 @@ def test_cyclic_growth_with_huge_weights_matches_the_built_covers(pres, weights)
     assert [dp for _, dp, _ in report.entries] == want
 
 
+@pytest.mark.parametrize(
+    "pres, weights",
+    [
+        (GroupPresentation(("a", "b", "c", "d"), ("abABcdCD",)), [1, -2, 0, 3]),
+        (GroupPresentation(("a", "b"), ("aabAAB",)), [2**62 + 1, 1]),
+    ],
+)
+def test_cyclic_growth_ranks_the_face_rows_of_the_built_covers(monkeypatch, pres, weights):
+    # the report places face lifts without building a cover; its rows must be
+    # those of the built cover's faces, whose lifts `_lift` places, so both
+    # follow one offset rule
+    seen = []
+    rank = fplinalg.sparse_rank
+    monkeypatch.setattr(fplinalg, "sparse_rank", lambda rows, p: seen.append(rows) or rank(rows, p))
+    cyclic_growth_report(pres, weights, 3, 12)
+    K = build_presentation_complex(pres)
+    assert len(seen) == 12
+    for order, rows in enumerate(seen, 1):
+        a = build_cyclic_cover(K, weights, order).total.arrays
+        lengths = np.diff(a.face_starts, append=len(a.face_edges))
+        face = np.repeat(np.arange(len(a.face_starts)), lengths)
+        labels = fplinalg.first_seen_labels(a.face_edges)
+        want = fplinalg.sparse_rows(face, labels, a.face_signs, len(a.face_starts), 3)
+        for got, expected in zip(rows, want, strict=True):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+
 @st.composite
 def cyclic_cases(draw):
     """(presentation, weights): 1-3 relators on which the weights, gcd 1, sum to zero.
