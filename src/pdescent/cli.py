@@ -363,7 +363,7 @@ def _cmd_cheeger(args):
     pres, p = _load_presentation(args)
     spec = _series_spec(args, p, default_depth=1)
     *_, last = tower.iter_levels(build_presentation_complex(pres), spec)
-    if last.note:
+    if last.picks is not None:  # the last level picks classes only when over budget
         raise EnumerationCapError(last.note)
     K = last.complex
     graph = SkeletonGraph.from_complex(K)
@@ -420,15 +420,16 @@ def _cmd_cover(args):
     spec = _series_spec(args, p, default_depth=1)
     levels = list(tower.iter_levels(build_presentation_complex(pres), spec))
     note = levels[-1].note
+    over = levels[-1].picks is not None  # the last level picks classes only when over budget
     doc = {
         "command": "cover",
         "p": p,
         "series": args.series,
-        "verdict": "budget-exhausted" if note else "completed",
+        "verdict": "budget-exhausted" if over else "completed",
         "levels": [_cover_stats(lvl) for lvl in levels],
         "notes": [note] if note else [],
     }
-    return emit_report(doc, args.format), 3 if note else 0
+    return emit_report(doc, args.format), 3 if over else 0
 
 
 def _cmd_echo(args):

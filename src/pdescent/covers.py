@@ -66,16 +66,15 @@ def _offsets(edges, signs, starts, shifts):
     return leave, taken[starts + lengths] - opened
 
 
-def _lift(edges, signs, starts, leave, moduli, ranks):
-    """Lift base paths, laid out as CellArrays faces, from an array of start ranks.
+def _lift(edges, signs, starts, leave, moduli, digits):
+    """Lift base paths, laid out as CellArrays faces, from rows of start digits.
 
-    leave are the step offsets of `_offsets`: a step lifted from rank r
-    leaves from the digits of r plus its offset.  Returns the lifts in the
-    same layout, the lift of path i from ranks[r] being path
-    i * len(ranks) + r.
+    leave are the step offsets of `_offsets`: a step lifted from digits d
+    leaves from d plus its offset.  digits holds one start per row (count
+    x n), as rows of `CoveringMap.digits`.  Returns the lifts in the same
+    layout, the lift of path i from digits[r] being path i * len(digits) + r.
     """
-    strides, count, degree = _strides(moduli), len(ranks), math.prod(moduli)
-    digits = np.asarray(ranks, dtype=np.int64)[:, None] // strides % moduli  # count x n
+    strides, count, degree = _strides(moduli), len(digits), math.prod(moduli)
     lengths = np.diff(starts, append=len(edges))
     path = np.repeat(np.arange(len(starts)), lengths)
     lifted = edges[:, None] * degree + (leave[:, None, :] + digits) % moduli @ strides
@@ -91,25 +90,23 @@ class CoveringMap:
     """A finite regular cover of a 2-complex.
 
     deck_moduli gives the cyclic factors of the deck group.  Deck labels
-    are integer mixed-radix ranks in [0, degree); deck_label(v) gives the
-    digits of v's rank, digit k ranging over Z/deck_moduli[k].  Cell t of
-    the total complex, of any dimension, projects to base cell t // degree.
-    A lift of base edge e adds shifts[e] to the digits of its start.  For
-    covers built from mod-p classes, p is their modulus and the columns of
-    shifts are the defining cocycles; p is None for cyclic covers.
+    are integer mixed-radix ranks in [0, degree); digits is the read-only
+    degree x n table whose row r holds the digits of rank r, digit k
+    ranging over Z/deck_moduli[k].  Cell t of the total complex, of any
+    dimension, projects to base cell t // degree.  A lift of base edge e
+    adds shifts[e] to the digits of its start.  For covers built from mod-p
+    classes, p is their modulus and the columns of shifts are the defining
+    cocycles; p is None for cyclic covers.
     """
 
-    def __init__(self, base, total, deck_moduli, shifts, p=None):
+    def __init__(self, base, total, deck_moduli, shifts, digits, p=None):
         self.base: TwoComplex = base
         self.total: TwoComplex = total
         self.deck_moduli = tuple(int(m) for m in deck_moduli)
         self.degree = math.prod(self.deck_moduli)
         self.shifts = shifts  # (base edges) x len(deck_moduli)
+        self.digits = digits  # degree x len(deck_moduli)
         self.p = p
-
-    def deck_label(self, total_vertex: int) -> tuple[int, ...]:
-        r = total_vertex % self.degree
-        return tuple((r // _strides(self.deck_moduli) % self.deck_moduli).tolist())
 
     def lift_vertex(self, v: int, label_rank: int = 0) -> int:
         return v * self.degree + label_rank
@@ -120,7 +117,8 @@ class CoveringMap:
         edges, signs = steps.T
         start = np.zeros(1, dtype=np.int64)
         leave, _ = _offsets(edges, signs, start, self.shifts)
-        edges, signs, _ = _lift(edges, signs, start, leave, self.deck_moduli, [label_rank])
+        start_digits = self.digits[[label_rank]]
+        edges, signs, _ = _lift(edges, signs, start, leave, self.deck_moduli, start_digits)
         lifted = tuple(zip(edges.tolist(), signs.tolist()))
         return EdgePath(start=self.lift_vertex(path.start, label_rank), steps=lifted)
 
@@ -135,7 +133,7 @@ class CoveringMap:
         return [f * self.degree for f in range(self.base.num_faces)]
 
 
-def _lift_faces(K: TwoComplex, shifts, moduli):
+def _lift_faces(K: TwoComplex, shifts, moduli, digits):
     """Every face of K lifted from every deck rank, as CellArrays faces.
 
     The lift of face j from rank r is face j * degree + r.  Each lift must
@@ -147,8 +145,7 @@ def _lift_faces(K: TwoComplex, shifts, moduli):
     bad = np.flatnonzero((total % moduli).any(axis=1))
     if len(bad):
         raise CocycleConditionError(f"face {bad[0]} attaching path does not close in the cover")
-    ranks = np.arange(math.prod(moduli), dtype=np.int64)
-    return _lift(a.face_edges, a.face_signs, a.face_starts, leave, moduli, ranks)
+    return _lift(a.face_edges, a.face_signs, a.face_starts, leave, moduli, digits)
 
 
 def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
@@ -161,10 +158,11 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
     strides = _strides(moduli)
     ranks = np.arange(degree, dtype=np.int64)
     digits = ranks[:, None] // strides % moduli  # degree x n
+    digits.flags.writeable = False
     a = K.arrays
     init = (a.init[:, None] * degree + ranks).ravel()
     term = (a.term[:, None] * degree + (digits + shifts[:, None, :]) % moduli @ strides).ravel()
-    faces = _lift_faces(K, shifts, moduli)
+    faces = _lift_faces(K, shifts, moduli, digits)
     if p is not None:
         coords = class_coordinates(K, shifts.T, p)
         if fplinalg.rank(coords, p) < len(moduli):
@@ -181,7 +179,7 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
     # a degree-n cover multiplies every cell count, hence chi, by n
     if total.euler_characteristic != degree * K.euler_characteristic:
         raise InvariantError("cover Euler characteristic is not degree times the base's")
-    return CoveringMap(K, total, moduli, shifts, p)
+    return CoveringMap(K, total, moduli, shifts, digits, p)
 
 
 def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:

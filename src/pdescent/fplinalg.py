@@ -41,7 +41,6 @@ __all__ = [
     "sparse_kernel",
     "kernel_basis",
     "solve",
-    "extend_to_complement",
 ]
 
 MAX_PRIME = 2**16
@@ -427,17 +426,3 @@ def solve(m, b, p):
     x[pivots] = e[:r, cols]
     return x
 
-
-def extend_to_complement(inner, outer, p) -> np.ndarray:
-    """Greedy complement of span(inner) in span(outer).
-
-    The echelon basis rows of span(outer) that, scanned in order, leave the
-    span of inner and the rows kept before them: a basis of a complement of
-    span(inner) ∩ span(outer) in span(outer).  They are the pivot columns
-    past inner of the transposed stack [inner; outer echelon].
-    """
-    inner = _as_matrix(inner, p)
-    outer_ech, r = rref(_as_matrix(outer, p), p)
-    e, rr = rref(np.vstack([inner, outer_ech[:r]]).T, p)
-    pivots = _pivot_columns(e, rr)
-    return outer_ech[pivots[pivots >= len(inner)] - len(inner)]

@@ -43,8 +43,8 @@ def chain_factor(p: int, v: int, w: int) -> Fraction:
 
 
 def uniform_factor(p: int, w: int) -> Fraction:
-    """Dimension-free decay factor for a reduction to dimension w."""
-    return Fraction(p ** (w + 1) - p, p ** (w + 1) - 1)
+    """Dimension-free decay factor for a reduction to dimension w: the one step from w + 1."""
+    return chain_factor(p, w + 1, w)
 
 
 def _groups(cols) -> tuple[np.ndarray, np.ndarray]:

@@ -150,8 +150,6 @@ def _series_picks(K, basis, spec: SeriesSpec, level: int, family) -> tuple[int, 
     Only the rank series reads rows: at most spec.rank + len(family).
     """
     if spec.kind == "derived":
-        if not basis:
-            raise ValueError(f"level {level}: H^1 is trivial, series cannot continue")
         return tuple(range(len(basis)))
     if spec.kind == "explicit":
         if level - 1 >= len(spec.levels):
@@ -192,8 +190,9 @@ class TowerLevel:
     built only once the projected cell count fits the budget.  Otherwise
     cover is None and note says so.  With a family, wedge_count is the size
     of the cover's wedge family.  The deepest complex reached is a level
-    without basis, picks or cover.  dp is len(basis) on a step level and
-    h1_dimension on the deepest complex, computed when first read.
+    without picks or cover; when its H^1 is trivial, note says that the
+    tower ends there.  dp is len(basis) when a basis is held and
+    h1_dimension otherwise, computed when first read.
     """
 
     level: int
@@ -226,9 +225,9 @@ def iter_levels(K: TwoComplex, spec: SeriesSpec, u: int = 0) -> Iterator[TowerLe
     budget; with a family, the wedge family over the cover is reduced to
     dimension u and becomes the next level's family.  The last level
     yielded is the first one over budget or the deepest complex reached:
-    spec.depth steps down, or one step below a wedge family of size <= u,
-    whose classes are then its family.  Nothing of a level is built before
-    it is asked for.
+    spec.depth steps down, the first complex with trivial H^1, or one step
+    below a wedge family of size <= u, whose classes are then its family.
+    Nothing of a level is built before it is asked for.
     """
     if u < 0:
         raise ValueError("family dimension u must be at least 0")
@@ -241,6 +240,10 @@ def iter_levels(K: TwoComplex, spec: SeriesSpec, u: int = 0) -> Iterator[TowerLe
     for level in range(1, spec.depth + 1):
         if level > 1:
             basis = h1_cocycle_basis(K, p)
+        if not basis:
+            note = f"level {level}: H^1 is trivial, the tower ends here"
+            yield TowerLevel(level, index, K, p, family, basis, note=note)
+            return
         picks = _series_picks(K, basis, spec, level, family)
         step = functools.partial(TowerLevel, level, index, K, p, family, basis, picks)
         if p ** len(picks) * K.num_cells > budget:
@@ -299,8 +302,9 @@ def run_descent(pres: GroupPresentation, spec: SeriesSpec, u: int) -> DescentRep
     for lvl in iter_levels(build_presentation_complex(pres), spec, u):
         records.append(_record(lvl, u))
         if lvl.note:
-            verdict = "budget-exhausted"
             notes.append(lvl.note)
+        if lvl.picks is not None and lvl.cover is None:
+            verdict = "budget-exhausted"
         elif lvl.wedge_count is not None and lvl.wedge_count <= u:
             verdict = "bound-violated"
             size = lvl.wedge_count

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .complexes import Cochain, EdgePath, class_coordinates, face_sums
+from .complexes import Cochain, EdgePath, class_coordinates, face_sums, tree_potential
 from .covers import CoveringMap, vertex_values
 from .errors import CocycleConditionError, InvariantError, UnsupportedCoverError
 
@@ -69,11 +69,12 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     family is U, a u x |E| integer matrix of residues mod the cover's p,
     one cocycle on cov.base per row; one stack of face sums checks them
     all.  The complement C is the greedy complement of span(U) in the
-    covering span (`fplinalg.extend_to_complement`), so |C| >= n - |U|
-    when the deck group has rank n.  The returned cocycle basis has
-    dimension at least |U|*|C| - r, where r is the number of deck orbits
-    of faces.  One `vertex_values` call gives every complement class its
-    table, shared by its |U| wedges.
+    covering span: the echelon rows that, scanned in order, leave span(U)
+    and the rows kept before them, so |C| >= n - |U| when the deck group
+    has rank n.  The returned cocycle basis has dimension at least
+    |U|*|C| - r, where r is the number of deck orbits of faces.  Each
+    complement class's table, shared by its |U| wedges, is read off
+    `CoveringMap.digits` with no pass over the cover.
     """
     p = cov.p
     if p is None:
@@ -90,15 +91,22 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
         raise CocycleConditionError("family member is not a cocycle")
 
     coords = class_coordinates(base, np.vstack([U, cov.shifts.T]), p)
-    u_coords = coords[: len(U)]
-    if fplinalg.rank(u_coords, p) < len(U):
+    u, k = len(U), coords.shape[1]
+    # [shift coordinates | I]: the covering span's echelon rows, each with its combination lam
+    e, _ = fplinalg.rref(np.hstack([coords[u:], np.eye(len(cov.deck_moduli), dtype=np.int64)]), p)
+    # the pivot columns of [U; span rows]^T scan U, then keep the span rows that leave its span
+    e_stack, r = fplinalg.rref(np.vstack([coords[:u], e[:, :k]]).T, p)
+    pivots = fplinalg._pivot_columns(e_stack, r)
+    if np.count_nonzero(pivots < u) < u:
         raise ValueError("family classes are dependent in cohomology")
-    # greedy complement rows, as tree-vanishing cocycles
-    comp_coords = fplinalg.extend_to_complement(u_coords, coords[len(U) :], p)
-    C = np.zeros((len(comp_coords), base.num_edges), dtype=np.int64)
-    C[:, base.arrays.non_tree] = comp_coords
-
-    tables = vertex_values(cov, C, p)[:, total.arrays.init]
+    keep = pivots[pivots >= u] - u
+    C = np.zeros((len(keep), base.num_edges), dtype=np.int64)
+    C[:, base.arrays.non_tree] = e[keep, :k]  # tree-vanishing rows
+    # C_j is lam_j . shifts less the coboundary of its tree potential lam_j . t,
+    # so its table at cover vertex (v, r) is lam_j . (digits[r] - t[v])
+    lam, t = e[keep, k:], tree_potential(base, cov.shifts.T, p)
+    tables = ((lam @ cov.digits.T)[:, None, :] - (lam @ t)[:, :, None]) % p
+    tables = tables.reshape(len(C), total.num_vertices)[:, total.arrays.init]
     pulled = np.repeat(U, cov.degree, axis=1)
     span_basis = (pulled[:, None, :] * tables % p).reshape(-1, total.num_edges)
 

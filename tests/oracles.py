@@ -126,7 +126,8 @@ def combine_cochains(cochains, coeffs, p):
     cochains = list(cochains)
     values = np.zeros(cochains[0].complex.num_edges, dtype=np.int64)
     for a, c in zip(coeffs, cochains, strict=True):
-        assert c.complex is cochains[0].complex, "cochains live on different complexes"
+        if c.complex is not cochains[0].complex:
+            raise AssertionError("cochains live on different complexes")
         values = (values + int(a) * c.values) % p
     return dataclasses.replace(cochains[0], p=p, values=values)
 
@@ -616,7 +617,8 @@ def tuple_label_cover(K, shifts, moduli):
                 else:
                     cur = shifted(cur, e, -1)
                     steps.append((e * degree + label_rank[cur], -1))
-            assert cur == a, "face attaching path failed to close in the cover"
+            if cur != a:
+                raise AssertionError("face attaching path failed to close in the cover")
             faces.append(tuple(steps))
     return edges, faces, K.basepoint * degree, labels
 
@@ -802,14 +804,16 @@ def dense_wedge_cocycles(K, total, degree, family, cover_coords, p):
         row = _on_non_tree_edges(K, c)
         pulled = [row[t // degree] for t in range(total.num_edges)]
         values, bad = vertex_values_by_tree_paths(total, pulled, p)
-        assert bad is None, "a complement class does not vanish on the cover's loops"
+        if bad is not None:
+            raise AssertionError("a complement class does not vanish on the cover's loops")
         tables.append(values)
     span = [
         [U[t // degree] * values[a] % p for t, (a, _) in enumerate(total.edges)]
         for U in family
         for values in tables
     ]
-    assert mod_rank(span, p) == len(span), "wedges of independent inputs are dependent"
+    if mod_rank(span, p) != len(span):
+        raise AssertionError("wedges of independent inputs are dependent")
     paths = face_paths(total)
     sums = [
         [sum(d * row[e] for e, d in paths[f * degree]) % p for row in span]
@@ -888,7 +892,8 @@ def run_descent_dense(K, p, depth, rank, u, budget):
         family, reduced, _, _ = reduce_by_hyperplane_steps(cocycles, p, u)
         bound = Fraction(p**size - p ** (size - u), p**size - 1)
         records.append(record(*here, quotient_rank=rank, bound_factor=bound, wedge_count=size))
-        assert reduced <= degree * supp, "reduced family left its support's preimage"
+        if reduced > degree * supp:
+            raise AssertionError("reduced family left its support's preimage")
         supp, index, K = reduced, index * degree, total
     else:
         records.append(record(depth + 1, index, K, len(dense_cocycle_coordinates(K, p)), supp))

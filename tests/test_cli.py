@@ -311,6 +311,21 @@ def test_cover_command(tmp_path, capsys):
     assert code == 3
 
 
+def test_trivial_h1_completes_the_tower(capsys):
+    # <a | aa> at p = 2: level 2 is simply connected, which ends the tower
+    # with exit 0, in `cover` and in `cheeger`
+    path = str(DATA / "z2_p2.txt")
+    code, out = run(capsys, ["cover", path, "--depth", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "completed"
+    assert [lvl["d_p"] for lvl in doc["levels"]] == [1, 0]
+    assert doc["notes"] == ["level 2: H^1 is trivial, the tower ends here"]
+    code, out = run(capsys, ["cheeger", path, "--depth", "3"])
+    assert code == 0
+    assert json.loads(out)["level"] == 2
+
+
 @pytest.mark.parametrize(
     "argv, verdict, ranked",
     [

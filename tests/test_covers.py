@@ -149,8 +149,8 @@ def test_lift_of_defining_class_loop_shifts_label():
         loop = presentation_loop(K, pres, w)
         lift = cov.lift_path(loop, 0)
         end = cov.total.path_end(lift)
-        label = cov.deck_label(end)
-        assert label == tuple(basis[i].evaluate(loop) % p for i in range(2))
+        label = cov.digits[end % cov.degree].tolist()
+        assert label == [basis[i].evaluate(loop) % p for i in range(2)]
 
 
 def test_pullback_evaluates_like_base():
@@ -322,14 +322,13 @@ def test_vertex_values_match_tree_path_walks(text, p, k, seed):
 
 def assert_matches_tuple_labels(cov, shifts, moduli, paths):
     """The cover and its lifts of `paths` from every start rank agree with
-    the tuple-label oracle, and deck_label decodes the oracle's labels."""
+    the tuple-label oracle, and the digit table holds the oracle's labels."""
     edges, faces, basepoint, labels = tuple_label_cover(cov.base, shifts, moduli)
     assert cov.total.edges == tuple(edges)
     assert face_paths(cov.total) == tuple(faces)
     assert cov.total.basepoint == basepoint
-    assert [cov.deck_label(v) for v in range(cov.total.num_vertices)] == [
-        labels[v % cov.degree] for v in range(cov.total.num_vertices)
-    ]
+    assert [tuple(row) for row in cov.digits.tolist()] == labels
+    assert not cov.digits.flags.writeable
     for path in paths:
         for r in range(cov.degree):
             lift = cov.lift_path(path, r)

@@ -21,7 +21,6 @@ from oracles import (
     brute_support_sum,
     contains_subspace,
     enumerate_span,
-    greedy_complement,
     in_rowspan,
     mod_rank,
     mod_rref,
@@ -180,11 +179,6 @@ def test_packed_f2_path_matches_textbook_elimination(m, seed):
         assert (x is not None) == consistent
         if x is not None:
             assert x.dtype == np.int64 and np.array_equal((m @ x) % 2, b % 2)
-    if rows and cols:
-        inner = np.vstack([m[: rows // 2], rng.integers(0, 2, size=(1, cols))])
-        ext = fplinalg.extend_to_complement(inner, m, 2)
-        assert ext.dtype == np.int64
-        assert ext.tolist() == greedy_complement(inner.tolist(), m.tolist(), 2)
     assert np.array_equal(m, before)
 
 
@@ -576,37 +570,3 @@ def test_subspace_membership_and_intersection():
         rsum = fplinalg.rank(np.vstack([a, b]), p)
         assert ra + rb == rsum + fplinalg.rank(meet, p)
 
-
-def test_extend_to_complement():
-    rng = np.random.default_rng(37)
-    for _ in range(30):
-        p = int(rng.choice([2, 3]))
-        ambient = int(rng.integers(3, 7))
-        outer = np.array(random_subspace_rows(rng, p, 3, ambient))
-        inner = outer[:1]
-        ext = fplinalg.extend_to_complement(inner, outer, p)
-        stacked = np.vstack([inner, ext])
-        assert len(stacked) == 3
-        assert fplinalg.rank(stacked, p) == 3
-        for row in ext:
-            assert in_rowspan(row, outer, p)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from([2, 3, 5]),
-    st.integers(1, 6),
-    st.integers(0, 4),
-    st.integers(0, 5),
-    st.integers(0, 2**32 - 1),
-)
-def test_extend_to_complement_matches_greedy_scan(p, ambient, n_inner, n_outer, seed):
-    rng = np.random.default_rng(seed)
-    # zeroed rows make outer rank-deficient; part of inner is drawn from
-    # outer and the rest at random, so span(inner) need not lie in span(outer)
-    outer = rng.integers(0, p, size=(n_outer, ambient)) * rng.integers(0, 2, size=(n_outer, 1))
-    extra = rng.integers(0, p, size=(n_inner - n_inner // 2, ambient))
-    inner = np.vstack([outer[: n_inner // 2], extra])
-    ext = fplinalg.extend_to_complement(inner, outer, p)
-    assert ext.shape[1] == ambient
-    assert ext.tolist() == greedy_complement(inner.tolist(), outer.tolist(), p)

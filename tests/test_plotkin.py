@@ -51,6 +51,17 @@ def test_factor_arithmetic():
                 assert chain_factor(p, v, w) <= uniform_factor(p, w)
 
 
+def test_uniform_factor_is_the_last_chain_step():
+    # (p^(w+1) - p) / (p^(w+1) - 1), the one step from w + 1 down to w, bounds
+    # every longer chain down to w
+    for p in (2, 3, 5, 7):
+        for w in range(1, 7):
+            assert uniform_factor(p, w) == chain_factor(p, w + 1, w)
+            assert uniform_factor(p, w) == Fraction(p ** (w + 1) - p, p ** (w + 1) - 1)
+            for v in range(w + 1, w + 7):
+                assert chain_factor(p, v, w) <= uniform_factor(p, w)
+
+
 def test_hyperplane_functionals_enumeration():
     for p, v in ((2, 1), (2, 3), (3, 2), (5, 2)):
         fs = list(hyperplane_functionals(v, p))

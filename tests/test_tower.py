@@ -207,6 +207,38 @@ def test_stopping_iter_levels_early_builds_no_further_cover(monkeypatch):
     assert all(lvl.family.shape == (2, lvl.complex.num_edges) for lvl in levels)
 
 
+@pytest.mark.parametrize(
+    "relators, ends",
+    [
+        (("aa",), 2),  # Z/2: its index-2 cover is simply connected
+        (("aa", "bbb"), 2),  # Z/2 * Z/3: the index-2 subgroup is Z/3 * Z/3
+        (("aaa", "bbb", "abababab"), 1),  # the (3,3,4) triangle group: H_1 = Z/3
+    ],
+)
+@pytest.mark.parametrize(
+    "series",
+    [{"kind": "derived"}, {"kind": "rank", "rank": 1}, {"kind": "explicit", "levels": ((0,),) * 3}],
+)
+def test_trivial_h1_ends_the_tower(relators, ends, series):
+    gens = tuple(sorted({x for r in relators for x in r}))
+    K = build_presentation_complex(GroupPresentation(generators=gens, relators=relators))
+    levels = list(tower.iter_levels(K, SeriesSpec(p=2, depth=3, **series)))
+    *steps, last = levels
+    assert [lvl.level for lvl in levels] == list(range(1, ends + 1))
+    assert all(lvl.cover is not None and lvl.note is None for lvl in steps)
+    assert last.note == f"level {ends}: H^1 is trivial, the tower ends here"
+    assert (last.dp, last.index, last.picks, last.cover) == (0, 2 ** (ends - 1), None, None)
+    assert h1_dimension(last.complex, 2) == 0
+
+
+def test_rank_series_short_of_classes_still_fails():
+    # d_p = 1 on Z/2 * Z/3 at p = 2: a rank-2 series cannot be supplied, and
+    # only a trivial H^1 ends the tower
+    K = build_presentation_complex(GroupPresentation(generators=("a", "b"), relators=("aa", "bbb")))
+    with pytest.raises(ValueError, match="H\\^1 rank 1 cannot supply 2 classes"):
+        list(tower.iter_levels(K, SeriesSpec(kind="rank", p=2, depth=2, rank=2)))
+
+
 def test_run_descent_validates_u():
     pres, p = parse_presentation(TORUS)
     with pytest.raises(ValueError):

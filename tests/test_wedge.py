@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdescent import wedge
+from pdescent import complexes, covers, wedge
 from pdescent.complexes import (
     Cochain,
     GroupPresentation,
@@ -12,6 +12,7 @@ from pdescent.complexes import (
     face_sums,
     h1_cocycle_basis,
     parse_presentation,
+    tree_potential,
 )
 from pdescent.covers import build_abelian_p_cover, build_cyclic_cover, vertex_values
 from pdescent.errors import CocycleConditionError, InvariantError, UnsupportedCoverError
@@ -23,7 +24,13 @@ from pdescent.wedge import (
     wedge_cochain,
 )
 
-from oracles import cochain_support, combine_cochains, mod_rank, presentation_loop
+from oracles import (
+    cochain_support,
+    combine_cochains,
+    greedy_complement,
+    mod_rank,
+    presentation_loop,
+)
 
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
@@ -96,32 +103,97 @@ def test_wedge_support_containment():
             assert cochain_support(w) <= lifted
 
 
-def test_family_size_lower_bound_genus2(monkeypatch):
+def wedge_rows(cov, family, complement, p):
+    """The wedges U_i ∧ C_j, U-major, with C's tables from `vertex_values`."""
+    tables = vertex_values(cov, complement, p)[:, cov.total.arrays.init]
+    pulled = np.repeat(family, cov.degree, axis=1)
+    return (pulled[:, None, :] * tables % p).reshape(-1, cov.total.num_edges)
+
+
+def test_family_size_lower_bound_genus2():
     # (n - u) u - r with n = 4 covering classes, r = 1 deck face orbit
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis[:], p)
-    tables = []
-
-    def counted(cov, stack, p):
-        tables.append(stack)
-        return vertex_values(cov, stack, p)
-
-    monkeypatch.setattr(wedge, "vertex_values", counted)
     for u in (1, 2):
-        tables.clear()
         fam = build_wedge_family(cov, basis[:u])
         n = len(basis)
         r = cov.base.num_faces
         assert len(fam.span_basis) == u * len(fam.complement)
-        # one call gives a table per complement class, shared by the |U| wedges with it
-        assert len(tables) == 1 and np.array_equal(tables[0], fam.complement)
+        # each complement class has one table, shared by the |U| wedges with it
+        assert np.array_equal(fam.span_basis, wedge_rows(cov, basis[:u], fam.complement, p))
         assert fam.size >= (n - u) * u - r
         assert not np.any(face_sums(cov.total, fam.cocycle_basis) % p)
         # classes independent in H^1 of the total complex
         coords = class_coordinates(cov.total, fam.cocycle_basis, p).tolist()
         assert mod_rank(coords, p) == fam.size
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((GENUS2, TORUS, ROSE3)),
+    st.booleans(),
+    st.sampled_from((1, 2)),
+    st.integers(0, 2**32 - 1),
+)
+def test_tables_from_deck_digits_match_vertex_values(p, text, twice, u, seed):
+    # the defining classes and the family are basis rows plus random
+    # coboundaries, so on a cover of a presentation complex (many vertices)
+    # they do not vanish on the spanning tree and the tree potential t of
+    # the shifts is not zero
+    rng = np.random.default_rng(seed)
+    K = build_presentation_complex(parse_presentation(text)[0])
+    if twice:
+        K = build_abelian_p_cover(K, h1_cocycle_basis(K, p)[:2], p).total
+    a = K.arrays
+    basis = h1_cocycle_basis(K, p)
+    n = len(basis)
+
+    def plus_coboundaries(rows):
+        pots = rng.integers(0, p, size=(len(rows), K.num_vertices))
+        return (rows + pots[:, a.term] - pots[:, a.init]) % p
+
+    picks = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    shifts = plus_coboundaries(basis[picks])
+    cov = build_abelian_p_cover(K, shifts, p)
+    coeffs = rng.integers(0, p, size=(u, n))
+    while mod_rank(coeffs.tolist(), p) < u:
+        coeffs = rng.integers(0, p, size=(u, n))
+    family = plus_coboundaries(coeffs @ basis[:] % p)
+    fam = build_wedge_family(cov, family)
+    assert np.array_equal(fam.span_basis, wedge_rows(cov, family, fam.complement, p))
+    u_coords = class_coordinates(K, family, p).tolist()
+    cover_coords = class_coordinates(K, shifts, p).tolist()
+    expect = greedy_complement(u_coords, cover_coords, p)
+    assert class_coordinates(K, fam.complement, p).tolist() == expect
+
+
+def test_wedge_walks_the_cover_tree_once(monkeypatch):
+    # the complement's tables come from the deck digits, so the one
+    # integration along the cover's spanning tree is the final check that
+    # the cocycle classes are independent
+    pres, p = parse_presentation(GENUS2)
+    K = build_presentation_complex(pres)
+    basis = h1_cocycle_basis(K, p)
+    cov = build_abelian_p_cover(K, basis[:], p)
+    calls = []
+
+    def walked(K, values, p):
+        calls.append(("tree_potential", K))
+        return tree_potential(K, values, p)
+
+    def checked(K, rows, p):
+        calls.append(("class_coordinates", K))
+        return class_coordinates(K, rows, p)
+
+    for module in (complexes, covers, wedge):
+        monkeypatch.setattr(module, "tree_potential", walked)
+    monkeypatch.setattr(wedge, "class_coordinates", checked)
+    build_wedge_family(cov, basis[:2])
+    on_total = [name for name, complex_ in calls if complex_ is cov.total]
+    assert on_total == ["class_coordinates", "tree_potential"]
 
 
 def test_family_supports_stay_in_preimage():
