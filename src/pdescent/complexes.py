@@ -584,7 +584,9 @@ def face_sums(K: TwoComplex, rows) -> np.ndarray:
     if K.num_faces == 0:
         return np.zeros(rows.shape[:-1] + (0,), dtype=np.int64)
     a = K.arrays
-    return np.add.reduceat(rows[..., a.face_edges] * a.face_signs, a.face_starts, axis=-1)
+    steps = rows[..., a.face_edges]  # a fresh gather, signed in place
+    steps *= a.face_signs
+    return np.add.reduceat(steps, a.face_starts, axis=-1)
 
 
 def class_coordinates(K: TwoComplex, rows, p: int) -> np.ndarray:

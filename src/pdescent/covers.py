@@ -2,7 +2,7 @@
 
 An elementary abelian p-cover is built from n independent mod-p classes:
 the deck group is (Z/p)^n, a vertex lift (v, a) connects along edge e to
-(term(e), a + shift(e)) where shift(e) lists the defining cocycle values.
+(term(e), a + shift(e)) where shift(e) lists the tree-vanishing classes' values.
 Cyclic covers use a single integer cocycle reduced mod the cover order.
 
 A deck label is the integer mixed-radix rank of a deck group element,
@@ -20,13 +20,7 @@ import numbers
 import numpy as np
 
 from . import fplinalg
-from .complexes import (
-    Cochain,
-    EdgePath,
-    TwoComplex,
-    class_coordinates,
-    tree_potential,
-)
+from .complexes import Cochain, EdgePath, TwoComplex, tree_potential
 from .errors import (
     CocycleConditionError,
     DisconnectedCoverError,
@@ -96,7 +90,8 @@ class CoveringMap:
     dimension, projects to base cell t // degree.  A lift of base edge e
     adds shifts[e] to the digits of its start.  For covers built from mod-p
     classes, p is their modulus and the columns of shifts are the defining
-    cocycles; p is None for cyclic covers.
+    classes' representatives vanishing on the base's spanning tree; p is
+    None for cyclic covers.
     """
 
     def __init__(self, base, total, deck_moduli, shifts, digits, p=None):
@@ -109,28 +104,26 @@ class CoveringMap:
         self.p = p
 
     def lift_vertex(self, v: int, label_rank: int = 0) -> int:
+        if not 0 <= label_rank < self.degree:
+            raise ValueError(f"deck rank {label_rank} is outside [0, {self.degree})")
         return v * self.degree + label_rank
 
     def lift_path(self, path: EdgePath, label_rank: int = 0) -> EdgePath:
         """The lift of a base path starting at the given deck rank."""
+        lifted_start = self.lift_vertex(path.start, label_rank)
         steps = np.array(path.steps, dtype=np.int64).reshape(-1, 2)
         edges, signs = steps.T
         start = np.zeros(1, dtype=np.int64)
         leave, _ = _offsets(edges, signs, start, self.shifts)
         start_digits = self.digits[[label_rank]]
         edges, signs, _ = _lift(edges, signs, start, leave, self.deck_moduli, start_digits)
-        lifted = tuple(zip(edges.tolist(), signs.tolist()))
-        return EdgePath(start=self.lift_vertex(path.start, label_rank), steps=lifted)
+        return EdgePath(start=lifted_start, steps=tuple(zip(edges.tolist(), signs.tolist())))
 
     def pullback(self, c: Cochain) -> Cochain:
         """The pulled-back cochain: each edge lift takes the base value."""
         if c.complex is not self.base:
             raise ValueError("cochain does not live on the base of this cover")
         return Cochain(self.total, c.p, np.repeat(c.values, self.degree))
-
-    def deck_orbit_representatives(self) -> list[int]:
-        """One face of the total complex per deck orbit: the zero-label lift."""
-        return [f * self.degree for f in range(self.base.num_faces)]
 
 
 def _lift_faces(K: TwoComplex, shifts, moduli, digits):
@@ -151,7 +144,8 @@ def _lift_faces(K: TwoComplex, shifts, moduli, digits):
 def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
     """The cover whose edge e lifts shift deck digits by shifts[e] (E x n, mod moduli).
 
-    With p, the shifts are n mod-p classes, which must be independent in H^1.
+    With p, the shifts are n mod-p classes vanishing on K's spanning tree
+    (their non-tree values are their coordinates), independent in H^1.
     """
     moduli = tuple(int(m) for m in moduli)
     degree = math.prod(moduli)
@@ -164,7 +158,7 @@ def _build_shift_cover(K: TwoComplex, shifts, moduli, p=None) -> CoveringMap:
     term = (a.term[:, None] * degree + (digits + shifts[:, None, :]) % moduli @ strides).ravel()
     faces = _lift_faces(K, shifts, moduli, digits)
     if p is not None:
-        coords = class_coordinates(K, shifts.T, p)
+        coords = shifts.T[:, K.arrays.non_tree]
         if fplinalg.rank(coords, p) < len(moduli):
             raise DisconnectedCoverError(
                 "classes are dependent in cohomology; the cover would be disconnected",
@@ -186,11 +180,12 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
     """The connected (Z/p)^n cover defined by n independent cocycle classes.
 
     classes is an n x |E| integer matrix of residues mod p, one cocycle on
-    K per row, such as a slice of `h1_cocycle_basis(K, p)`.  Raises
-    CocycleConditionError, naming the face, if some class does not sum to
-    0 mod p around a face (a face lift would not close), and then
-    DisconnectedCoverError (with a dependency certificate) if the classes
-    are linearly dependent in H^1.
+    K per row, such as a slice of `h1_cocycle_basis(K, p)`.  The shifts are
+    each class less the coboundary of its `tree_potential`, which vanishes
+    on K's spanning tree.  Raises CocycleConditionError, naming the face,
+    if some class does not sum to 0 mod p around a face (a face lift would
+    not close), and then DisconnectedCoverError (with a dependency
+    certificate) if the classes are linearly dependent in H^1.
     """
     p = fplinalg.validate_prime(p)
     classes = fplinalg._integers(classes)
@@ -200,8 +195,10 @@ def build_abelian_p_cover(K: TwoComplex, classes, p: int) -> CoveringMap:
         raise ValueError("need at least one class")
     if np.any((classes < 0) | (classes >= p)):
         raise ValueError(f"class entries are not residues mod p = {p}")
-    # shifts are E x n, a copy that the cover owns
-    return _build_shift_cover(K, classes.T.copy(), (p,) * len(classes), p)
+    # coboundaries sum to 0 around faces, so a non-cocycle still fails at the same face
+    a, pot = K.arrays, tree_potential(K, classes, p)
+    shifts = np.ascontiguousarray(((classes + pot[:, a.init] - pot[:, a.term]) % p).T)  # E x n
+    return _build_shift_cover(K, shifts, (p,) * len(classes), p)
 
 
 def _cyclic_weights(K: TwoComplex, weights, order=None) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .complexes import Cochain, EdgePath, class_coordinates, face_sums, tree_potential
-from .covers import CoveringMap, vertex_values
+from .complexes import Cochain, EdgePath, class_coordinates, face_sums
+from .covers import CoveringMap, _offsets, vertex_values
 from .errors import CocycleConditionError, InvariantError, UnsupportedCoverError
 
 __all__ = [
@@ -72,9 +72,9 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     covering span: the echelon rows that, scanned in order, leave span(U)
     and the rows kept before them, so |C| >= n - |U| when the deck group
     has rank n.  The returned cocycle basis has dimension at least
-    |U|*|C| - r, where r is the number of deck orbits of faces.  Each
-    complement class's table, shared by its |U| wedges, is read off
-    `CoveringMap.digits` with no pass over the cover.
+    |U|*|C| - r, where r is the number of deck orbits of faces.  C_j is
+    lam_j . shifts, so U_i ∧ C_j on the lift of edge e to sheet r is
+    U_i(e) * lam_j . digits[r], read off the base and `CoveringMap.digits`.
     """
     p = cov.p
     if p is None:
@@ -90,32 +90,31 @@ def build_wedge_family(cov: CoveringMap, family) -> WedgeFamily:
     if np.any(face_sums(base, U) % p):
         raise CocycleConditionError("family member is not a cocycle")
 
-    coords = class_coordinates(base, np.vstack([U, cov.shifts.T]), p)
-    u, k = len(U), coords.shape[1]
-    # [shift coordinates | I]: the covering span's echelon rows, each with its combination lam
-    e, _ = fplinalg.rref(np.hstack([coords[u:], np.eye(len(cov.deck_moduli), dtype=np.int64)]), p)
+    a, u, k = base.arrays, len(U), len(base.arrays.non_tree)
+    # [shift coordinates | I], the coordinates being the non-tree shifts: the
+    # covering span's echelon rows, each with its combination lam
+    eye = np.eye(len(cov.deck_moduli), dtype=np.int64)
+    e, _ = fplinalg.rref(np.hstack([cov.shifts.T[:, a.non_tree], eye]), p)
     # the pivot columns of [U; span rows]^T scan U, then keep the span rows that leave its span
-    e_stack, r = fplinalg.rref(np.vstack([coords[:u], e[:, :k]]).T, p)
+    e_stack, r = fplinalg.rref(np.vstack([class_coordinates(base, U, p), e[:, :k]]).T, p)
     pivots = fplinalg._pivot_columns(e_stack, r)
     if np.count_nonzero(pivots < u) < u:
         raise ValueError("family classes are dependent in cohomology")
-    keep = pivots[pivots >= u] - u
-    C = np.zeros((len(keep), base.num_edges), dtype=np.int64)
-    C[:, base.arrays.non_tree] = e[keep, :k]  # tree-vanishing rows
-    # C_j is lam_j . shifts less the coboundary of its tree potential lam_j . t,
-    # so its table at cover vertex (v, r) is lam_j . (digits[r] - t[v])
-    lam, t = e[keep, k:], tree_potential(base, cov.shifts.T, p)
-    tables = ((lam @ cov.digits.T)[:, None, :] - (lam @ t)[:, :, None]) % p
-    tables = tables.reshape(len(C), total.num_vertices)[:, total.arrays.init]
-    pulled = np.repeat(U, cov.degree, axis=1)
-    span_basis = (pulled[:, None, :] * tables % p).reshape(-1, total.num_edges)
+    lam = e[pivots[pivots >= u] - u, k:]
+    C = lam @ cov.shifts.T % p  # tree-vanishing rows
+    # the lift of edge e to sheet r starts on sheet r, where C_j's table reads lam_j . digits[r]
+    sheets = lam @ cov.digits.T % p
+    span_basis = (U[:, None, :, None] * sheets[:, None, :] % p).reshape(u * len(C), total.num_edges)
 
     # wedges of independent inputs are independent as cochains
     if fplinalg.rank(span_basis, p) != len(span_basis):
         raise InvariantError("wedge cochains of independent inputs are dependent")
 
-    reps = cov.deck_orbit_representatives()
-    constraints = face_sums(total, span_basis)[:, reps].T % p
+    # one face per deck orbit: base face f lifted from sheet 0, its step s leaving from leave[s]
+    leave, _ = _offsets(a.face_edges, a.face_signs, a.face_starts, cov.shifts)
+    steps = U[:, None, a.face_edges] * (lam @ leave.T % p) * a.face_signs
+    steps = steps.reshape(len(span_basis), len(a.face_edges))
+    constraints = np.add.reduceat(steps, a.face_starts, axis=1).T % p
     combos = fplinalg.kernel_basis(constraints, p)
     # entries are below p <= 2**16, so the product is exact in int64
     cocycle_basis = combos @ span_basis % p

@@ -40,6 +40,7 @@ from oracles import (
 
 TORUS = "p = 2\ngens = a b\nrel = abAB\n"
 GENUS2 = "p = 2\ngens = a b c d\nrel = abABcdCD\n"
+ROSE3 = "p = 2\ngens = a b c\n"
 DATA = Path(__file__).parent / "data"
 
 
@@ -257,13 +258,56 @@ def test_vertex_values_undefined_off_covering_span():
     assert cov.pullback(basis[2]).evaluate(loop) % p != 0
 
 
-def test_deck_orbit_representatives():
-    pres, p = parse_presentation(GENUS2)
+def test_lifts_reject_deck_ranks_outside_the_deck_group():
+    pres, p = parse_presentation(TORUS)
     K = build_presentation_complex(pres)
-    cov = full_derived_cover(K, p)
-    reps = cov.deck_orbit_representatives()
-    assert len(reps) == K.num_faces
-    assert len({r // cov.degree for r in reps}) == K.num_faces
+    cov = full_derived_cover(K, p)  # (Z/2)^2, degree 4
+    loop = K.fundamental_loop(0)
+    for rank in (-1, cov.degree):
+        with pytest.raises(ValueError, match=rf"deck rank {rank} is outside \[0, 4\)"):
+            cov.lift_path(loop, rank)
+        with pytest.raises(ValueError, match=rf"deck rank {rank} is outside \[0, 4\)"):
+            cov.lift_vertex(K.basepoint, rank)
+    for rank in (0, cov.degree - 1):
+        lift = cov.lift_path(loop, rank)
+        assert lift.start == cov.lift_vertex(K.basepoint, rank) == K.basepoint * 4 + rank
+        assert [e // cov.degree for e, _ in lift.steps] == [e for e, _ in loop.steps]
+        assert cov.total.path_end(lift) // cov.degree == K.basepoint
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((GENUS2, TORUS, ROSE3)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_shifts_are_the_tree_vanishing_representatives(p, text, twice, seed):
+    # the defining classes are basis rows plus random coboundaries, on a
+    # presentation complex or on one of its covers (many vertices); the cover
+    # keeps their tree-vanishing representatives, the same classes, and is
+    # the cover of the raw classes up to relabelling its vertices
+    rng = np.random.default_rng(seed)
+    K = build_presentation_complex(parse_presentation(text)[0])
+    if twice:
+        K = build_abelian_p_cover(K, h1_cocycle_basis(K, p)[:2], p).total
+    a, basis = K.arrays, h1_cocycle_basis(K, p)
+    picks = rng.choice(len(basis), size=int(rng.integers(1, min(len(basis), 3) + 1)), replace=False)
+    n = len(picks)
+    pots = rng.integers(0, p, size=(n, K.num_vertices))
+    classes = (basis[picks] + pots[:, a.term] - pots[:, a.init]) % p
+    cov = build_abelian_p_cover(K, classes, p)
+    shifts = cov.shifts
+    assert shifts.dtype == np.int64 and shifts.shape == (K.num_edges, n)
+    assert shifts.flags.c_contiguous
+    assert not shifts[a.parent_edge].any()
+    assert np.array_equal(class_coordinates(K, shifts.T, p), class_coordinates(K, classes, p))
+    # an H^1 basis row already vanishes on the tree, so it is its own representative
+    assert np.array_equal(build_abelian_p_cover(K, basis[picks], p).shifts, basis[picks].T)
+    raw = _build_shift_cover(K, classes.T, (p,) * n)
+    cells = [(x.num_vertices, x.num_edges, x.num_faces) for x in (cov.total, raw.total)]
+    assert cells[0] == cells[1]
+    assert h1_dimension(cov.total, p) == h1_dimension(raw.total, p)
 
 
 def test_tower_of_covers_composes():

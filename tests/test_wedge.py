@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdescent import complexes, covers, wedge
+from pdescent import complexes, covers, fplinalg
 from pdescent.complexes import (
     Cochain,
     GroupPresentation,
@@ -130,19 +130,14 @@ def test_family_size_lower_bound_genus2():
         assert mod_rank(coords, p) == fam.size
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(
-    st.sampled_from((2, 3, 5)),
-    st.sampled_from((GENUS2, TORUS, ROSE3)),
-    st.booleans(),
-    st.sampled_from((1, 2)),
-    st.integers(0, 2**32 - 1),
-)
-def test_tables_from_deck_digits_match_vertex_values(p, text, twice, u, seed):
-    # the defining classes and the family are basis rows plus random
-    # coboundaries, so on a cover of a presentation complex (many vertices)
-    # they do not vanish on the spanning tree and the tree potential t of
-    # the shifts is not zero
+def random_cover_and_family(p, text, twice, u, seed):
+    """A random abelian p-cover and a random u-dimensional family on its base.
+
+    The base is a presentation complex or one of its covers (many
+    vertices). The defining classes and the family are basis rows plus
+    random coboundaries, so they do not vanish on the spanning tree.
+    Returns the cover, the raw defining classes and the family.
+    """
     rng = np.random.default_rng(seed)
     K = build_presentation_complex(parse_presentation(text)[0])
     if twice:
@@ -156,44 +151,77 @@ def test_tables_from_deck_digits_match_vertex_values(p, text, twice, u, seed):
         return (rows + pots[:, a.term] - pots[:, a.init]) % p
 
     picks = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
-    shifts = plus_coboundaries(basis[picks])
-    cov = build_abelian_p_cover(K, shifts, p)
+    classes = plus_coboundaries(basis[picks])
+    cov = build_abelian_p_cover(K, classes, p)
     coeffs = rng.integers(0, p, size=(u, n))
     while mod_rank(coeffs.tolist(), p) < u:
         coeffs = rng.integers(0, p, size=(u, n))
-    family = plus_coboundaries(coeffs @ basis[:] % p)
+    return cov, classes, plus_coboundaries(coeffs @ basis[:] % p)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((GENUS2, TORUS, ROSE3)),
+    st.booleans(),
+    st.sampled_from((1, 2)),
+    st.integers(0, 2**32 - 1),
+)
+def test_tables_from_deck_digits_match_vertex_values(p, text, twice, u, seed):
+    cov, classes, family = random_cover_and_family(p, text, twice, u, seed)
+    K = cov.base
     fam = build_wedge_family(cov, family)
     assert np.array_equal(fam.span_basis, wedge_rows(cov, family, fam.complement, p))
     u_coords = class_coordinates(K, family, p).tolist()
-    cover_coords = class_coordinates(K, shifts, p).tolist()
+    cover_coords = class_coordinates(K, classes, p).tolist()
     expect = greedy_complement(u_coords, cover_coords, p)
     assert class_coordinates(K, fam.complement, p).tolist() == expect
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((GENUS2, TORUS, ROSE3)),
+    st.booleans(),
+    st.sampled_from((1, 2)),
+    st.integers(0, 2**32 - 1),
+)
+def test_orbit_constraints_read_off_the_base_match_the_cover_faces(p, text, twice, u, seed):
+    # the constraint matrix handed to kernel_basis, summed over base faces
+    # from the deck digits, equals the wedges' sums over the zero-rank lift
+    # of every base face, read on the built cover
+    cov, _, family = random_cover_and_family(p, text, twice, u, seed)
+    seen, kernel_basis = [], fplinalg.kernel_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fplinalg, "kernel_basis", lambda m, p: seen.append(m) or kernel_basis(m, p))
+        fam = build_wedge_family(cov, family)
+    (constraints,) = seen
+    oracle = face_sums(cov.total, fam.span_basis)[:, :: cov.degree].T % p
+    assert constraints.shape == (cov.base.num_faces, len(fam.span_basis))
+    assert np.array_equal(constraints, oracle)
+
+
 def test_wedge_walks_the_cover_tree_once(monkeypatch):
-    # the complement's tables come from the deck digits, so the one
-    # integration along the cover's spanning tree is the final check that
-    # the cocycle classes are independent
+    # the cover integrates its classes along the base tree once, for their
+    # tree-vanishing shifts; the wedge integrates only the family along the
+    # base tree, for its class coordinates, and the cover's tree once, in
+    # the final check that the cocycle classes are independent
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
-    cov = build_abelian_p_cover(K, basis[:], p)
     calls = []
 
     def walked(K, values, p):
-        calls.append(("tree_potential", K))
+        calls.append(K)
         return tree_potential(K, values, p)
 
-    def checked(K, rows, p):
-        calls.append(("class_coordinates", K))
-        return class_coordinates(K, rows, p)
-
-    for module in (complexes, covers, wedge):
+    for module in (complexes, covers):
         monkeypatch.setattr(module, "tree_potential", walked)
-    monkeypatch.setattr(wedge, "class_coordinates", checked)
+    cov = build_abelian_p_cover(K, basis[:], p)
+    assert calls == [K]
+    calls.clear()
     build_wedge_family(cov, basis[:2])
-    on_total = [name for name, complex_ in calls if complex_ is cov.total]
-    assert on_total == ["class_coordinates", "tree_potential"]
+    assert calls == [K, cov.total]
 
 
 def test_family_supports_stay_in_preimage():
@@ -298,14 +326,14 @@ def test_span_basis_rows_are_the_pairwise_wedges(p, text, twice, seed):
 
 
 def test_wedge_family_checks_every_face_of_the_cover(monkeypatch):
-    # without the one-face-per-orbit constraints the wedges themselves come
-    # back, and the check of the whole stack on every face must reject them
+    # a kernel that keeps every wedge brings the wedges themselves back, and
+    # the check of the whole stack on every face must reject them
     pres, p = parse_presentation(GENUS2)
     K = build_presentation_complex(pres)
     basis = h1_cocycle_basis(K, p)
     cov = build_abelian_p_cover(K, basis[:], p)
     assert build_wedge_family(cov, basis[:1]).size == 2  # of 3 wedges
-    monkeypatch.setattr(cov, "deck_orbit_representatives", lambda: [])
+    monkeypatch.setattr(fplinalg, "kernel_basis", lambda m, p: np.eye(m.shape[1], dtype=np.int64))
     with pytest.raises(InvariantError, match="missed a face"):
         build_wedge_family(cov, basis[:1])
 
